@@ -1,40 +1,58 @@
 """Exact linear algebra over the rationals.
 
 Everything downstream that makes a structural claim (ranks, deficiencies,
-decompositions, concordance verdicts) goes through this module, so all
-arithmetic here is `fractions.Fraction` — no floating point, no tolerances.
-Matrices are plain lists of lists; sizes in this package are small (tens of
-rows/columns), so clarity wins over vectorization.
+decompositions, concordance verdicts) goes through this module, so every
+result here is exact — no floating point, no tolerances. The two hot kernels,
+`rref` and `lp_feasible`, pivot fraction-free on an integer matrix that
+carries one shared positive denominator (Bareiss elimination), and convert
+to `fractions.Fraction` only when they return. Matrices are plain lists of
+lists; sizes in this package are small (tens of rows/columns), so clarity
+wins over vectorization.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 Scalar = int | Fraction
 Matrix = list[list[Fraction]]
 
 
-def to_matrix(rows: Sequence[Sequence[Scalar]]) -> Matrix:
-    """Copy ``rows`` into a rectangular Fraction matrix."""
-    out = [[Fraction(x) for x in row] for row in rows]
-    if out and any(len(row) != len(out[0]) for row in out):
+def _integer_rows(rows: Sequence[Sequence[Scalar]]) -> list[Sequence[int]]:
+    """``rows`` as integers, every entry multiplied by one positive common denominator.
+
+    Integer rows are returned as they are, without wrapping each entry in a
+    Fraction; the kernels below only ever replace rows, never write into one.
+    """
+    if rows and any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("ragged matrix")
-    return out
+    if all(type(x) is int for row in rows for x in row):
+        return list(rows)
+    denom = lcm(*(x.denominator for row in rows for x in row))
+    return [[x.numerator * (denom // x.denominator) for x in row] for row in rows]
 
 
-def mat_mul(left: Sequence[Sequence[Scalar]], right: Sequence[Sequence[Scalar]]) -> Matrix:
-    """Exact matrix product."""
-    if left and right and len(left[0]) != len(right):
-        raise ValueError("inner dimensions differ")
-    inner = len(right)
-    width = len(right[0]) if inner else 0
-    return [
-        [sum((Fraction(row[k]) * right[k][j] for k in range(inner)), Fraction(0)) for j in range(width)]
-        for row in left
-    ]
+def _pivot(rows: list[Sequence[int]], r: int, col: int, denom: int) -> None:
+    """One fraction-free Gauss-Jordan step on ``rows[r][col]`` (Bareiss).
+
+    ``rows`` holds ``denom`` times the current tableau. Afterwards it holds
+    ``rows[r][col]`` times the tableau pivoted on that entry: ``rows[r]`` is
+    unchanged, and every other row becomes ``(p*row - f*pivot_row) / denom``.
+    Each entry is then a minor of the starting integer matrix, so the
+    division is exact.
+    """
+    pivot_row = rows[r]
+    p = pivot_row[col]
+    for i, row in enumerate(rows):
+        if i == r:
+            continue
+        f = row[col]
+        if f:
+            rows[i] = [(p * a - f * b) // denom for a, b in zip(row, pivot_row)]
+        elif p != denom:
+            rows[i] = [p * a // denom for a in row]
 
 
 def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Matrix, list[int]]:
@@ -44,27 +62,26 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Matrix, list[int]]:
         ``(R, pivots)`` where ``R`` is the RREF and ``pivots`` lists the pivot
         column of each nonzero row, in order.
     """
-    mat = to_matrix(rows)
+    mat = _integer_rows(rows)
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
     pivots: list[int] = []
-    row = 0
+    denom = 1
     for col in range(ncols):
+        row = len(pivots)
         if row == nrows:
             break
-        pivot_row = next((i for i in range(row, nrows) if mat[i][col] != 0), None)
+        pivot_row = next((i for i in range(row, nrows) if mat[i][col]), None)
         if pivot_row is None:
             continue
         mat[row], mat[pivot_row] = mat[pivot_row], mat[row]
-        inv = 1 / mat[row][col]
-        mat[row] = [x * inv for x in mat[row]]
-        for i in range(nrows):
-            if i != row and mat[i][col] != 0:
-                factor = mat[i][col]
-                mat[i] = [a - factor * b for a, b in zip(mat[i], mat[row])]
+        if mat[row][col] < 0:  # keep the shared denominator positive
+            mat[row] = [-x for x in mat[row]]
+        _pivot(mat, row, col, denom)
+        denom = mat[row][col]
         pivots.append(col)
-        row += 1
-    return mat, pivots
+    zero = Fraction(0)
+    return [[Fraction(x, denom) if x else zero for x in values] for values in mat], pivots
 
 
 def rank(rows: Sequence[Sequence[Scalar]]) -> int:
@@ -105,7 +122,7 @@ def solve_unique(columns: Sequence[Sequence[Scalar]], target: Sequence[Scalar]) 
     """
     ncols = len(columns)
     dim = len(target)
-    augmented = [[Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(target[i])] for i in range(dim)]
+    augmented = [[columns[j][i] for j in range(ncols)] + [target[i]] for i in range(dim)]
     reduced, pivots = rref(augmented)
     if ncols in pivots:
         return None
@@ -180,57 +197,64 @@ def lp_feasible(
 ) -> list[Fraction] | None:
     """Find ``u >= 0`` with ``A u = b``, or None if the system is infeasible.
 
-    Phase-1 simplex on exact rationals with Bland's rule, so termination is
-    guaranteed and verdicts are exact. Returns one feasible point (a basic
-    one), not anything optimal — callers only need feasibility witnesses.
+    Phase-1 simplex with Bland's rule, so termination is guaranteed and
+    verdicts are exact. Returns one feasible point (a basic one), not
+    anything optimal — callers only need feasibility witnesses.
+
+    Raises:
+        ValueError: if ``A`` is ragged or ``b`` does not have one entry per
+            row of ``A``.
     """
     nrows = len(a_eq)
-    ncols = len(a_eq[0]) if nrows else 0
+    if len(b_eq) != nrows:
+        raise ValueError(f"b_eq has {len(b_eq)} entries for {nrows} rows of a_eq")
     if nrows == 0:
-        return [Fraction(0)] * ncols
-
-    # Tableau [A | I | b] with b >= 0; artificial variables start basic.
-    tableau: Matrix = []
-    for i in range(nrows):
-        row = [Fraction(x) for x in a_eq[i]] + [Fraction(0)] * nrows + [Fraction(b_eq[i])]
-        if row[-1] < 0:
-            row = [-x for x in row]
-        row[ncols + i] = Fraction(1)
-        tableau.append(row)
-    basis = list(range(ncols, ncols + nrows))
+        return []
+    # One common denominator for all of [A | b]: scaling rows apart would
+    # reweight the artificials in the phase-1 objective and change pivots.
+    rows = _integer_rows([[*row, rhs] for row, rhs in zip(a_eq, b_eq)])
+    ncols = len(rows[0]) - 1
     width = ncols + nrows
 
-    # Reduced costs for minimizing the sum of artificials (all basic costs 1).
-    obj = [Fraction(0)] * (width + 1)
-    for j in range(width + 1):
-        col_sum = sum(tableau[i][j] for i in range(nrows))
-        cost = Fraction(1) if ncols <= j < width else Fraction(0)
-        obj[j] = cost - col_sum
+    # Tableau [A | I | b] with b >= 0; artificial variables start basic.
+    tableau: list[Sequence[int]] = []
+    for i, row in enumerate(rows):
+        sign = -1 if row[-1] < 0 else 1
+        line = [sign * x for x in row[:-1]] + [0] * nrows + [sign * row[-1]]
+        line[ncols + i] = 1
+        tableau.append(line)
+    # Reduced costs for minimizing the sum of artificials (all basic costs 1),
+    # kept as the last row so that every pivot updates them too.
+    obj = [-sum(column) for column in zip(*tableau)]
+    obj[ncols:width] = [0] * nrows
+    tableau.append(obj)
+    basis = list(range(ncols, width))
+    # ``tableau`` holds denom times the true tableau; denom > 0 because every
+    # pivot is, so signs and ratios read the same off either.
+    denom = 1
 
     while True:
+        obj = tableau[nrows]
         entering = next((j for j in range(width) if obj[j] < 0), None)
         if entering is None:
             break
+        # Ratio test, ties to the lowest basic index (Bland). Both a_ie and a_le
+        # are positive, so b_i/a_ie < b_l/a_le is compared cross-multiplied.
         leaving = None
-        best: Fraction | None = None
         for i in range(nrows):
             coef = tableau[i][entering]
             if coef > 0:
-                ratio = tableau[i][-1] / coef
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
+                if leaving is None:
+                    leaving = i
+                    continue
+                lhs = tableau[i][-1] * tableau[leaving][entering]
+                rhs = tableau[leaving][-1] * coef
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
                     leaving = i
         if leaving is None:  # pragma: no cover - phase-1 objective is bounded
             raise RuntimeError("unbounded phase-1 LP")
-        pivot_val = tableau[leaving][entering]
-        tableau[leaving] = [x / pivot_val for x in tableau[leaving]]
-        for i in range(nrows):
-            if i != leaving and tableau[i][entering] != 0:
-                factor = tableau[i][entering]
-                tableau[i] = [a - factor * b for a, b in zip(tableau[i], tableau[leaving])]
-        if obj[entering] != 0:
-            factor = obj[entering]
-            obj = [a - factor * b for a, b in zip(obj, tableau[leaving])]
+        _pivot(tableau, leaving, entering, denom)
+        denom = tableau[leaving][entering]
         basis[leaving] = entering
 
     infeasibility = sum(tableau[i][-1] for i in range(nrows) if basis[i] >= ncols)
@@ -239,5 +263,5 @@ def lp_feasible(
     solution = [Fraction(0)] * ncols
     for i, var in enumerate(basis):
         if var < ncols:
-            solution[var] = tableau[i][-1]
+            solution[var] = Fraction(tableau[i][-1], denom)
     return solution

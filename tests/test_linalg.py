@@ -2,7 +2,9 @@
 
 The LP feasibility routine is checked against a self-contained brute-force
 oracle (enumeration of candidate basic solutions with a local Gaussian solve),
-so the two implementations share no code beyond Fraction itself.
+so the two implementations share no code beyond Fraction itself. Both
+fraction-free kernels are also checked for identical output against the
+Fraction kernels they replaced, kept in ``oracles.py``.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
+import oracles
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -142,6 +146,22 @@ def test_lp_feasible_hand_cases():
     assert lp_feasible([], []) == []
 
 
+def test_lp_feasible_rejects_mismatched_shapes():
+    with pytest.raises(ValueError):
+        lp_feasible([[1, 2]], [1, 5])
+    with pytest.raises(ValueError):
+        lp_feasible([[1, 2], [1]], [1, 1])
+    with pytest.raises(ValueError):
+        lp_feasible([[1, 2], [3, 4]], [1])
+    with pytest.raises(ValueError):
+        lp_feasible([], [0])
+
+
+def test_rref_rejects_a_ragged_matrix():
+    with pytest.raises(ValueError):
+        rref([[1, 2], [3]])
+
+
 def test_lp_feasible_requires_pivoting():
     # x - y = -2 with x, y >= 0 needs y in the basis, not just artificials.
     point = lp_feasible([[1, -1]], [-2])
@@ -237,3 +257,75 @@ def test_solve_unique_roundtrip(mat, coeffs):
         sum(c * Fraction(col[i]) for c, col in zip(got, columns)) for i in range(dim)
     ]
     assert rebuilt == target
+
+
+# ---------------------------------------------------------------------------
+# differential suites: identical output to the Fraction kernels in oracles.py
+# ---------------------------------------------------------------------------
+
+rational_entries = st.one_of(
+    small_entries, st.fractions(min_value=-4, max_value=4, max_denominator=6)
+)
+
+
+@st.composite
+def lp_systems(draw, entries):
+    """``(A, b)``, often with a row repeated at twice its scale.
+
+    The repeated row makes the ratio test tie, and a zero right-hand side
+    makes a pivot degenerate, so Bland's tie-break on the basis index is
+    exercised as well as the plain minimum ratio.
+    """
+    n = draw(st.integers(min_value=1, max_value=6))
+    a_eq = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=1, max_size=4))
+    b_eq = draw(st.lists(st.one_of(st.just(0), entries), min_size=len(a_eq), max_size=len(a_eq)))
+    if draw(st.booleans()):
+        k = draw(st.integers(min_value=0, max_value=len(a_eq) - 1))
+        a_eq.append([2 * x for x in a_eq[k]])
+        b_eq.append(2 * b_eq[k])
+    return a_eq, b_eq
+
+
+def _assert_identical(got, want):
+    # repr tells Fraction(2, 1) from 2, so equal reprs mean equal values and types
+    assert repr(got) == repr(want)
+
+
+@settings(max_examples=300)
+@given(lp_systems(small_entries))
+def test_lp_feasible_matches_fraction_oracle_on_integers(case):
+    _assert_identical(lp_feasible(*case), oracles.lp_feasible(*case))
+
+
+@settings(max_examples=300)
+@given(lp_systems(rational_entries))
+def test_lp_feasible_matches_fraction_oracle_on_rationals(case):
+    _assert_identical(lp_feasible(*case), oracles.lp_feasible(*case))
+
+
+@settings(max_examples=300)
+@given(matrices(max_rows=5, max_cols=6))
+def test_rref_matches_fraction_oracle_on_integers(mat):
+    _assert_identical(rref(mat), oracles.rref(mat))
+
+
+@settings(max_examples=300)
+@given(
+    st.integers(min_value=1, max_value=6).flatmap(
+        lambda n: st.lists(
+            st.lists(rational_entries, min_size=n, max_size=n), min_size=1, max_size=5
+        )
+    )
+)
+def test_rref_matches_fraction_oracle_on_rationals(mat):
+    _assert_identical(rref(mat), oracles.rref(mat))
+
+
+def test_lp_feasible_breaks_a_ratio_tie_like_the_oracle():
+    # Degenerate: two rows tie at ratio 0 in the ratio test. Leaving on the
+    # higher basis index instead of the lower one ends at another vertex,
+    # (0, 1/2, 1/2, 1/2), so this case pins Bland's tie-break.
+    a_eq = [[0, 0, 1, -1], [0, 1, 0, 1], [-1, -1, 1, 0]]
+    b_eq = [0, 1, 0]
+    _assert_identical(lp_feasible(a_eq, b_eq), oracles.lp_feasible(a_eq, b_eq))
+    assert lp_feasible(a_eq, b_eq) == [1, 0, 1, 1]
