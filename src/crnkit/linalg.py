@@ -4,8 +4,8 @@ Everything downstream that makes a structural claim (ranks, deficiencies,
 decompositions, concordance verdicts) goes through this module, so every
 result here is exact — no floating point, no tolerances. The two hot kernels,
 `rref` and `lp_feasible`, pivot fraction-free on an integer matrix that
-carries one shared positive denominator (Bareiss elimination), and convert
-to `fractions.Fraction` only when they return. Matrices are plain lists of
+carries one shared denominator (Bareiss elimination), and convert to
+`fractions.Fraction` only when they return. Matrices are plain lists of
 lists; sizes in this package are small (tens of rows/columns), so clarity
 wins over vectorization.
 """
@@ -75,12 +75,10 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Matrix, list[int]]:
         if pivot_row is None:
             continue
         mat[row], mat[pivot_row] = mat[pivot_row], mat[row]
-        if mat[row][col] < 0:  # keep the shared denominator positive
-            mat[row] = [-x for x in mat[row]]
         _pivot(mat, row, col, denom)
         denom = mat[row][col]
         pivots.append(col)
-    zero = Fraction(0)
+    zero = Fraction(0)  # an RREF is mostly zeros; share one instead of building each
     return [[Fraction(x, denom) if x else zero for x in values] for values in mat], pivots
 
 

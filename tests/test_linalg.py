@@ -177,10 +177,10 @@ def test_lp_feasible_requires_pivoting():
 small_entries = st.integers(min_value=-4, max_value=4)
 
 
-def matrices(max_rows: int = 4, max_cols: int = 5):
+def matrices(max_rows: int = 4, max_cols: int = 5, entries=small_entries):
     return st.integers(min_value=1, max_value=max_cols).flatmap(
         lambda n: st.lists(
-            st.lists(small_entries, min_size=n, max_size=n),
+            st.lists(entries, min_size=n, max_size=n),
             min_size=1,
             max_size=max_rows,
         )
@@ -310,13 +310,7 @@ def test_rref_matches_fraction_oracle_on_integers(mat):
 
 
 @settings(max_examples=300)
-@given(
-    st.integers(min_value=1, max_value=6).flatmap(
-        lambda n: st.lists(
-            st.lists(rational_entries, min_size=n, max_size=n), min_size=1, max_size=5
-        )
-    )
-)
+@given(matrices(max_rows=5, max_cols=6, entries=rational_entries))
 def test_rref_matches_fraction_oracle_on_rationals(mat):
     _assert_identical(rref(mat), oracles.rref(mat))
 
