@@ -33,10 +33,10 @@ from .kinetics import (
     parametrization_names,
 )
 from .structure import (
-    deficiency_zero_report,
-    kinetic_subspace_coincides,
+    _deficiency_zero_of,
+    _flags_of,
+    _kinetic_subspace_of,
     network_numbers,
-    structural_flags,
 )
 from .transform import core as common_core
 from .transform import csen
@@ -104,9 +104,9 @@ def _labels(net: Network) -> list[str]:
 def cmd_analyze(args: argparse.Namespace) -> int:
     net = _load(args.network)
     numbers = network_numbers(net)
-    flags = structural_flags(net)
-    kinetic = kinetic_subspace_coincides(net)
-    dz = deficiency_zero_report(net)
+    flags = _flags_of(numbers)
+    kinetic = _kinetic_subspace_of(numbers)
+    dz = _deficiency_zero_of(numbers)
 
     payload = {
         "networkNumbers": asdict(numbers),
@@ -137,16 +137,14 @@ def cmd_fid(args: argparse.Namespace) -> int:
     net = _load(args.network)
     decomposition = fid(net)
     blocks = decomposition.block_networks()
+    numbers = [network_numbers(block) for block in blocks]
     payload = {
         "blockCount": len(blocks),
         "independent": True,
         "profileOrder": PROFILE_FIELDS,
         "blocks": [
-            {
-                "reactions": _labels(block),
-                "numbers": asdict(network_numbers(block)),
-            }
-            for block in blocks
+            {"reactions": _labels(block), "numbers": asdict(block_numbers)}
+            for block, block_numbers in zip(blocks, numbers)
         ],
     }
     lines = [
@@ -154,8 +152,8 @@ def cmd_fid(args: argparse.Namespace) -> int:
         f"{len(blocks)} block(s), independence confirmed",
         f"profile order: ({PROFILE_FIELDS})",
     ]
-    for i, block in enumerate(blocks, start=1):
-        profile = network_numbers(block).as_tuple()
+    for i, (block, block_numbers) in enumerate(zip(blocks, numbers), start=1):
+        profile = block_numbers.as_tuple()
         lines += ["", f"block {i}  profile {profile}", f"  {', '.join(_labels(block))}"]
     _emit(args, payload, lines)
     return 0

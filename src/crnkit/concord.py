@@ -126,13 +126,10 @@ class _WitnessSearch:
     def __init__(self, net: Network, node_budget: int) -> None:
         self.node_budget = node_budget
         self.nodes = 0
-        columns = [[int(v) for v in col] for col in reaction_vectors(net)]
+        columns = reaction_vectors(net)
         self.reaction_count = len(columns)
         self.species_count = len(net.species)
-        n_rows = [
-            [columns[r][i] for r in range(self.reaction_count)]
-            for i in range(self.species_count)
-        ]
+        n_rows = [list(row) for row in zip(*columns)]
         # row-reduce once: the kernel only depends on the row space
         reduced, pivots = rref(n_rows)
         self.n_rows = [
@@ -418,17 +415,14 @@ def verify_witness(net: Network, witness: SignWitness) -> bool:
 
 def is_positive_dependent(net: Network) -> ConeCertificate:
     """Whether some strictly positive combination of reaction vectors is 0."""
-    columns = [[int(v) for v in col] for col in reaction_vectors(net)]
-    rows = [
-        [columns[r][i] for r in range(len(columns))] for i in range(len(net.species))
-    ]
+    rows = [list(row) for row in zip(*reaction_vectors(net))]
     point = _signed_point(rows, [1] * len(net.reactions))
     return ConeCertificate(point is not None, tuple(point) if point else None)
 
 
 def is_conservative(net: Network) -> ConeCertificate:
     """Whether a strictly positive vector is orthogonal to every reaction."""
-    rows = [[int(v) for v in col] for col in reaction_vectors(net)]
+    rows = reaction_vectors(net)
     point = _signed_point(rows, [1] * len(net.species))
     return ConeCertificate(point is not None, tuple(point) if point else None)
 

@@ -231,15 +231,19 @@ class NetworkMatrices:
     complexes: tuple[Complex, ...]
 
 
+def _complexes(net: Network) -> tuple[Complex, ...]:
+    """Distinct complexes in first-appearance order, reactant before product."""
+    seen: dict[Complex, None] = {}
+    for rxn in net.reactions:
+        seen.setdefault(rxn.reactant)
+        seen.setdefault(rxn.product)
+    return tuple(seen)
+
+
 def build_matrices(net: Network) -> NetworkMatrices:
     """Assemble molecularity, incidence, stoichiometric, and reactant matrices."""
-    complexes: list[Complex] = []
-    index: dict[Complex, int] = {}
-    for rxn in net.reactions:
-        for cpx in (rxn.reactant, rxn.product):
-            if cpx not in index:
-                index[cpx] = len(complexes)
-                complexes.append(cpx)
+    complexes = _complexes(net)
+    index = {cpx: k for k, cpx in enumerate(complexes)}
     num_complexes = len(complexes)
     num_reactions = len(net.reactions)
 
@@ -257,13 +261,7 @@ def build_matrices(net: Network) -> NetworkMatrices:
     ]
     # Equivalent to molecularity @ incidence (resp. @ incidence_minus), but
     # read straight off the reactions; the products would dominate runtime.
-    stoichiometric = [
-        [
-            Fraction(rxn.product.coefficient(name) - rxn.reactant.coefficient(name))
-            for rxn in net.reactions
-        ]
-        for name in net.species
-    ]
+    stoichiometric = [[Fraction(v) for v in row] for row in zip(*reaction_vectors(net))]
     reactant_matrix = [
         [Fraction(rxn.reactant.coefficient(name)) for rxn in net.reactions]
         for name in net.species
@@ -275,14 +273,17 @@ def build_matrices(net: Network) -> NetworkMatrices:
         incidence_minus=incidence_minus,
         stoichiometric=stoichiometric,
         reactant_matrix=reactant_matrix,
-        complexes=tuple(complexes),
+        complexes=complexes,
     )
 
 
-def reaction_vectors(net: Network) -> list[list[Fraction]]:
-    """Stoichiometric matrix columns, one vector per reaction."""
-    stoich = build_matrices(net).stoichiometric
-    return [[stoich[i][j] for i in range(len(net.species))] for j in range(len(net.reactions))]
+def reaction_vectors(net: Network) -> list[list[int]]:
+    """The stoichiometric matrix's columns as integer vectors, one per reaction,
+    read straight off the reactions (product minus reactant, in species order)."""
+    return [
+        [rxn.product.coefficient(name) - rxn.reactant.coefficient(name) for name in net.species]
+        for rxn in net.reactions
+    ]
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import Network, reaction_vectors, subnetwork
-from .linalg import RowReducer, solve_unique
+from .linalg import RowReducer, rank, solve_unique
 from .structure import NetworkNumbers, network_numbers
 
 
@@ -69,17 +69,8 @@ class Decomposition:
 def is_independent(decomposition: Decomposition) -> bool:
     """True iff parent rank equals the sum of block ranks."""
     vectors = reaction_vectors(decomposition.parent)
-    dim = len(decomposition.parent.species)
-    total = RowReducer(dim)
-    for vec in vectors:
-        total.add(vec)
-    block_sum = 0
-    for block in decomposition.blocks:
-        acc = RowReducer(dim)
-        for index in block:
-            acc.add(vectors[index])
-        block_sum += acc.rank
-    return block_sum == total.rank
+    block_sum = sum(rank([vectors[i] for i in block]) for block in decomposition.blocks)
+    return block_sum == rank(vectors)
 
 
 def is_incidence_independent(decomposition: Decomposition) -> bool:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from functools import cache
 from importlib import resources
 
 from ..core import Network, parse_network
@@ -14,8 +15,13 @@ def available() -> tuple[str, ...]:
     return NAMES
 
 
+@cache
 def load(name: str) -> Network:
-    """Load a bundled network by name."""
+    """The bundled network of that name, parsed once per process.
+
+    Every call with the same name returns the same ``Network``; networks are
+    immutable, so sharing one is safe.
+    """
     if name not in NAMES:
         raise KeyError(f"unknown fixture {name!r}; available: {', '.join(NAMES)}")
     text = resources.files(__package__).joinpath(f"{name}.crn").read_text(encoding="utf-8")

@@ -1,19 +1,22 @@
-"""Mass-action kinetics: right-hand sides, residuals, and equilibria fixtures.
+"""Mass-action kinetics: right-hand sides, residuals, and equilibrium parametrizations.
 
-Everything here is deliberately floating point (binary64): the bundled
-equilibrium parametrizations involve generic division, and all downstream
-checks are tolerance-based.  Exact arithmetic lives in the structural
-modules instead.
+One evaluator computes reaction rates and species rates for every kinetic
+path in the package, ``transform.KineticSystem`` included. It computes in
+the number type of its inputs: floats give binary64 results, and
+``fractions.Fraction`` gives exact ones, so a closed-form equilibrium can be
+checked to zero the rate equations exactly. The robustness scan and the CLI
+draw floats and compare against tolerances.
 """
 
 from __future__ import annotations
 
 import random
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
+from numbers import Real
 
 from . import fixtures
-from .core import Network
+from .core import Complex, Network
 
 __all__ = [
     "SpeciesSpread",
@@ -26,11 +29,11 @@ __all__ = [
 ]
 
 
-def _reaction_rates(
-    net: Network, k: Mapping[str, float], x: Mapping[str, float]
-) -> list[float]:
-    labels = [rxn.label for rxn in net.reactions]
-    if any(label is None for label in labels):
+def _rate_constants(net: Network, k: Mapping[str, Real]) -> list[Real]:
+    """The rate constants in reaction order, checked to pair one to one with
+    the labelled reactions and to be positive."""
+    labels = net.labels
+    if None in labels:
         raise ValueError("every reaction needs a label to pair with a rate constant")
     missing = [label for label in labels if label not in k]
     if missing:
@@ -38,50 +41,70 @@ def _reaction_rates(
     extra = sorted(set(k) - set(labels))
     if extra:
         raise ValueError(f"unknown rate constant {extra[0]}")
+    for label in labels:
+        if not k[label] > 0:
+            raise ValueError(f"rate constant for {label} must be positive")
+    return [k[label] for label in labels]
+
+
+def _rate(k: Real, exponents: Complex, x: Mapping[str, Real]) -> Real:
+    """The monomial ``k * Π x[s]**e`` over the (species, exponent) pairs."""
+    for name, power in exponents:
+        k *= x[name] ** power
+    return k
+
+
+def _species_rates(
+    species: Sequence[str],
+    reactions: Iterable[tuple[Real, Complex, Complex, Complex]],
+    x: Mapping[str, Real],
+) -> tuple[dict[str, Real], dict[str, Real]]:
+    """Net and gross production of each species at ``x``.
+
+    ``reactions`` yields (rate constant, rate exponents, reactant, product).
+    The arithmetic stays in the type of the inputs: floats give floats,
+    ``Fraction``s give exact results.
+    """
+    f = dict.fromkeys(species, 0)
+    gross = dict.fromkeys(species, 0)
+    for k, exponents, reactant, product in reactions:
+        rate = _rate(k, exponents, x)
+        for name, coeff in reactant:
+            f[name] -= rate * coeff
+        for name, coeff in product:
+            f[name] += rate * coeff
+            gross[name] += rate * coeff
+    return f, gross
+
+
+def _mass_action_rates(
+    net: Network, k: Mapping[str, Real], x: Mapping[str, Real]
+) -> tuple[dict[str, Real], dict[str, Real]]:
+    constants = _rate_constants(net, k)
     for name in net.species:
         if name not in x:
             raise ValueError(f"missing concentration for {name}")
         if not x[name] > 0:
             raise ValueError(f"concentration of {name} must be positive")
-    rates = []
-    for rxn in net.reactions:
-        value = float(k[rxn.label])
-        if not value > 0:
-            raise ValueError(f"rate constant for {rxn.label} must be positive")
-        for name, coeff in rxn.reactant:
-            value *= x[name] ** coeff
-        rates.append(value)
-    return rates
+    reactions = (
+        (c, rxn.reactant, rxn.reactant, rxn.product) for c, rxn in zip(constants, net.reactions)
+    )
+    return _species_rates(net.species, reactions, x)
 
 
 def mass_action_rhs(
-    net: Network, k: Mapping[str, float], x: Mapping[str, float]
-) -> dict[str, float]:
+    net: Network, k: Mapping[str, Real], x: Mapping[str, Real]
+) -> dict[str, Real]:
     """The species-formation rate f(x) = N·K(x) under mass-action kinetics."""
-    rates = _reaction_rates(net, k, x)
-    f = dict.fromkeys(net.species, 0.0)
-    for rxn, rate in zip(net.reactions, rates):
-        for name, coeff in rxn.reactant:
-            f[name] -= rate * coeff
-        for name, coeff in rxn.product:
-            f[name] += rate * coeff
-    return f
+    return _mass_action_rates(net, k, x)[0]
 
 
 def equilibrium_residual(
-    net: Network, k: Mapping[str, float], x: Mapping[str, float]
-) -> float:
+    net: Network, k: Mapping[str, Real], x: Mapping[str, Real]
+) -> Real:
     """max_i |f_i| / max(1, gross production of species i); 0 at equilibria."""
-    rates = _reaction_rates(net, k, x)
-    f = dict.fromkeys(net.species, 0.0)
-    gross = dict.fromkeys(net.species, 0.0)
-    for rxn, rate in zip(net.reactions, rates):
-        for name, coeff in rxn.reactant:
-            f[name] -= rate * coeff
-        for name, coeff in rxn.product:
-            f[name] += rate * coeff
-            gross[name] += rate * coeff
-    return max(abs(f[name]) / max(1.0, gross[name]) for name in net.species)
+    f, gross = _mass_action_rates(net, k, x)
+    return max(abs(f[name]) / max(1, gross[name]) for name in net.species)
 
 
 # --- built-in equilibrium parametrizations ----------------------------------
@@ -226,28 +249,13 @@ def _fixture(name: str) -> _Parametrization:
         raise ValueError(f"no equilibrium parametrization for {name!r}") from None
 
 
-def _indexed_rates(name: str, k: Mapping[str, float]) -> dict[int, float]:
-    net = fixtures.load(name)
-    labels = [rxn.label for rxn in net.reactions]
-    missing = [label for label in labels if label not in k]
-    if missing:
-        raise ValueError(f"missing rate constant for {missing[0]}")
-    extra = sorted(set(k) - set(labels))
-    if extra:
-        raise ValueError(f"unknown rate constant {extra[0]}")
-    out = {}
-    for label in labels:
-        value = float(k[label])
-        if not value > 0:
-            raise ValueError(f"rate constant for {label} must be positive")
-        out[int(label[1:])] = value
-    return out
-
-
 def parametrization(
-    name: str, k: Mapping[str, float], free: Mapping[str, float]
-) -> dict[str, float]:
-    """A positive equilibrium of the named model at the given parameters."""
+    name: str, k: Mapping[str, Real], free: Mapping[str, Real]
+) -> dict[str, Real]:
+    """A positive equilibrium of the named model at the given parameters.
+
+    ``Fraction`` rate constants and free parameters give the exact point.
+    """
     fixture = _fixture(name)
     if set(free) != set(fixture.free_names):
         raise ValueError(
@@ -256,8 +264,10 @@ def parametrization(
     for pname, value in free.items():
         if not value > 0:
             raise ValueError(f"free parameter {pname} must be positive")
-    point = fixture.evaluate(_indexed_rates(name, k), dict(free))
-    ordered = {name_: point[name_] for name_ in fixtures.load(name).species}
+    net = fixtures.load(name)
+    indexed = {int(rxn.label[1:]): c for rxn, c in zip(net.reactions, _rate_constants(net, k))}
+    point = fixture.evaluate(indexed, dict(free))
+    ordered = {species: point[species] for species in net.species}
     if any(not value > 0 for value in ordered.values()):
         raise ValueError("parametrization produced a non-positive concentration")
     return ordered

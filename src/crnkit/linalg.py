@@ -55,12 +55,12 @@ def _pivot(rows: list[Sequence[int]], r: int, col: int, denom: int) -> None:
             rows[i] = [p * a // denom for a in row]
 
 
-def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form.
+def _eliminate(rows: Sequence[Sequence[Scalar]]) -> tuple[list[Sequence[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of ``rows``.
 
-    Returns:
-        ``(R, pivots)`` where ``R`` is the RREF and ``pivots`` lists the pivot
-        column of each nonzero row, in order.
+    Returns ``(R, pivots, denom)``: ``R / denom`` is the reduced row echelon
+    form, with ``R`` integer and ``denom`` positive, and ``pivots`` lists the
+    pivot column of each nonzero row, in order.
     """
     mat = _integer_rows(rows)
     nrows = len(mat)
@@ -78,15 +78,24 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Matrix, list[int]]:
         _pivot(mat, row, col, denom)
         denom = mat[row][col]
         pivots.append(col)
+    return mat, pivots, denom
+
+
+def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form.
+
+    Returns:
+        ``(R, pivots)`` where ``R`` is the RREF and ``pivots`` lists the pivot
+        column of each nonzero row, in order.
+    """
+    mat, pivots, denom = _eliminate(rows)
     zero = Fraction(0)  # an RREF is mostly zeros; share one instead of building each
     return [[Fraction(x, denom) if x else zero for x in values] for values in mat], pivots
 
 
 def rank(rows: Sequence[Sequence[Scalar]]) -> int:
     """Rank of a matrix (0 for an empty one)."""
-    if not rows:
-        return 0
-    return len(rref(rows)[1])
+    return len(_eliminate(rows)[1])
 
 
 def nullspace_basis(rows: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:

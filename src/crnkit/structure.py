@@ -8,10 +8,10 @@ applicability report.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Iterator, Literal
 
-from .core import Network, build_matrices
+from .core import Network, _complexes, reaction_vectors
 from .linalg import rank
 
 
@@ -38,22 +38,8 @@ class NetworkNumbers:
     reactant_deficiency: int
 
     def as_tuple(self) -> tuple[int, ...]:
-        """The profile in conventional reporting order."""
-        return (
-            self.species,
-            self.complexes,
-            self.reactant_complexes,
-            self.reversible_pairs,
-            self.irreversible,
-            self.reactions,
-            self.linkage_classes,
-            self.strong_classes,
-            self.terminal_classes,
-            self.rank,
-            self.reactant_rank,
-            self.deficiency,
-            self.reactant_deficiency,
-        )
+        """The profile in conventional reporting order, which is field order."""
+        return astuple(self)
 
 
 @dataclass(frozen=True)
@@ -82,12 +68,11 @@ class DeficiencyZeroReport:
 
 def _complex_graph(net: Network) -> tuple[int, list[set[int]]]:
     """Directed complex graph: node count and adjacency sets."""
-    mats = build_matrices(net)
-    index = {cpx: k for k, cpx in enumerate(mats.complexes)}
-    adjacency: list[set[int]] = [set() for _ in mats.complexes]
+    index = {cpx: k for k, cpx in enumerate(_complexes(net))}
+    adjacency: list[set[int]] = [set() for _ in index]
     for rxn in net.reactions:
         adjacency[index[rxn.reactant]].add(index[rxn.product])
-    return len(mats.complexes), adjacency
+    return len(index), adjacency
 
 
 def linkage_partitions(
@@ -182,15 +167,18 @@ def linkage_partitions(
 
 def network_numbers(net: Network) -> NetworkNumbers:
     """Compute the full counting profile of a network."""
-    mats = build_matrices(net)
     arrows = {rxn.arrow for rxn in net.reactions}
     paired = sum(1 for reactant, product in arrows if (product, reactant) in arrows)
     num_reactions = len(net.reactions)
     reactant_complexes = len({rxn.reactant for rxn in net.reactions})
     linkage, strong, terminal = linkage_partitions(net)
-    stoich_rank = rank(mats.stoichiometric)
-    reactant_rank = rank(mats.reactant_matrix)
-    num_complexes = len(mats.complexes)
+    num_complexes = sum(len(component) for component in linkage)
+    # A matrix and its transpose have the same rank, so both ranks are taken
+    # on integer rows read straight off the reactions, one row per reaction.
+    stoich_rank = rank(reaction_vectors(net))
+    reactant_rank = rank(
+        [[rxn.reactant.coefficient(name) for name in net.species] for rxn in net.reactions]
+    )
     return NetworkNumbers(
         species=len(net.species),
         complexes=num_complexes,
@@ -210,7 +198,10 @@ def network_numbers(net: Network) -> NetworkNumbers:
 
 def structural_flags(net: Network) -> StructuralFlags:
     """The eight boolean structure properties derived from the profile."""
-    numbers = network_numbers(net)
+    return _flags_of(network_numbers(net))
+
+
+def _flags_of(numbers: NetworkNumbers) -> StructuralFlags:
     return StructuralFlags(
         branching=numbers.reactant_complexes < numbers.reactions,
         closed=numbers.rank < numbers.species,
@@ -230,13 +221,19 @@ def kinetic_subspace_coincides(net: Network) -> Literal["yes", "unknown"]:
     linkage classes = linkage classes) have coinciding subspaces under mass
     action; anything else is reported as unknown, not no.
     """
-    numbers = network_numbers(net)
+    return _kinetic_subspace_of(network_numbers(net))
+
+
+def _kinetic_subspace_of(numbers: NetworkNumbers) -> Literal["yes", "unknown"]:
     return "yes" if numbers.terminal_classes == numbers.linkage_classes else "unknown"
 
 
 def deficiency_zero_report(net: Network) -> DeficiencyZeroReport:
     """Applicability of the deficiency-zero existence/uniqueness regime."""
-    numbers = network_numbers(net)
+    return _deficiency_zero_of(network_numbers(net))
+
+
+def _deficiency_zero_of(numbers: NetworkNumbers) -> DeficiencyZeroReport:
     weakly_reversible = numbers.strong_classes == numbers.linkage_classes
     return DeficiencyZeroReport(
         applies=numbers.deficiency == 0 and weakly_reversible,

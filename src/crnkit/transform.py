@@ -6,7 +6,8 @@ across its reaction vector), the common-species embedded-network comparison
 (CSEN), and the common-reactions (CORE) comparison. A small kinetic layer —
 reactions carrying concrete monomial rate functions — supports exact
 dynamical-equivalence checking of the rewrites, including rate functions
-whose exponents are not the reactant stoichiometry.
+whose exponents are not the reactant stoichiometry. Its rates and
+right-hand sides come from the one evaluator in ``kinetics``.
 """
 
 from __future__ import annotations
@@ -14,11 +15,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 from typing import Iterable, Mapping, Sequence
 
 from .core import Complex, Network, Reaction, common_reactions, reaction_vectors
 from .decomp import fid
-from .linalg import RowReducer
+from .kinetics import _rate, _rate_constants, _species_rates
+from .linalg import rank
 from .structure import network_numbers
 
 SpeciesVector = Mapping[str, int]
@@ -45,6 +48,17 @@ def _vector_of(reactant: Complex, product: Complex) -> dict[str, int]:
     for name, coeff in product:
         counts[name] = counts.get(name, 0) + coeff
     return {name: value for name, value in counts.items() if value != 0}
+
+
+def _check_split(
+    rxn: Reaction | RatedReaction, part1: tuple[Complex, Complex], part2: tuple[Complex, Complex]
+) -> None:
+    total = _vector_of(*part1)
+    for name, value in _vector_of(*part2).items():
+        total[name] = total.get(name, 0) + value
+    total = {name: value for name, value in total.items() if value != 0}
+    if total != _vector_of(rxn.reactant, rxn.product):
+        raise ValueError("part reaction vectors do not sum to the original")
 
 
 # ---------------------------------------------------------------------------
@@ -114,12 +128,7 @@ def split_by_reaction_vector(
 ) -> Network:
     """Replace a reaction by two reactions whose vectors sum to the original's."""
     rxn = net.reactions[reaction_index]
-    total = _vector_of(*part1)
-    for name, value in _vector_of(*part2).items():
-        total[name] = total.get(name, 0) + value
-    total = {name: value for name, value in total.items() if value != 0}
-    if total != _vector_of(rxn.reactant, rxn.product):
-        raise ValueError("part reaction vectors do not sum to the original")
+    _check_split(rxn, part1, part2)
     label_a = rxn.label + "a" if rxn.label else None
     label_b = rxn.label + "b" if rxn.label else None
     reactions = list(net.reactions)
@@ -222,13 +231,9 @@ def _parent_view(parent: Network, core_arrows: set) -> ParentCoreView:
             containing.append(frozenset(labels))
             union_indices.extend(block)
     vectors = reaction_vectors(parent)
-    dim = len(parent.species)
 
     def rank_of(indices: Iterable[int]) -> int:
-        acc = RowReducer(dim)
-        for i in indices:
-            acc.add(vectors[i])
-        return acc.rank
+        return rank([vectors[i] for i in indices])
 
     core_indices = [i for i in union_indices if parent.reactions[i].arrow in core_arrows]
     complement = [i for i in union_indices if parent.reactions[i].arrow not in core_arrows]
@@ -277,7 +282,7 @@ class RatedReaction:
 
     reactant: Complex
     product: Complex
-    rate_constant: Fraction
+    rate_constant: Real
     exponents: Complex
     label: str | None = None
 
@@ -291,11 +296,8 @@ class RatedReaction:
     def is_mass_action(self) -> bool:
         return self.exponents == self.reactant
 
-    def rate(self, x: Mapping[str, Fraction]) -> Fraction:
-        value = self.rate_constant
-        for name, power in self.exponents:
-            value *= Fraction(x[name]) ** power
-        return value
+    def rate(self, x: Mapping[str, Real]) -> Real:
+        return _rate(self.rate_constant, self.exponents, x)
 
 
 class KineticSystem:
@@ -344,42 +346,32 @@ class KineticSystem:
     def mass_action(
         cls,
         net: Network,
-        rate_constants: Sequence[Fraction | int] | Mapping[str, Fraction | int],
+        rate_constants: Sequence[Real] | Mapping[str, Real],
     ) -> KineticSystem:
         """Attach mass-action kinetics to a network.
 
         ``rate_constants`` is either one value per reaction in order, or a
-        mapping keyed by reaction label.
+        mapping keyed by reaction label. Values keep their number type.
         """
         if isinstance(rate_constants, Mapping):
-            values = []
-            for rxn in net.reactions:
-                if rxn.label is None or rxn.label not in rate_constants:
-                    raise ValueError(f"missing rate constant for {rxn}")
-                values.append(Fraction(rate_constants[rxn.label]))
-            extras = set(rate_constants) - {r.label for r in net.reactions}
-            if extras:
-                raise ValueError(f"rate constants for unknown labels: {sorted(extras)}")
+            values = _rate_constants(net, rate_constants)
         else:
             if len(rate_constants) != len(net.reactions):
                 raise ValueError("need exactly one rate constant per reaction")
-            values = [Fraction(v) for v in rate_constants]
+            values = list(rate_constants)
         rated = [
             RatedReaction(rxn.reactant, rxn.product, k, rxn.reactant, rxn.label)
             for rxn, k in zip(net.reactions, values)
         ]
         return cls(rated, species=net.species)
 
-    def rhs(self, x: Mapping[str, Fraction]) -> dict[str, Fraction]:
-        """Exact species production rates at the point ``x``."""
-        out = {name: Fraction(0) for name in self._species}
-        for rxn in self._reactions:
-            rate = rxn.rate(x)
-            for name, coeff in rxn.product:
-                out[name] += coeff * rate
-            for name, coeff in rxn.reactant:
-                out[name] -= coeff * rate
-        return out
+    def rhs(self, x: Mapping[str, Real]) -> dict[str, Real]:
+        """Species production rates at the point ``x``; exact for exact input."""
+        reactions = (
+            (rxn.rate_constant, rxn.exponents, rxn.reactant, rxn.product)
+            for rxn in self._reactions
+        )
+        return _species_rates(self._species, reactions, x)[0]
 
     def shift(self, reaction_index: int, z: SpeciesVector) -> KineticSystem:
         """Shift one reaction by a species vector, keeping its rate function."""
@@ -403,12 +395,7 @@ class KineticSystem:
     ) -> KineticSystem:
         """Split one reaction across its reaction vector; parts inherit its rate."""
         rxn = self._reactions[reaction_index]
-        total = _vector_of(*part1)
-        for name, value in _vector_of(*part2).items():
-            total[name] = total.get(name, 0) + value
-        total = {name: value for name, value in total.items() if value != 0}
-        if total != _vector_of(rxn.reactant, rxn.product):
-            raise ValueError("part reaction vectors do not sum to the original")
+        _check_split(rxn, part1, part2)
         parts = [
             RatedReaction(
                 part[0],

@@ -1,17 +1,25 @@
-"""Reference kernels for the differential tests in ``test_linalg.py``.
+"""Reference kernels for the differential tests.
 
-These are the original ``fractions.Fraction`` versions of ``rref`` and
-``lp_feasible``: every entry is a Fraction and every pivot divides. The
-library's kernels pivot on integers with a shared denominator instead; they
-must return exactly what these return, down to the chosen basic point, since
-the concordance search and the golden files depend on which witness comes
-back.
+``rref`` and ``lp_feasible`` are the original ``fractions.Fraction``
+versions: every entry is a Fraction and every pivot divides. The library's
+kernels pivot on integers with a shared denominator instead; they must
+return exactly what these return, down to the chosen basic point, since the
+concordance search and the golden files depend on which witness comes back
+(``test_linalg.py``).
+
+``mass_action_rhs`` and ``equilibrium_residual`` are the original binary64
+versions, which coerce every rate constant to ``float``. The library's one
+evaluator keeps the number type of its input; on floats it must return
+exactly what these return, since the ``equilibria`` golden files print
+their results (``test_kinetics.py``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Sequence
+from typing import Mapping, Sequence
+
+from crnkit.core import Network
 
 Scalar = int | Fraction
 Matrix = list[list[Fraction]]
@@ -121,3 +129,61 @@ def lp_feasible(
         if var < ncols:
             solution[var] = tableau[i][-1]
     return solution
+
+
+def _reaction_rates(
+    net: Network, k: Mapping[str, float], x: Mapping[str, float]
+) -> list[float]:
+    labels = [rxn.label for rxn in net.reactions]
+    if any(label is None for label in labels):
+        raise ValueError("every reaction needs a label to pair with a rate constant")
+    missing = [label for label in labels if label not in k]
+    if missing:
+        raise ValueError(f"missing rate constant for {missing[0]}")
+    extra = sorted(set(k) - set(labels))
+    if extra:
+        raise ValueError(f"unknown rate constant {extra[0]}")
+    for name in net.species:
+        if name not in x:
+            raise ValueError(f"missing concentration for {name}")
+        if not x[name] > 0:
+            raise ValueError(f"concentration of {name} must be positive")
+    rates = []
+    for rxn in net.reactions:
+        value = float(k[rxn.label])
+        if not value > 0:
+            raise ValueError(f"rate constant for {rxn.label} must be positive")
+        for name, coeff in rxn.reactant:
+            value *= x[name] ** coeff
+        rates.append(value)
+    return rates
+
+
+def mass_action_rhs(
+    net: Network, k: Mapping[str, float], x: Mapping[str, float]
+) -> dict[str, float]:
+    """The species-formation rate f(x) = N·K(x) under mass-action kinetics."""
+    rates = _reaction_rates(net, k, x)
+    f = dict.fromkeys(net.species, 0.0)
+    for rxn, rate in zip(net.reactions, rates):
+        for name, coeff in rxn.reactant:
+            f[name] -= rate * coeff
+        for name, coeff in rxn.product:
+            f[name] += rate * coeff
+    return f
+
+
+def equilibrium_residual(
+    net: Network, k: Mapping[str, float], x: Mapping[str, float]
+) -> float:
+    """max_i |f_i| / max(1, gross production of species i); 0 at equilibria."""
+    rates = _reaction_rates(net, k, x)
+    f = dict.fromkeys(net.species, 0.0)
+    gross = dict.fromkeys(net.species, 0.0)
+    for rxn, rate in zip(net.reactions, rates):
+        for name, coeff in rxn.reactant:
+            f[name] -= rate * coeff
+        for name, coeff in rxn.product:
+            f[name] += rate * coeff
+            gross[name] += rate * coeff
+    return max(abs(f[name]) / max(1.0, gross[name]) for name in net.species)

@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
+import oracles
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from netgen import networks
 
 from crnkit import fixtures
 from crnkit.core import parse_network
@@ -31,6 +36,10 @@ def random_rates(net, rng):
 
 def random_free(name, rng):
     return {p: 10.0 ** rng.uniform(-2.0, 2.0) for p in free_parameters(name)}
+
+
+def random_fraction(rng):
+    return Fraction(rng.randint(1, 99), rng.randint(1, 99))
 
 
 # --- right-hand side oracles (hand-computed) ---------------------------------
@@ -68,6 +77,20 @@ def test_rhs_rejects_bad_input():
         mass_action_rhs(net, {"R1": 1.0}, {"A": 1.0})
     with pytest.raises(ValueError, match="label"):
         mass_action_rhs(parse_network("A -> B"), {}, {"A": 1.0, "B": 1.0})
+
+
+# --- the float kernel the one evaluator replaced (tests/oracles.py) ------------
+
+positive_floats = st.floats(min_value=1e-3, max_value=1e3)
+
+
+@given(st.data())
+def test_float_input_gives_exactly_what_the_float_kernel_gave(data):
+    net = data.draw(networks())
+    k = {rxn.label: data.draw(positive_floats) for rxn in net.reactions}
+    x = {name: data.draw(positive_floats) for name in net.species}
+    assert mass_action_rhs(net, k, x) == oracles.mass_action_rhs(net, k, x)
+    assert equilibrium_residual(net, k, x) == oracles.equilibrium_residual(net, k, x)
 
 
 # --- residual normalization ---------------------------------------------------
@@ -150,6 +173,25 @@ def test_parametrized_points_are_equilibria_of_parent_and_fid_blocks(name):
             kb = {rxn.label: k[rxn.label] for rxn in block.reactions}
             xb = {s: x[s] for s in block.species}
             assert equilibrium_residual(block, kb, xb) < 1e-9
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_fraction_parameters_give_exact_equilibria_of_parent_and_fid_blocks(name):
+    net = fixtures.load(name)
+    blocks = fid(net).block_networks()
+    rng = random.Random(MODELS.index(name))
+    for _ in range(4):
+        k = {rxn.label: random_fraction(rng) for rxn in net.reactions}
+        x = parametrization(name, k, {p: random_fraction(rng) for p in free_parameters(name)})
+        assert all(type(value) is Fraction for value in x.values())
+        assert set(mass_action_rhs(net, k, x).values()) == {0}
+        assert equilibrium_residual(net, k, x) == 0
+        for block in blocks:
+            kb = {rxn.label: k[rxn.label] for rxn in block.reactions}
+            xb = {s: x[s] for s in block.species}
+            assert set(mass_action_rhs(block, kb, xb).values()) == {0}
+        if name == "fal":
+            assert x["A26"] == k["R47"] / k["R48"]
 
 
 @pytest.mark.parametrize("name", MODELS)

@@ -4,7 +4,9 @@ The LP feasibility routine is checked against a self-contained brute-force
 oracle (enumeration of candidate basic solutions with a local Gaussian solve),
 so the two implementations share no code beyond Fraction itself. Both
 fraction-free kernels are also checked for identical output against the
-Fraction kernels they replaced, kept in ``oracles.py``.
+Fraction kernels they replaced, kept in ``oracles.py``, and ``rank``, which
+counts pivots without building the reduced matrix, against the oracle's
+pivot count.
 """
 
 from __future__ import annotations
@@ -306,13 +308,17 @@ def test_lp_feasible_matches_fraction_oracle_on_rationals(case):
 @settings(max_examples=300)
 @given(matrices(max_rows=5, max_cols=6))
 def test_rref_matches_fraction_oracle_on_integers(mat):
-    _assert_identical(rref(mat), oracles.rref(mat))
+    want = oracles.rref(mat)
+    _assert_identical(rref(mat), want)
+    assert rank(mat) == len(want[1])
 
 
 @settings(max_examples=300)
 @given(matrices(max_rows=5, max_cols=6, entries=rational_entries))
 def test_rref_matches_fraction_oracle_on_rationals(mat):
-    _assert_identical(rref(mat), oracles.rref(mat))
+    want = oracles.rref(mat)
+    _assert_identical(rref(mat), want)
+    assert rank(mat) == len(want[1])
 
 
 def test_lp_feasible_breaks_a_ratio_tie_like_the_oracle():
