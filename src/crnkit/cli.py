@@ -162,16 +162,15 @@ def cmd_fid(args: argparse.Namespace) -> int:
 # --- concordance ---------------------------------------------------------------
 
 
-def _witness_payload(net: Network, witness) -> dict:
+def _witness_payload(net: Network, witness, verified: bool) -> dict:
     return {
         "alpha": {label: str(a) for label, a in zip(_labels(net), witness.alpha)},
         "sigma": {name: str(s) for name, s in zip(net.species, witness.sigma)},
-        "verified": verify_witness(net, witness),
+        "verified": verified,
     }
 
 
-def _witness_lines(net: Network, witness) -> list[str]:
-    verified = verify_witness(net, witness)
+def _witness_lines(net: Network, witness, verified: bool) -> list[str]:
     alpha = [
         f"{label}={a}" for label, a in zip(_labels(net), witness.alpha) if a != 0
     ]
@@ -187,19 +186,22 @@ def cmd_concordance(args: argparse.Namespace) -> int:
     net = _load(args.network)
     budget = _resolve_budget(args)
     verdict = check_concordance(net, node_budget=budget)
+    witness = verdict.witness
     payload = {
         "verdict": verdict.status,
         "searchNodes": verdict.search_nodes,
         "nodeBudget": budget,
-        "witness": _witness_payload(net, verdict.witness) if verdict.witness else None,
+        "witness": None,
     }
     lines = [
         f"network: {args.network}",
         f"verdict: {verdict.status}",
         f"nodes explored: {verdict.search_nodes} (budget {budget})",
     ]
-    if verdict.witness is not None:
-        lines += _witness_lines(net, verdict.witness)
+    if witness is not None:
+        verified = verify_witness(net, witness)
+        payload["witness"] = _witness_payload(net, witness, verified)
+        lines += _witness_lines(net, witness, verified)
     _emit(args, payload, lines)
     return 2 if verdict.status == "Unknown" else 0
 

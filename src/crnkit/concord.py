@@ -19,6 +19,12 @@ inequalities are encoded as >= 1, which loses nothing because both
 constraint cones are invariant under positive scaling. The search is
 budgeted; verdicts are Concordant, Discordant (with a witness), or Unknown
 when the node budget runs out.
+
+The LP rows (a row basis of N and a basis of its left nullspace) are read
+as coprime integer vectors off one integer elimination each. Every feasible
+point the search keeps (pooled, cached, or carried down the tree) is stored
+with the bitmasks of its positive, negative and zero coordinates, so
+whether it fits a partial pattern is three subset tests on integers.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ from fractions import Fraction
 from typing import Iterable, Literal, Sequence
 
 from .core import Network, Reaction, reaction_vectors, subnetwork
-from .linalg import lp_feasible, nullspace_basis, rref, scale_to_integers
+from .linalg import _eliminate, _integer_nullspace, _primitive, lp_feasible, nullspace_basis
 
 DEFAULT_NODE_BUDGET = 5_000_000
 
@@ -74,6 +80,9 @@ class M3crReport:
     search_nodes: int
 
 
+_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
+
+
 def _signed_point(
     rows: Sequence[Sequence[int]], signs: Sequence[int | None]
 ) -> list[Fraction] | None:
@@ -82,8 +91,9 @@ def _signed_point(
     signs[j] is +1 for x_j >= 1, -1 for x_j <= -1, 0 for x_j = 0, None for
     unconstrained. Returns None when infeasible.
     """
+    point = [_ONE if s == 1 else _MINUS_ONE if s == -1 else _ZERO for s in signs]
     if not rows:
-        return [Fraction(1 if s == 1 else -1 if s == -1 else 0) for s in signs]
+        return point
     variables: list[tuple[int, int]] = []  # (coordinate, direction)
     for j, s in enumerate(signs):
         if s == 1:
@@ -107,12 +117,27 @@ def _signed_point(
     solution = lp_feasible(a_eq, b_eq)
     if solution is None:
         return None
-    point = [
-        Fraction(1 if s == 1 else -1 if s == -1 else 0) for s in signs
-    ]
     for (j, direction), value in zip(variables, solution):
-        point[j] += direction * value
+        if value:
+            point[j] = point[j] + value if direction == 1 else point[j] - value
     return point
+
+
+# A point with the bitmasks of its positive, negative and zero coordinates.
+_Masked = tuple[list[Fraction], int, int, int]
+
+
+def _masked(point: list[Fraction]) -> _Masked:
+    pos = neg = zero = 0
+    for j, value in enumerate(point):
+        sign = value.numerator  # a Fraction's sign is its numerator's
+        if sign > 0:
+            pos |= 1 << j
+        elif sign < 0:
+            neg |= 1 << j
+        else:
+            zero |= 1 << j
+    return point, pos, neg, zero
 
 
 class _BudgetExhausted(Exception):
@@ -129,15 +154,10 @@ class _WitnessSearch:
         columns = reaction_vectors(net)
         self.reaction_count = len(columns)
         self.species_count = len(net.species)
-        n_rows = [list(row) for row in zip(*columns)]
         # row-reduce once: the kernel only depends on the row space
-        reduced, pivots = rref(n_rows)
-        self.n_rows = [
-            scale_to_integers(reduced[k]) for k in range(len(pivots))
-        ]
-        self.left_null = [
-            scale_to_integers(w) for w in nullspace_basis(columns)
-        ]
+        reduced, pivots, denom = _eliminate(list(zip(*columns)))
+        self.n_rows = [_primitive(reduced[k], denom) for k in range(len(pivots))]
+        self.left_null = _integer_nullspace(columns)
         index = {name: i for i, name in enumerate(net.species)}
         self.supports = [
             tuple(index[name] for name, _ in rxn.reactant) for rxn in net.reactions
@@ -153,16 +173,24 @@ class _WitnessSearch:
         self.neg = [0] * self.reaction_count
         self.unassigned = [len(s) for s in self.supports]
         self.nonzero_count = 0
-        self.alpha_cache: dict[tuple[int, int, int], list[Fraction] | None] = {}
+        # species masks of the signs assigned +, - and 0
+        self.want_pos = self.want_neg = self.want_zero = 0
+        self.alpha_cache: dict[tuple[int, int, int], _Masked | None] = {}
         self.alpha_infeasible: list[tuple[int, int, int]] = []
-        self.alpha_pool: list[list[Fraction]] = []
-        self.sigma_pool: list[list[Fraction]] = []
-        self.zero_alpha = [Fraction(0)] * self.reaction_count
+        self.alpha_pool: list[_Masked] = []
+        self.sigma_pool: list[_Masked] = []
+        self.zero_alpha = _masked([_ZERO] * self.reaction_count)
 
     # -- bookkeeping --------------------------------------------------------
 
     def _assign(self, i: int, value: int) -> None:
         self.sign[i] = value
+        if value == 1:
+            self.want_pos |= 1 << i
+        elif value == -1:
+            self.want_neg |= 1 << i
+        else:
+            self.want_zero |= 1 << i
         if value:
             self.nonzero_count += 1
         for r in self.touching[i]:
@@ -174,6 +202,10 @@ class _WitnessSearch:
 
     def _unassign(self, i: int, value: int) -> None:
         self.sign[i] = None
+        keep = ~(1 << i)
+        self.want_pos &= keep
+        self.want_neg &= keep
+        self.want_zero &= keep
         if value:
             self.nonzero_count -= 1
         for r in self.touching[i]:
@@ -208,7 +240,7 @@ class _WitnessSearch:
 
     # -- pruning LPs ---------------------------------------------------------
 
-    def _alpha_point(self, signature: tuple[int, int, int]) -> list[Fraction] | None:
+    def _alpha_point(self, signature: tuple[int, int, int]) -> _Masked | None:
         for pooled in self.alpha_pool:
             if self._alpha_conforms(pooled, signature):
                 return pooled
@@ -231,7 +263,8 @@ class _WitnessSearch:
                 signs.append(0)
             else:
                 signs.append(None)
-        point = _signed_point(self.n_rows, signs)
+        solved = _signed_point(self.n_rows, signs)
+        point = None if solved is None else _masked(solved)
         self.alpha_cache[signature] = point
         if point is None:
             self.alpha_infeasible.append(signature)
@@ -241,22 +274,24 @@ class _WitnessSearch:
                 del self.alpha_pool[0]
         return point
 
-    def _sigma_point(self) -> list[Fraction] | None:
+    def _sigma_point(self) -> _Masked | None:
         for pooled in self.sigma_pool:
             if self._sigma_conforms(pooled):
                 return pooled
-        point = _signed_point(self.left_null, self.sign)
-        if point is not None:
-            self.sigma_pool.append(point)
-            if len(self.sigma_pool) > 64:
-                del self.sigma_pool[0]
+        solved = _signed_point(self.left_null, self.sign)
+        if solved is None:
+            return None
+        point = _masked(solved)
+        self.sigma_pool.append(point)
+        if len(self.sigma_pool) > 64:
+            del self.sigma_pool[0]
         return point
 
     # -- search --------------------------------------------------------------
 
     def _off_support_sigma(self) -> list[Fraction] | None:
         """A nonzero image vector vanishing on every reactant support."""
-        pinned = [list(w) for w in self.left_null]
+        pinned = list(self.left_null)
         for i in self.order:
             row = [0] * self.species_count
             row[i] = 1
@@ -264,47 +299,30 @@ class _WitnessSearch:
         if not pinned:
             # no left-null constraints and no reactant species at all
             return [Fraction(1)] + [Fraction(0)] * (self.species_count - 1)
-        basis = nullspace_basis(pinned)
+        basis = _integer_nullspace(pinned)
         if not basis:
             return None
-        return [Fraction(v) for v in scale_to_integers(basis[0])]
+        return [Fraction(v) for v in basis[0]]
 
-    def _alpha_conforms(
-        self, point: Sequence[Fraction], signature: tuple[int, int, int]
-    ) -> bool:
-        plus, minus, zero = signature
-        for r in range(self.reaction_count):
-            bit = 1 << r
-            value = point[r]
-            if plus & bit:
-                if value <= 0:
-                    return False
-            elif minus & bit:
-                if value >= 0:
-                    return False
-            elif zero & bit and value != 0:
-                return False
-        return True
+    @staticmethod
+    def _alpha_conforms(point: _Masked, signature: tuple[int, int, int]) -> bool:
+        _, pos, neg, zero = point
+        want_pos, want_neg, want_zero = signature
+        return (
+            want_pos & pos == want_pos
+            and want_neg & neg == want_neg
+            and want_zero & zero == want_zero
+        )
 
-    def _sigma_conforms(self, point: Sequence[Fraction]) -> bool:
-        for i in self.order:
-            wanted = self.sign[i]
-            if wanted is None:
-                continue
-            value = point[i]
-            if wanted == 0:
-                if value != 0:
-                    return False
-            elif wanted == 1:
-                if value <= 0:
-                    return False
-            elif value >= 0:
-                return False
-        return True
+    def _sigma_conforms(self, point: _Masked) -> bool:
+        _, pos, neg, zero = point
+        return (
+            self.want_pos & pos == self.want_pos
+            and self.want_neg & neg == self.want_neg
+            and self.want_zero & zero == self.want_zero
+        )
 
-    def _viable(
-        self, alpha: list[Fraction], sigma: list[Fraction]
-    ) -> tuple[list[Fraction], list[Fraction]] | None:
+    def _viable(self, alpha: _Masked, sigma: _Masked) -> tuple[_Masked, _Masked] | None:
         """Sign-feasibility of the current partial pattern.
 
         ``alpha``/``sigma`` are the feasible points carried from the parent
@@ -329,16 +347,14 @@ class _WitnessSearch:
             sigma = resolved
         return alpha, sigma
 
-    def _descend(
-        self, depth: int, alpha: list[Fraction], sigma: list[Fraction]
-    ) -> SignWitness | None:
+    def _descend(self, depth: int, alpha: _Masked, sigma: _Masked) -> SignWitness | None:
         self.nodes += 1
         if self.nodes > self.node_budget:
             raise _BudgetExhausted
         if depth == len(self.order):
             if self.nonzero_count == 0:
                 return None
-            return SignWitness(tuple(alpha), tuple(sigma))
+            return SignWitness(tuple(alpha[0]), tuple(sigma[0]))
         i = self.order[depth]
         options = (1, -1, 0) if self.nonzero_count else (1, 0)
         for value in options:
@@ -361,7 +377,7 @@ class _WitnessSearch:
                 tuple(free_sigma),
             )
             return ConcordanceVerdict("Discordant", witness, self.nodes)
-        zero_sigma = [Fraction(0)] * self.species_count
+        zero_sigma = _masked([_ZERO] * self.species_count)
         try:
             witness = self._descend(0, self.zero_alpha, zero_sigma)
         except _BudgetExhausted:
@@ -456,9 +472,20 @@ def m3cr(
     reaction, and a second pass in reverse candidate order flags whether the
     construction is order-dependent. Unknown verdicts (budget exhaustion)
     leave the excluded reaction out and clear maximality_verified.
+
+    Each reaction set is searched once per call, however often the passes
+    meet it; ``search_nodes`` still adds a verdict's nodes at every use.
     """
+    verdicts: dict[tuple[int, ...], ConcordanceVerdict] = {}
+
+    def verdict_of(indices: list[int]) -> ConcordanceVerdict:
+        key = tuple(sorted(indices))
+        if key not in verdicts:
+            verdicts[key] = check_concordance(subnetwork(net, key), node_budget)
+        return verdicts[key]
+
     base = sorted(set(_reaction_indices(net, mandatory)))
-    base_verdict = check_concordance(subnetwork(net, base), node_budget)
+    base_verdict = verdict_of(base)
     if base_verdict.status == "Discordant":
         raise ValueError("mandatory reaction set generates a discordant subnetwork")
     if base_verdict.status == "Unknown":
@@ -485,9 +512,7 @@ def m3cr(
             leftovers: list[int] = []
             hit_budget = False
             for cand in pending:
-                verdict = check_concordance(
-                    subnetwork(net, sorted(kept + [cand])), node_budget
-                )
+                verdict = verdict_of(kept + [cand])
                 total_nodes += verdict.search_nodes
                 if verdict.status == "Concordant":
                     kept.append(cand)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .core import Network, reaction_vectors, subnetwork
-from .linalg import RowReducer, rank, solve_unique
+from .linalg import _eliminate, rank
 from .structure import NetworkNumbers, network_numbers
 
 
@@ -107,24 +107,19 @@ def fid(net: Network) -> Decomposition:
     dependent reaction to the basis reactions it loads on, and returns the
     connected components. The partition is independent and does not depend on
     the scan order.
+
+    One elimination does all of it: in the reduced row echelon form of the
+    matrix whose columns are the reaction vectors, the pivot columns are the
+    greedy basis, and row ``k`` holds, in each other column, a nonzero
+    multiple (the shared denominator) of that reaction's coefficient on the
+    ``k``-th basis reaction, so the zero pattern is exact.
     """
     vectors = reaction_vectors(net)
-    dim = len(net.species)
     groups = _DisjointSet(len(vectors))
-    acc = RowReducer(dim)
-    basis: list[int] = []
-    for j, vec in enumerate(vectors):
-        if acc.add(vec):
-            basis.append(j)
-    basis_columns = [vectors[b] for b in basis]
-    basis_set = set(basis)
-    for j, vec in enumerate(vectors):
-        if j in basis_set:
-            continue
-        coeffs = solve_unique(basis_columns, vec)
-        assert coeffs is not None  # basis spans all reaction vectors
-        for b, coeff in zip(basis, coeffs):
-            if coeff != 0:
+    reduced, pivots, _ = _eliminate(list(zip(*vectors)))
+    for row, b in zip(reduced, pivots):
+        for j, coeff in enumerate(row):
+            if coeff and j != b:
                 groups.join(j, b)
     components: dict[int, list[int]] = {}
     for j in range(len(vectors)):

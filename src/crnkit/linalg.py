@@ -59,8 +59,8 @@ def _eliminate(rows: Sequence[Sequence[Scalar]]) -> tuple[list[Sequence[int]], l
     """Fraction-free Gauss-Jordan elimination of ``rows``.
 
     Returns ``(R, pivots, denom)``: ``R / denom`` is the reduced row echelon
-    form, with ``R`` integer and ``denom`` positive, and ``pivots`` lists the
-    pivot column of each nonzero row, in order.
+    form, with ``R`` integer and ``denom`` nonzero but of either sign, and
+    ``pivots`` lists the pivot column of each nonzero row, in order.
     """
     mat = _integer_rows(rows)
     nrows = len(mat)
@@ -98,6 +98,27 @@ def rank(rows: Sequence[Sequence[Scalar]]) -> int:
     return len(_eliminate(rows)[1])
 
 
+def _scaled_nullspace(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], int]:
+    """``(V, denom)`` with ``V / denom`` the rows of ``nullspace_basis(rows)``.
+
+    Read off the integer elimination: free column ``f`` gives the integer
+    vector ``denom * e_f - sum_k R[k][f] * e_(pivots[k])``.
+    """
+    if not rows:
+        return [], 1
+    mat, pivots, denom = _eliminate(rows)
+    ncols = len(rows[0])
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        vec = [0] * ncols
+        vec[f] = denom
+        for k, p in enumerate(pivots):
+            vec[p] = -mat[k][f]
+        basis.append(vec)
+    return basis, denom
+
+
 def nullspace_basis(rows: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
     """Canonical basis of the right nullspace ``{v : A v = 0}``.
 
@@ -105,19 +126,23 @@ def nullspace_basis(rows: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
     in its free coordinate and zeros in every other free coordinate, which
     makes the basis unique for a given column order.
     """
-    if not rows:
-        return []
-    reduced, pivots = rref(rows)
-    ncols = len(rows[0])
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for k, p in enumerate(pivots):
-            vec[p] = -reduced[k][f]
-        basis.append(vec)
-    return basis
+    basis, denom = _scaled_nullspace(rows)
+    return [[Fraction(x, denom) for x in vec] for vec in basis]
+
+
+def _primitive(vector: Sequence[int], denom: int) -> list[int]:
+    """``scale_to_integers(vector / denom)`` for an integer ``vector``, without
+    building a Fraction: ``vector`` divided by its gcd, carrying ``denom``'s sign."""
+    common = gcd(*vector)
+    if denom < 0:
+        common = -common
+    return [v // common for v in vector] if common not in (0, 1) else list(vector)
+
+
+def _integer_nullspace(rows: Sequence[Sequence[Scalar]]) -> list[list[int]]:
+    """``nullspace_basis(rows)`` with each vector scaled to coprime integers."""
+    basis, denom = _scaled_nullspace(rows)
+    return [_primitive(vec, denom) for vec in basis]
 
 
 def solve_unique(columns: Sequence[Sequence[Scalar]], target: Sequence[Scalar]) -> list[Fraction] | None:

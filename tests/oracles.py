@@ -7,19 +7,48 @@ return exactly what these return, down to the chosen basic point, since the
 concordance search and the golden files depend on which witness comes back
 (``test_linalg.py``).
 
+``nullspace_basis`` is the original canonical nullspace, read off the
+``Fraction`` RREF. The library reads it off the integer elimination, and
+the witness search reads its LP rows (row basis and left nullspace) there
+as coprime integer vectors; both must give what this gives, after
+``scale_to_integers`` for the search (``test_linalg.py``).
+
 ``mass_action_rhs`` and ``equilibrium_residual`` are the original binary64
 versions, which coerce every rate constant to ``float``. The library's one
 evaluator keeps the number type of its input; on floats it must return
 exactly what these return, since the ``equilibria`` golden files print
 their results (``test_kinetics.py``).
+
+``alpha_conforms`` and ``sigma_conforms`` are the original sign tests of the
+witness search, one ``Fraction`` comparison per coordinate. The search now
+keeps each point's positive, negative and zero coordinates as bitmasks and
+tests subsets of them; the answers must agree (``test_concord.py``).
+
+``fid`` is the original finest independent decomposition, which picks the
+basis with a ``RowReducer`` and solves for each dependent reaction apart
+with ``solve_unique``; the library's ``fid`` reads everything off one
+elimination, and the blocks must agree (``test_decomp.py``).
+
+``m3cr`` is the original container construction, which runs a fresh search
+for every reaction set it meets. The library's ``m3cr`` searches each
+reaction set once per call; its report must be equal, ``search_nodes``
+included (``test_concord.py``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from crnkit.core import Network
+from crnkit.concord import (
+    DEFAULT_NODE_BUDGET,
+    M3crReport,
+    _reaction_indices,
+    check_concordance,
+)
+from crnkit.core import Network, Reaction, reaction_vectors, subnetwork
+from crnkit.decomp import Decomposition, _DisjointSet
+from crnkit.linalg import RowReducer, solve_unique
 
 Scalar = int | Fraction
 Matrix = list[list[Fraction]]
@@ -61,6 +90,23 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Matrix, list[int]]:
         pivots.append(col)
         row += 1
     return mat, pivots
+
+
+def nullspace_basis(rows: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
+    """Canonical basis of the right nullspace ``{v : A v = 0}``."""
+    if not rows:
+        return []
+    reduced, pivots = rref(rows)
+    ncols = len(rows[0])
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for f in free:
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for k, p in enumerate(pivots):
+            vec[p] = -reduced[k][f]
+        basis.append(vec)
+    return basis
 
 
 def lp_feasible(
@@ -187,3 +233,116 @@ def equilibrium_residual(
             f[name] += rate * coeff
             gross[name] += rate * coeff
     return max(abs(f[name]) / max(1.0, gross[name]) for name in net.species)
+
+
+def alpha_conforms(point: Sequence[Fraction], signature: tuple[int, int, int]) -> bool:
+    """Whether ``point`` is > 0, < 0 and = 0 on the three reaction masks."""
+    plus, minus, zero = signature
+    for r in range(len(point)):
+        bit = 1 << r
+        value = point[r]
+        if plus & bit:
+            if value <= 0:
+                return False
+        elif minus & bit:
+            if value >= 0:
+                return False
+        elif zero & bit and value != 0:
+            return False
+    return True
+
+
+def sigma_conforms(
+    point: Sequence[Fraction], order: Sequence[int], sign: Sequence[int | None]
+) -> bool:
+    """Whether ``point`` has the sign ``sign[i]`` at every assigned ``i`` of ``order``."""
+    for i in order:
+        wanted = sign[i]
+        if wanted is None:
+            continue
+        value = point[i]
+        if wanted == 0:
+            if value != 0:
+                return False
+        elif wanted == 1:
+            if value <= 0:
+                return False
+        elif value >= 0:
+            return False
+    return True
+
+
+def fid(net: Network) -> Decomposition:
+    """The finest independent decomposition of the network."""
+    vectors = reaction_vectors(net)
+    dim = len(net.species)
+    groups = _DisjointSet(len(vectors))
+    acc = RowReducer(dim)
+    basis: list[int] = []
+    for j, vec in enumerate(vectors):
+        if acc.add(vec):
+            basis.append(j)
+    basis_columns = [vectors[b] for b in basis]
+    basis_set = set(basis)
+    for j, vec in enumerate(vectors):
+        if j in basis_set:
+            continue
+        coeffs = solve_unique(basis_columns, vec)
+        assert coeffs is not None  # basis spans all reaction vectors
+        for b, coeff in zip(basis, coeffs):
+            if coeff != 0:
+                groups.join(j, b)
+    components: dict[int, list[int]] = {}
+    for j in range(len(vectors)):
+        components.setdefault(groups.find(j), []).append(j)
+    return Decomposition.from_blocks(net, components.values())
+
+
+def m3cr(
+    net: Network,
+    mandatory: Iterable[Reaction | str],
+    node_budget: int = DEFAULT_NODE_BUDGET,
+) -> M3crReport:
+    """Grow a maximal concordant container of the mandatory reactions."""
+    base = sorted(set(_reaction_indices(net, mandatory)))
+    base_verdict = check_concordance(subnetwork(net, base), node_budget)
+    if base_verdict.status == "Discordant":
+        raise ValueError("mandatory reaction set generates a discordant subnetwork")
+    if base_verdict.status == "Unknown":
+        raise ValueError(
+            "could not verify mandatory-set concordance within the node budget"
+        )
+    total_nodes = base_verdict.search_nodes
+    in_base = set(base)
+    candidates = [i for i in range(len(net.reactions)) if i not in in_base]
+
+    def grow(order: list[int]) -> tuple[list[int], list[int], bool]:
+        nonlocal total_nodes
+        kept = list(base)
+        pending = list(order)
+        while True:
+            leftovers: list[int] = []
+            hit_budget = False
+            for cand in pending:
+                verdict = check_concordance(
+                    subnetwork(net, sorted(kept + [cand])), node_budget
+                )
+                total_nodes += verdict.search_nodes
+                if verdict.status == "Concordant":
+                    kept.append(cand)
+                else:
+                    leftovers.append(cand)
+                    hit_budget = hit_budget or verdict.status == "Unknown"
+            if len(leftovers) == len(pending):
+                return sorted(kept), leftovers, not hit_budget
+            pending = leftovers
+
+    kept, excluded, maximal = grow(candidates)
+    other_kept, _, _ = grow(list(reversed(candidates)))
+    return M3crReport(
+        container=subnetwork(net, kept),
+        discordance_set=tuple(net.reactions[i] for i in excluded),
+        maximality_verified=maximal,
+        order_dependent=other_kept != kept,
+        search_nodes=total_nodes,
+    )

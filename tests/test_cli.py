@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from crnkit.cli import main
+from crnkit.concord import verify_witness
 
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden"
@@ -97,6 +98,21 @@ def test_concordance_json_carries_a_verified_witness(capsys):
     assert payload["witness"]["verified"] is True
     assert set(payload["witness"]["sigma"]) == {f"A{i}" for i in range(1, 12)}
     assert any(value != "0" for value in payload["witness"]["alpha"].values())
+
+
+@pytest.mark.parametrize("mode", [(), ("--json",)])
+def test_concordance_verifies_its_witness_once(mode, capsys, monkeypatch):
+    calls = []
+
+    def counting(net, witness):
+        calls.append(witness)
+        return verify_witness(net, witness)
+
+    monkeypatch.setattr("crnkit.cli.verify_witness", counting)
+    code, out, _ = run(capsys, "concordance", "fixture:schmitz", *mode)
+    assert code == 0
+    assert "Discordant" in out
+    assert len(calls) == 1
 
 
 def test_equilibria_json_summarizes_scan_and_residuals(capsys):

@@ -4,14 +4,20 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
+import oracles
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from crnkit import fixtures
+from crnkit import concord
 from crnkit.concord import (
+    DEFAULT_NODE_BUDGET,
     SignWitness,
+    _masked,
+    _WitnessSearch,
     check_concordance,
     is_conservative,
     is_positive_dependent,
@@ -24,7 +30,7 @@ from crnkit.core import (
     subnetwork,
     subnetwork_by_labels,
 )
-from crnkit.linalg import lp_feasible, rank
+from crnkit.linalg import lp_feasible, rank, scale_to_integers
 from netgen import networks
 
 LEE = fixtures.load("lee")
@@ -32,6 +38,8 @@ FAL = fixtures.load("fal")
 SCHMITZ = fixtures.load("schmitz")
 MACLEAN = fixtures.load("maclean")
 AUGMENTED = fixtures.load("schmitz-augmented")
+REDUCED = fixtures.load("schmitz-reduced")
+DATA = Path(__file__).parent / "data"
 
 
 # --- brute-force oracle -----------------------------------------------------
@@ -409,3 +417,152 @@ def test_unverifiable_mandatory_set_is_rejected():
     everything = [r.label for r in LEE.reactions]
     with pytest.raises(ValueError, match="budget"):
         m3cr(LEE, everything, node_budget=1)
+
+
+# --- the search's sign masks against the per-entry tests it replaced --------
+
+# a coordinate: the wanted sign times n/d, or (when the flag is set, or
+# nothing is wanted) a rational that is zero half of the time, so that both
+# answers of a conformance test come up often
+cells = st.tuples(
+    st.booleans(),
+    st.integers(1, 12),
+    st.one_of(st.just(0), st.integers(-12, 12)),
+    st.integers(1, 4),
+)
+
+
+def _near(data, signs):
+    drawn = data.draw(st.lists(cells, min_size=len(signs), max_size=len(signs)))
+    return [
+        Fraction(free if wanted is None or flip else wanted * n, d)
+        for wanted, (flip, n, free, d) in zip(signs, drawn)
+    ]
+
+
+@settings(max_examples=100, deadline=None)
+@given(networks(max_species=5, max_reactions=6), st.data())
+def test_sign_masks_agree_with_per_entry_conformance(net, data):
+    search = _WitnessSearch(net, DEFAULT_NODE_BUDGET)
+    signs = st.sampled_from((1, -1, 0, None))
+    classes = data.draw(
+        st.lists(signs, min_size=search.reaction_count, max_size=search.reaction_count)
+    )
+    signature = tuple(
+        sum(1 << r for r, c in enumerate(classes) if c == wanted) for wanted in (1, -1, 0)
+    )
+    for _ in range(2):
+        alpha = _near(data, classes)
+        assert _WitnessSearch._alpha_conforms(_masked(alpha), signature) == (
+            oracles.alpha_conforms(alpha, signature)
+        )
+
+    def check_sigmas():
+        for _ in range(2):
+            sigma = _near(data, search.sign)
+            assert search._sigma_conforms(_masked(sigma)) == (
+                oracles.sigma_conforms(sigma, search.order, search.sign)
+            )
+
+    # a partial sign list reached by assigning, then assigning more and
+    # taking those back, so that both updates of the wanted-masks are used
+    for _ in range(2):
+        chosen = data.draw(
+            st.lists(signs, min_size=len(search.order), max_size=len(search.order))
+        )
+        extra = [
+            (i, v) for i, v in zip(search.order, chosen) if search.sign[i] is None and v is not None
+        ]
+        for i, value in extra:
+            search._assign(i, value)
+        check_sigmas()
+    for i, value in reversed(extra):
+        search._unassign(i, value)
+    check_sigmas()
+
+
+@given(networks(max_species=5, max_reactions=7))
+def test_search_rows_are_the_scaled_fraction_rows(net):
+    # the LP rows the search reads off the integer elimination are those the
+    # Fraction RREF and nullspace give after scale_to_integers
+    search = _WitnessSearch(net, DEFAULT_NODE_BUDGET)
+    columns = [[int(x) for x in col] for col in _columns(net)]
+    reduced, pivots = oracles.rref([list(row) for row in zip(*columns)])
+    assert search.n_rows == [scale_to_integers(reduced[k]) for k in range(len(pivots))]
+    assert search.left_null == [
+        scale_to_integers(w) for w in oracles.nullspace_basis(columns)
+    ]
+
+
+# --- counts the benchmark's tracer and the JSON reports depend on -----------
+
+
+@pytest.mark.parametrize(
+    "parent, other, nodes",
+    [
+        ("toy-a", "toy-b", 20),
+        ("toy-b", "toy-a", 2),
+        ("schmitz-reduced", "maclean", 316),
+        ("schmitz-augmented", "maclean", 437),
+    ],
+)
+def test_m3cr_search_node_totals(parent, other, nodes):
+    def load(name):
+        path = DATA / f"{name}.crn"
+        if path.exists():
+            return parse_network(path.read_text(encoding="utf-8"))
+        return fixtures.load(name)
+
+    net = load(parent)
+    assert m3cr(net, common_reactions(net, load(other))).search_nodes == nodes
+
+
+@pytest.mark.parametrize("net, solves", [(SCHMITZ, 62), (FAL, 74), (LEE, 143)])
+def test_lp_solves_per_search(net, solves, monkeypatch):
+    calls = []
+
+    def counting(a_eq, b_eq):
+        calls.append(None)
+        return lp_feasible(a_eq, b_eq)
+
+    monkeypatch.setattr(concord, "lp_feasible", counting)
+    assert check_concordance(net).status == "Discordant"
+    assert len(calls) == solves
+
+
+def test_m3cr_searches_each_reaction_set_once(monkeypatch):
+    seen = []
+
+    def counting(net, node_budget=DEFAULT_NODE_BUDGET):
+        seen.append(frozenset(rxn.arrow for rxn in net.reactions))
+        return check_concordance(net, node_budget)
+
+    monkeypatch.setattr(concord, "check_concordance", counting)
+    report = m3cr(AUGMENTED, common_reactions(AUGMENTED, MACLEAN))
+    assert len(seen) == len(set(seen)) == 23
+    assert report.search_nodes == 437
+
+
+# --- m3cr against the construction that searched every set afresh ----------
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    networks(max_species=4, max_reactions=6),
+    st.data(),
+    st.sampled_from((3, 12, DEFAULT_NODE_BUDGET)),
+)
+def test_m3cr_matches_the_memo_free_construction(net, data, node_budget):
+    mandatory = data.draw(
+        st.lists(
+            st.sampled_from(net.reactions), min_size=1, max_size=2, unique_by=lambda r: r.arrow
+        )
+    )
+
+    def outcome(construct):
+        try:
+            return construct(net, mandatory, node_budget)
+        except ValueError as error:
+            return str(error)
+
+    assert outcome(m3cr) == outcome(oracles.m3cr)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import oracles
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -200,3 +201,10 @@ def test_fid_invariant_under_reaction_permutation(net, rng):
     original = {frozenset(s) for s in fid(net).label_sets()}
     permuted = {frozenset(s) for s in fid(shuffled).label_sets()}
     assert original == permuted
+
+
+@given(networks(max_species=5, max_reactions=7))
+def test_fid_matches_the_per_reaction_expansion(net):
+    # the blocks read off one elimination are those of expanding every
+    # dependent reaction apart with solve_unique (tests/oracles.py)
+    assert fid(net).blocks == oracles.fid(net).blocks

@@ -21,6 +21,9 @@ from hypothesis import strategies as st
 
 from crnkit.linalg import (
     RowReducer,
+    _eliminate,
+    _integer_nullspace,
+    _primitive,
     lp_feasible,
     nullspace_basis,
     rank,
@@ -319,6 +322,25 @@ def test_rref_matches_fraction_oracle_on_rationals(mat):
     want = oracles.rref(mat)
     _assert_identical(rref(mat), want)
     assert rank(mat) == len(want[1])
+
+
+@settings(max_examples=300)
+@given(matrices(max_rows=5, max_cols=6, entries=rational_entries))
+def test_nullspace_matches_fraction_oracle(mat):
+    want = oracles.nullspace_basis(mat)
+    _assert_identical(nullspace_basis(mat), want)
+    assert _integer_nullspace(mat) == [scale_to_integers(vec) for vec in want]
+
+
+@settings(max_examples=300)
+@given(matrices(max_rows=5, max_cols=6, entries=rational_entries))
+def test_primitive_rows_match_the_scaled_fraction_rref(mat):
+    # the witness search's row basis: coprime integer rows of the RREF
+    reduced, pivots, denom = _eliminate(mat)
+    want, want_pivots = oracles.rref(mat)
+    assert [_primitive(reduced[k], denom) for k in range(len(pivots))] == [
+        scale_to_integers(want[k]) for k in range(len(want_pivots))
+    ]
 
 
 def test_lp_feasible_breaks_a_ratio_tie_like_the_oracle():
