@@ -70,7 +70,10 @@ def _resolve_budget(args: argparse.Namespace) -> int:
         return args.budget
     env = os.environ.get("CRNKIT_BUDGET")
     if env is not None:
-        budget = int(env)
+        try:
+            budget = int(env)
+        except ValueError:
+            budget = 0  # reported like any other value below 1
         if budget < 1:
             raise ValueError("CRNKIT_BUDGET must be a positive integer")
         return budget

@@ -21,14 +21,18 @@ budgeted; verdicts are Concordant, Discordant (with a witness), or Unknown
 when the node budget runs out.
 
 The LP rows (a row basis of N and a basis of its left nullspace) are read
-as coprime integer vectors off one integer elimination each. Every feasible
-point the search keeps (pooled, cached, or carried down the tree) is stored
-with the bitmasks of its positive, negative and zero coordinates, so
-whether it fits a partial pattern is three subset tests on integers.
+as coprime integer vectors off one integer elimination each. A partial
+pattern is three species masks (the signs assigned +, - and 0), passed down
+the recursion as one immutable value, and each reactant support is a
+species mask, so the alpha-signs a pattern forces follow from subset tests.
+Every feasible point the search keeps (pooled, cached, or carried down the
+tree) is stored with the bitmasks of its positive, negative and zero
+coordinates, so whether it fits a pattern is three subset tests too.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Literal, Sequence
@@ -125,6 +129,8 @@ def _signed_point(
 
 # A point with the bitmasks of its positive, negative and zero coordinates.
 _Masked = tuple[list[Fraction], int, int, int]
+# Bitmasks of the coordinates wanted positive, negative and zero.
+_Masks = tuple[int, int, int]
 
 
 def _masked(point: list[Fraction]) -> _Masked:
@@ -140,14 +146,36 @@ def _masked(point: list[Fraction]) -> _Masked:
     return point, pos, neg, zero
 
 
+def _signs(count: int, masks: _Masks) -> list[int | None]:
+    """The ``_signed_point`` sign list of ``count`` coordinates wanted as ``masks``."""
+    plus, minus, zero = masks
+    return [
+        1 if plus >> j & 1 else -1 if minus >> j & 1 else 0 if zero >> j & 1 else None
+        for j in range(count)
+    ]
+
+
+def _pool(pool: list[_Masked], point: _Masked) -> None:
+    """Append ``point``, keeping the 64 most recent."""
+    pool.append(point)
+    if len(pool) > 64:
+        del pool[0]
+
+
 class _BudgetExhausted(Exception):
     pass
 
 
-_UNDETERMINED, _ALL_ZERO, _PURE_PLUS, _PURE_MINUS, _MIXED = range(5)
-
-
 class _WitnessSearch:
+    """The sign search of one network.
+
+    A partial sigma pattern is one immutable value, the species masks
+    ``(plus, minus, zero)`` of the signs assigned so far, passed down the
+    recursion. Each reaction's reactant support is a species mask too, so
+    the reactions it forces (pure +, pure -, all zero) follow from three
+    subset tests per reaction.
+    """
+
     def __init__(self, net: Network, node_budget: int) -> None:
         self.node_budget = node_budget
         self.nodes = 0
@@ -160,89 +188,42 @@ class _WitnessSearch:
         self.left_null = _integer_nullspace(columns)
         index = {name: i for i, name in enumerate(net.species)}
         self.supports = [
-            tuple(index[name] for name, _ in rxn.reactant) for rxn in net.reactions
+            sum(1 << index[name] for name, _ in rxn.reactant) for rxn in net.reactions
         ]
-        touching: dict[int, list[int]] = {}
-        for r, support in enumerate(self.supports):
-            for i in support:
-                touching.setdefault(i, []).append(r)
-        self.touching = touching
-        self.order = sorted(touching, key=lambda i: (-len(touching[i]), i))
-        self.sign: list[int | None] = [None] * self.species_count
-        self.pos = [0] * self.reaction_count
-        self.neg = [0] * self.reaction_count
-        self.unassigned = [len(s) for s in self.supports]
-        self.nonzero_count = 0
-        # species masks of the signs assigned +, - and 0
-        self.want_pos = self.want_neg = self.want_zero = 0
-        self.alpha_cache: dict[tuple[int, int, int], _Masked | None] = {}
-        self.alpha_infeasible: list[tuple[int, int, int]] = []
+        shared = Counter(index[name] for rxn in net.reactions for name, _ in rxn.reactant)
+        self.order = sorted(shared, key=lambda i: (-shared[i], i))
+        self.alpha_cache: dict[_Masks, _Masked | None] = {}
+        self.alpha_infeasible: list[_Masks] = []
         self.alpha_pool: list[_Masked] = []
         self.sigma_pool: list[_Masked] = []
         self.zero_alpha = _masked([_ZERO] * self.reaction_count)
 
-    # -- bookkeeping --------------------------------------------------------
+    def _signature(self, masks: _Masks) -> _Masks:
+        """Reaction masks of the supports ``masks`` makes pure +, pure - and all zero."""
+        plus, minus, zero = masks
+        plus_zero, minus_zero = plus | zero, minus | zero
+        forced_plus = forced_minus = forced_zero = 0
+        for r, support in enumerate(self.supports):
+            if support & zero == support:
+                forced_zero |= 1 << r
+            elif support & plus_zero == support:
+                forced_plus |= 1 << r
+            elif support & minus_zero == support:
+                forced_minus |= 1 << r
+        return forced_plus, forced_minus, forced_zero
 
-    def _assign(self, i: int, value: int) -> None:
-        self.sign[i] = value
-        if value == 1:
-            self.want_pos |= 1 << i
-        elif value == -1:
-            self.want_neg |= 1 << i
-        else:
-            self.want_zero |= 1 << i
-        if value:
-            self.nonzero_count += 1
-        for r in self.touching[i]:
-            self.unassigned[r] -= 1
-            if value == 1:
-                self.pos[r] += 1
-            elif value == -1:
-                self.neg[r] += 1
-
-    def _unassign(self, i: int, value: int) -> None:
-        self.sign[i] = None
-        keep = ~(1 << i)
-        self.want_pos &= keep
-        self.want_neg &= keep
-        self.want_zero &= keep
-        if value:
-            self.nonzero_count -= 1
-        for r in self.touching[i]:
-            self.unassigned[r] += 1
-            if value == 1:
-                self.pos[r] -= 1
-            elif value == -1:
-                self.neg[r] -= 1
-
-    def _classify(self, r: int) -> int:
-        if self.pos[r] and self.neg[r]:
-            return _MIXED
-        if self.unassigned[r]:
-            return _UNDETERMINED
-        if self.pos[r]:
-            return _PURE_PLUS
-        if self.neg[r]:
-            return _PURE_MINUS
-        return _ALL_ZERO
-
-    def _signature(self) -> tuple[int, int, int]:
-        plus = minus = zero = 0
-        for r in range(self.reaction_count):
-            kind = self._classify(r)
-            if kind == _PURE_PLUS:
-                plus |= 1 << r
-            elif kind == _PURE_MINUS:
-                minus |= 1 << r
-            elif kind == _ALL_ZERO:
-                zero |= 1 << r
-        return plus, minus, zero
+    @staticmethod
+    def _conforms(point: _Masked, masks: _Masks) -> bool:
+        _, pos, neg, zero = point
+        want_pos, want_neg, want_zero = masks
+        return (want_pos & pos == want_pos and want_neg & neg == want_neg
+                and want_zero & zero == want_zero)
 
     # -- pruning LPs ---------------------------------------------------------
 
-    def _alpha_point(self, signature: tuple[int, int, int]) -> _Masked | None:
+    def _alpha_point(self, signature: _Masks) -> _Masked | None:
         for pooled in self.alpha_pool:
-            if self._alpha_conforms(pooled, signature):
+            if self._conforms(pooled, signature):
                 return pooled
         cached = self.alpha_cache.get(signature)
         if cached is not None or signature in self.alpha_cache:
@@ -252,39 +233,24 @@ class _WitnessSearch:
             if p2 & plus == p2 and m2 & minus == m2 and z2 & zero == z2:
                 self.alpha_cache[signature] = None
                 return None
-        signs: list[int | None] = []
-        for r in range(self.reaction_count):
-            bit = 1 << r
-            if plus & bit:
-                signs.append(1)
-            elif minus & bit:
-                signs.append(-1)
-            elif zero & bit:
-                signs.append(0)
-            else:
-                signs.append(None)
-        solved = _signed_point(self.n_rows, signs)
+        solved = _signed_point(self.n_rows, _signs(self.reaction_count, signature))
         point = None if solved is None else _masked(solved)
         self.alpha_cache[signature] = point
         if point is None:
             self.alpha_infeasible.append(signature)
         else:
-            self.alpha_pool.append(point)
-            if len(self.alpha_pool) > 64:
-                del self.alpha_pool[0]
+            _pool(self.alpha_pool, point)
         return point
 
-    def _sigma_point(self) -> _Masked | None:
+    def _sigma_point(self, masks: _Masks) -> _Masked | None:
         for pooled in self.sigma_pool:
-            if self._sigma_conforms(pooled):
+            if self._conforms(pooled, masks):
                 return pooled
-        solved = _signed_point(self.left_null, self.sign)
+        solved = _signed_point(self.left_null, _signs(self.species_count, masks))
         if solved is None:
             return None
         point = _masked(solved)
-        self.sigma_pool.append(point)
-        if len(self.sigma_pool) > 64:
-            del self.sigma_pool[0]
+        _pool(self.sigma_pool, point)
         return point
 
     # -- search --------------------------------------------------------------
@@ -304,26 +270,10 @@ class _WitnessSearch:
             return None
         return [Fraction(v) for v in basis[0]]
 
-    @staticmethod
-    def _alpha_conforms(point: _Masked, signature: tuple[int, int, int]) -> bool:
-        _, pos, neg, zero = point
-        want_pos, want_neg, want_zero = signature
-        return (
-            want_pos & pos == want_pos
-            and want_neg & neg == want_neg
-            and want_zero & zero == want_zero
-        )
-
-    def _sigma_conforms(self, point: _Masked) -> bool:
-        _, pos, neg, zero = point
-        return (
-            self.want_pos & pos == self.want_pos
-            and self.want_neg & neg == self.want_neg
-            and self.want_zero & zero == self.want_zero
-        )
-
-    def _viable(self, alpha: _Masked, sigma: _Masked) -> tuple[_Masked, _Masked] | None:
-        """Sign-feasibility of the current partial pattern.
+    def _viable(
+        self, masks: _Masks, alpha: _Masked, sigma: _Masked
+    ) -> tuple[_Masked, _Masked] | None:
+        """Sign-feasibility of the partial pattern ``masks``.
 
         ``alpha``/``sigma`` are the feasible points carried from the parent
         node; both constraint cones are closed under positive scaling, so a
@@ -331,42 +281,41 @@ class _WitnessSearch:
         another LP. Returns conforming points for the children, or None when
         either side is exactly infeasible.
         """
-        signature = self._signature()
+        signature = self._signature(masks)
         if signature[0] or signature[1]:
-            if not self._alpha_conforms(alpha, signature):
-                solved = self._alpha_point(signature)
-                if solved is None:
+            if not self._conforms(alpha, signature):
+                alpha = self._alpha_point(signature)
+                if alpha is None:
                     return None
-                alpha = solved
         else:
             alpha = self.zero_alpha
-        if not self._sigma_conforms(sigma):
-            resolved = self._sigma_point()
-            if resolved is None:
+        if not self._conforms(sigma, masks):
+            sigma = self._sigma_point(masks)
+            if sigma is None:
                 return None
-            sigma = resolved
         return alpha, sigma
 
-    def _descend(self, depth: int, alpha: _Masked, sigma: _Masked) -> SignWitness | None:
+    def _descend(
+        self, depth: int, masks: _Masks, alpha: _Masked, sigma: _Masked
+    ) -> SignWitness | None:
         self.nodes += 1
         if self.nodes > self.node_budget:
             raise _BudgetExhausted
+        plus, minus, zero = masks
         if depth == len(self.order):
-            if self.nonzero_count == 0:
+            if not plus | minus:
                 return None
             return SignWitness(tuple(alpha[0]), tuple(sigma[0]))
-        i = self.order[depth]
-        options = (1, -1, 0) if self.nonzero_count else (1, 0)
-        for value in options:
-            self._assign(i, value)
-            try:
-                carried = self._viable(alpha, sigma)
-                if carried is not None:
-                    witness = self._descend(depth + 1, *carried)
-                    if witness is not None:
-                        return witness
-            finally:
-                self._unassign(i, value)
+        bit = 1 << self.order[depth]
+        children = [(plus | bit, minus, zero), (plus, minus | bit, zero), (plus, minus, zero | bit)]
+        if not plus | minus:
+            del children[1]  # the first nonzero sign is pinned to +
+        for child in children:
+            carried = self._viable(child, alpha, sigma)
+            if carried is not None:
+                witness = self._descend(depth + 1, child, *carried)
+                if witness is not None:
+                    return witness
         return None
 
     def run(self) -> ConcordanceVerdict:
@@ -379,7 +328,7 @@ class _WitnessSearch:
             return ConcordanceVerdict("Discordant", witness, self.nodes)
         zero_sigma = _masked([_ZERO] * self.species_count)
         try:
-            witness = self._descend(0, self.zero_alpha, zero_sigma)
+            witness = self._descend(0, (0, 0, 0), self.zero_alpha, zero_sigma)
         except _BudgetExhausted:
             return ConcordanceVerdict("Unknown", None, self.nodes)
         if witness is not None:

@@ -5,9 +5,10 @@ decompositions, concordance verdicts) goes through this module, so every
 result here is exact — no floating point, no tolerances. The two hot kernels,
 `rref` and `lp_feasible`, pivot fraction-free on an integer matrix that
 carries one shared denominator (Bareiss elimination), and convert to
-`fractions.Fraction` only when they return. Matrices are plain lists of
-lists; sizes in this package are small (tens of rows/columns), so clarity
-wins over vectorization.
+`fractions.Fraction` only when they return. Entries may be integers,
+Fractions or floats; a float is read at its exact binary value. Matrices
+are plain lists of lists; sizes in this package are small (tens of
+rows/columns), so clarity wins over vectorization.
 """
 
 from __future__ import annotations
@@ -25,11 +26,13 @@ def _integer_rows(rows: Sequence[Sequence[Scalar]]) -> list[Sequence[int]]:
 
     Integer rows are returned as they are, without wrapping each entry in a
     Fraction; the kernels below only ever replace rows, never write into one.
+    Any other entry (a float too) is taken at its exact value, ``Fraction(x)``.
     """
     if rows and any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("ragged matrix")
     if all(type(x) is int for row in rows for x in row):
         return list(rows)
+    rows = [[x if type(x) is int else Fraction(x) for x in row] for row in rows]
     denom = lcm(*(x.denominator for row in rows for x in row))
     return [[x.numerator * (denom // x.denominator) for x in row] for row in rows]
 
@@ -131,8 +134,9 @@ def nullspace_basis(rows: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
 
 
 def _primitive(vector: Sequence[int], denom: int) -> list[int]:
-    """``scale_to_integers(vector / denom)`` for an integer ``vector``, without
-    building a Fraction: ``vector`` divided by its gcd, carrying ``denom``'s sign."""
+    """``vector / denom`` scaled by a positive rational to coprime integers,
+    without building a Fraction: ``vector`` divided by its gcd, carrying
+    ``denom``'s sign."""
     common = gcd(*vector)
     if denom < 0:
         common = -common
@@ -143,85 +147,6 @@ def _integer_nullspace(rows: Sequence[Sequence[Scalar]]) -> list[list[int]]:
     """``nullspace_basis(rows)`` with each vector scaled to coprime integers."""
     basis, denom = _scaled_nullspace(rows)
     return [_primitive(vec, denom) for vec in basis]
-
-
-def solve_unique(columns: Sequence[Sequence[Scalar]], target: Sequence[Scalar]) -> list[Fraction] | None:
-    """Solve ``sum_j c_j * columns[j] = target`` for the coefficients ``c``.
-
-    Intended for ``columns`` that are linearly independent, where a solution
-    is unique if it exists. Returns None when ``target`` is outside the span.
-    Free coefficients (if the columns were in fact dependent) are set to 0.
-    """
-    ncols = len(columns)
-    dim = len(target)
-    augmented = [[columns[j][i] for j in range(ncols)] + [target[i]] for i in range(dim)]
-    reduced, pivots = rref(augmented)
-    if ncols in pivots:
-        return None
-    coeffs = [Fraction(0)] * ncols
-    for k, p in enumerate(pivots):
-        coeffs[p] = reduced[k][-1]
-    return coeffs
-
-
-class RowReducer:
-    """Incremental Gaussian elimination for rank/independence queries.
-
-    Feed vectors one at a time; ``add`` reports whether the vector enlarged
-    the span. Used wherever a greedy "is this independent of what we've kept
-    so far" scan appears.
-    """
-
-    def __init__(self, dim: int) -> None:
-        self.dim = dim
-        self._rows: list[list[Fraction]] = []
-        self._pivot_cols: list[int] = []
-
-    @property
-    def rank(self) -> int:
-        return len(self._rows)
-
-    def residual(self, vector: Sequence[Scalar]) -> list[Fraction]:
-        """Reduce ``vector`` against the stored rows without adding it."""
-        vec = [Fraction(x) for x in vector]
-        for row, col in zip(self._rows, self._pivot_cols):
-            if vec[col] != 0:
-                factor = vec[col]
-                vec = [a - factor * b for a, b in zip(vec, row)]
-        return vec
-
-    def contains(self, vector: Sequence[Scalar]) -> bool:
-        return all(x == 0 for x in self.residual(vector))
-
-    def add(self, vector: Sequence[Scalar]) -> bool:
-        """Add ``vector`` to the span; True iff it was independent."""
-        vec = self.residual(vector)
-        col = next((i for i, x in enumerate(vec) if x != 0), None)
-        if col is None:
-            return False
-        inv = 1 / vec[col]
-        vec = [x * inv for x in vec]
-        for row in self._rows:
-            if row[col] != 0:
-                factor = row[col]
-                row[:] = [a - factor * b for a, b in zip(row, vec)]
-        self._rows.append(vec)
-        self._pivot_cols.append(col)
-        return True
-
-
-def scale_to_integers(vector: Sequence[Fraction]) -> list[int]:
-    """Scale a rational vector by a positive rational into coprime integers."""
-    denom_lcm = 1
-    for x in vector:
-        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
-    ints = [int(x * denom_lcm) for x in vector]
-    common = 0
-    for v in ints:
-        common = gcd(common, v)
-    if common > 1:
-        ints = [v // common for v in ints]
-    return ints
 
 
 def lp_feasible(

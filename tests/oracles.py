@@ -13,6 +13,11 @@ the witness search reads its LP rows (row basis and left nullspace) there
 as coprime integer vectors; both must give what this gives, after
 ``scale_to_integers`` for the search (``test_linalg.py``).
 
+``RowReducer``, ``solve_unique`` and ``scale_to_integers`` are the library's
+former span, solve and scaling helpers, moved here unchanged when nothing in
+the library called them any more; the ``fid`` oracle and the search-rows
+tests use them, and their own unit tests are in ``test_linalg.py``.
+
 ``mass_action_rhs`` and ``equilibrium_residual`` are the original binary64
 versions, which coerce every rate constant to ``float``. The library's one
 evaluator keeps the number type of its input; on floats it must return
@@ -22,7 +27,14 @@ their results (``test_kinetics.py``).
 ``alpha_conforms`` and ``sigma_conforms`` are the original sign tests of the
 witness search, one ``Fraction`` comparison per coordinate. The search now
 keeps each point's positive, negative and zero coordinates as bitmasks and
-tests subsets of them; the answers must agree (``test_concord.py``).
+tests subsets of them with one ``_conforms``; the answers must agree
+(``test_concord.py``).
+
+``signature`` is the search's original reaction classification, which kept
+per-reaction counts of the reactant species assigned +, - and not yet
+assigned. The search now holds a partial sign pattern as three species
+masks and classifies each reaction by subset tests of its reactant-support
+mask; the reaction masks must agree (``test_concord.py``).
 
 ``fid`` is the original finest independent decomposition, which picks the
 basis with a ``RowReducer`` and solves for each dependent reaction apart
@@ -38,6 +50,7 @@ included (``test_concord.py``).
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from crnkit.concord import (
@@ -48,7 +61,6 @@ from crnkit.concord import (
 )
 from crnkit.core import Network, Reaction, reaction_vectors, subnetwork
 from crnkit.decomp import Decomposition, _DisjointSet
-from crnkit.linalg import RowReducer, solve_unique
 
 Scalar = int | Fraction
 Matrix = list[list[Fraction]]
@@ -270,6 +282,118 @@ def sigma_conforms(
         elif value >= 0:
             return False
     return True
+
+
+def solve_unique(columns: Sequence[Sequence[Scalar]], target: Sequence[Scalar]) -> list[Fraction] | None:
+    """Solve ``sum_j c_j * columns[j] = target`` for the coefficients ``c``.
+
+    Intended for ``columns`` that are linearly independent, where a solution
+    is unique if it exists. Returns None when ``target`` is outside the span.
+    Free coefficients (if the columns were in fact dependent) are set to 0.
+    """
+    ncols = len(columns)
+    dim = len(target)
+    augmented = [[columns[j][i] for j in range(ncols)] + [target[i]] for i in range(dim)]
+    reduced, pivots = rref(augmented)
+    if ncols in pivots:
+        return None
+    coeffs = [Fraction(0)] * ncols
+    for k, p in enumerate(pivots):
+        coeffs[p] = reduced[k][-1]
+    return coeffs
+
+
+class RowReducer:
+    """Incremental Gaussian elimination for rank/independence queries.
+
+    Feed vectors one at a time; ``add`` reports whether the vector enlarged
+    the span. Used wherever a greedy "is this independent of what we've kept
+    so far" scan appears.
+    """
+
+    def __init__(self, dim: int) -> None:
+        self.dim = dim
+        self._rows: list[list[Fraction]] = []
+        self._pivot_cols: list[int] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self._rows)
+
+    def residual(self, vector: Sequence[Scalar]) -> list[Fraction]:
+        """Reduce ``vector`` against the stored rows without adding it."""
+        vec = [Fraction(x) for x in vector]
+        for row, col in zip(self._rows, self._pivot_cols):
+            if vec[col] != 0:
+                factor = vec[col]
+                vec = [a - factor * b for a, b in zip(vec, row)]
+        return vec
+
+    def contains(self, vector: Sequence[Scalar]) -> bool:
+        return all(x == 0 for x in self.residual(vector))
+
+    def add(self, vector: Sequence[Scalar]) -> bool:
+        """Add ``vector`` to the span; True iff it was independent."""
+        vec = self.residual(vector)
+        col = next((i for i, x in enumerate(vec) if x != 0), None)
+        if col is None:
+            return False
+        inv = 1 / vec[col]
+        vec = [x * inv for x in vec]
+        for row in self._rows:
+            if row[col] != 0:
+                factor = row[col]
+                row[:] = [a - factor * b for a, b in zip(row, vec)]
+        self._rows.append(vec)
+        self._pivot_cols.append(col)
+        return True
+
+
+def scale_to_integers(vector: Sequence[Fraction]) -> list[int]:
+    """Scale a rational vector by a positive rational into coprime integers."""
+    denom_lcm = 1
+    for x in vector:
+        denom_lcm = denom_lcm * x.denominator // gcd(denom_lcm, x.denominator)
+    ints = [int(x * denom_lcm) for x in vector]
+    common = 0
+    for v in ints:
+        common = gcd(common, v)
+    if common > 1:
+        ints = [v // common for v in ints]
+    return ints
+
+
+_UNDETERMINED, _ALL_ZERO, _PURE_PLUS, _PURE_MINUS, _MIXED = range(5)
+
+
+def _classify(pos: int, neg: int, unassigned: int) -> int:
+    if pos and neg:
+        return _MIXED
+    if unassigned:
+        return _UNDETERMINED
+    if pos:
+        return _PURE_PLUS
+    if neg:
+        return _PURE_MINUS
+    return _ALL_ZERO
+
+
+def signature(
+    supports: Sequence[Sequence[int]], sign: Sequence[int | None]
+) -> tuple[int, int, int]:
+    """Masks of the reactions whose reactant support ``sign`` makes pure +,
+    pure - and all zero; ``supports[r]`` lists reaction r's reactant species."""
+    plus = minus = zero = 0
+    for r, support in enumerate(supports):
+        signs = [sign[i] for i in support]
+        kind = _classify(signs.count(1), signs.count(-1), signs.count(None))
+        if kind == _PURE_PLUS:
+            plus |= 1 << r
+        elif kind == _PURE_MINUS:
+            minus |= 1 << r
+        elif kind == _ALL_ZERO:
+            zero |= 1 << r
+    return plus, minus, zero
 
 
 def fid(net: Network) -> Decomposition:

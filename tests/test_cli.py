@@ -141,6 +141,7 @@ def test_budget_env_var_applies_and_the_flag_wins(capsys, monkeypatch):
     monkeypatch.setenv("CRNKIT_BUDGET", "not-a-number")
     code, _, err = run(capsys, "concordance", "fixture:lee")
     assert code == 1
+    assert "CRNKIT_BUDGET must be a positive integer" in err
 
 
 def test_input_errors_exit_1(capsys, tmp_path, monkeypatch):

@@ -17,6 +17,7 @@ from crnkit.concord import (
     DEFAULT_NODE_BUDGET,
     SignWitness,
     _masked,
+    _signs,
     _WitnessSearch,
     check_concordance,
     is_conservative,
@@ -30,7 +31,7 @@ from crnkit.core import (
     subnetwork,
     subnetwork_by_labels,
 )
-from crnkit.linalg import lp_feasible, rank, scale_to_integers
+from crnkit.linalg import lp_feasible, rank
 from netgen import networks
 
 LEE = fixtures.load("lee")
@@ -440,45 +441,44 @@ def _near(data, signs):
     ]
 
 
+def _sign_list(data, count):
+    return data.draw(st.lists(st.sampled_from((1, -1, 0, None)), min_size=count, max_size=count))
+
+
+def _masks(sign):
+    """The (plus, minus, zero) masks of a sign list."""
+    return tuple(sum(1 << j for j, s in enumerate(sign) if s == wanted) for wanted in (1, -1, 0))
+
+
 @settings(max_examples=100, deadline=None)
 @given(networks(max_species=5, max_reactions=6), st.data())
 def test_sign_masks_agree_with_per_entry_conformance(net, data):
-    search = _WitnessSearch(net, DEFAULT_NODE_BUDGET)
-    signs = st.sampled_from((1, -1, 0, None))
-    classes = data.draw(
-        st.lists(signs, min_size=search.reaction_count, max_size=search.reaction_count)
-    )
-    signature = tuple(
-        sum(1 << r for r, c in enumerate(classes) if c == wanted) for wanted in (1, -1, 0)
-    )
+    # one _conforms serves the reaction masks of alpha and the species masks
+    # of sigma
+    classes = _sign_list(data, len(net.reactions))
+    sign = _sign_list(data, len(net.species))
+    assert _signs(len(classes), _masks(classes)) == classes
+    assert _signs(len(sign), _masks(sign)) == sign
     for _ in range(2):
         alpha = _near(data, classes)
-        assert _WitnessSearch._alpha_conforms(_masked(alpha), signature) == (
-            oracles.alpha_conforms(alpha, signature)
+        assert _WitnessSearch._conforms(_masked(alpha), _masks(classes)) == (
+            oracles.alpha_conforms(alpha, _masks(classes))
+        )
+        sigma = _near(data, sign)
+        assert _WitnessSearch._conforms(_masked(sigma), _masks(sign)) == (
+            oracles.sigma_conforms(sigma, range(len(sign)), sign)
         )
 
-    def check_sigmas():
-        for _ in range(2):
-            sigma = _near(data, search.sign)
-            assert search._sigma_conforms(_masked(sigma)) == (
-                oracles.sigma_conforms(sigma, search.order, search.sign)
-            )
 
-    # a partial sign list reached by assigning, then assigning more and
-    # taking those back, so that both updates of the wanted-masks are used
-    for _ in range(2):
-        chosen = data.draw(
-            st.lists(signs, min_size=len(search.order), max_size=len(search.order))
-        )
-        extra = [
-            (i, v) for i, v in zip(search.order, chosen) if search.sign[i] is None and v is not None
-        ]
-        for i, value in extra:
-            search._assign(i, value)
-        check_sigmas()
-    for i, value in reversed(extra):
-        search._unassign(i, value)
-    check_sigmas()
+@settings(max_examples=200, deadline=None)
+@given(networks(max_species=5, max_reactions=7), st.data())
+def test_reaction_classes_from_support_masks_match_the_counters(net, data):
+    search = _WitnessSearch(net, DEFAULT_NODE_BUDGET)
+    index = {name: i for i, name in enumerate(net.species)}
+    supports = [tuple(index[name] for name, _ in rxn.reactant) for rxn in net.reactions]
+    for _ in range(5):
+        sign = _sign_list(data, len(net.species))
+        assert search._signature(_masks(sign)) == oracles.signature(supports, sign)
 
 
 @given(networks(max_species=5, max_reactions=7))
@@ -488,9 +488,9 @@ def test_search_rows_are_the_scaled_fraction_rows(net):
     search = _WitnessSearch(net, DEFAULT_NODE_BUDGET)
     columns = [[int(x) for x in col] for col in _columns(net)]
     reduced, pivots = oracles.rref([list(row) for row in zip(*columns)])
-    assert search.n_rows == [scale_to_integers(reduced[k]) for k in range(len(pivots))]
+    assert search.n_rows == [oracles.scale_to_integers(reduced[k]) for k in range(len(pivots))]
     assert search.left_null == [
-        scale_to_integers(w) for w in oracles.nullspace_basis(columns)
+        oracles.scale_to_integers(w) for w in oracles.nullspace_basis(columns)
     ]
 
 

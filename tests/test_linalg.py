@@ -6,7 +6,8 @@ so the two implementations share no code beyond Fraction itself. Both
 fraction-free kernels are also checked for identical output against the
 Fraction kernels they replaced, kept in ``oracles.py``, and ``rank``, which
 counts pivots without building the reduced matrix, against the oracle's
-pivot count.
+pivot count. ``RowReducer``, ``solve_unique`` and ``scale_to_integers``
+live in ``oracles.py`` now; their unit tests stay here.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crnkit.linalg import (
-    RowReducer,
     _eliminate,
     _integer_nullspace,
     _primitive,
@@ -28,9 +28,8 @@ from crnkit.linalg import (
     nullspace_basis,
     rank,
     rref,
-    scale_to_integers,
-    solve_unique,
 )
+from oracles import RowReducer, scale_to_integers, solve_unique
 
 
 def _gauss_solve(columns: list[list[Fraction]], target: list[Fraction]) -> list[Fraction] | None:
@@ -341,6 +340,16 @@ def test_primitive_rows_match_the_scaled_fraction_rref(mat):
     assert [_primitive(reduced[k], denom) for k in range(len(pivots))] == [
         scale_to_integers(want[k]) for k in range(len(want_pivots))
     ]
+
+
+def test_kernels_take_float_entries_at_their_exact_value():
+    for mat in ([[0.5, 1]], [[0.1, 3], [Fraction(1, 3), 2.5]], [[1.0, 2], [2, 4.0]]):
+        want = oracles.rref(mat)
+        _assert_identical(rref(mat), want)
+        assert rank(mat) == len(want[1])
+    for a_eq, b_eq in (([[1.0]], [2]), ([[0.5, -1]], [0.25]), ([[1, 1]], [-0.5])):
+        _assert_identical(lp_feasible(a_eq, b_eq), oracles.lp_feasible(a_eq, b_eq))
+    assert lp_feasible([[1.0]], [2]) == [2]
 
 
 def test_lp_feasible_breaks_a_ratio_tie_like_the_oracle():
