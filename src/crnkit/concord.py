@@ -25,9 +25,21 @@ as coprime integer vectors off one integer elimination each. A partial
 pattern is three species masks (the signs assigned +, - and 0), passed down
 the recursion as one immutable value, and each reactant support is a
 species mask, so the alpha-signs a pattern forces follow from subset tests.
-Every feasible point the search keeps (pooled, cached, or carried down the
-tree) is stored with the bitmasks of its positive, negative and zero
+Every feasible point the search keeps (pooled, or carried down the tree)
+is stored with the bitmasks of its positive, negative and zero
 coordinates, so whether it fits a pattern is three subset tests too.
+
+An infeasible LP leaves a Farkas certificate instead: ``lp_feasible`` hands
+back its phase-1 duals ``y``, and ``w = -yᵀ rows`` is an integer vector of
+the row space that is >= 0 where the pattern wants +, <= 0 where it wants -,
+zero where it wants nothing, and nonzero on some signed coordinate. No point
+of the cone fits such a pattern, nor any pattern that refines it, since
+``w . x`` would be positive. The search checks each certificate against its
+own pattern in integers, keeps the masks ``(wpos, wneg)`` of the newest 64
+per side, and answers a pattern a pooled certificate refutes without an LP,
+just as a conforming pooled point answers a feasible one. Verdicts,
+witnesses and node counts are those of the search without certificates;
+only the number of LPs falls.
 """
 
 from __future__ import annotations
@@ -85,15 +97,22 @@ class M3crReport:
 
 
 _ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
+# The masks (wpos, wneg) of an integer vector w of an LP's row space that
+# proves a sign pattern infeasible.
+_Certificate = tuple[int, int]
 
 
 def _signed_point(
     rows: Sequence[Sequence[int]], signs: Sequence[int | None]
-) -> list[Fraction] | None:
+) -> list[Fraction] | _Certificate:
     """Exact feasible point of {rows . x = 0} under per-coordinate signs.
 
     signs[j] is +1 for x_j >= 1, -1 for x_j <= -1, 0 for x_j = 0, None for
-    unconstrained. Returns None when infeasible.
+    unconstrained. When there is no such point, returns a certificate
+    ``(wpos, wneg)``: the masks of the positive and negative coordinates of
+    an integer vector ``w`` in the row space that refutes ``signs`` (see
+    ``_refuted``). It is ``w = -yᵀ rows`` for the Farkas vector ``y`` of the
+    LP, and is checked against ``signs`` in integers before it is returned.
     """
     point = [_ONE if s == 1 else _MINUS_ONE if s == -1 else _ZERO for s in signs]
     if not rows:
@@ -107,24 +126,48 @@ def _signed_point(
         elif s is None:
             variables.append((j, 1))
             variables.append((j, -1))
-    a_eq = []
-    b_eq = []
-    for row in rows:
-        a_eq.append([direction * row[j] for j, direction in variables])
-        offset = 0
-        for j, s in enumerate(signs):
-            if s == 1:
-                offset += row[j]
-            elif s == -1:
-                offset -= row[j]
-        b_eq.append(-offset)
-    solution = lp_feasible(a_eq, b_eq)
+    a_eq = [[direction * row[j] for j, direction in variables] for row in rows]
+    # x_j = s_j + u for a signed coordinate, so its +-1 moves to the right-hand
+    # side; a free coordinate's two columns cancel in the row sum
+    b_eq = [-sum(line) for line in a_eq]
+    farkas: list[int] = []
+    solution = lp_feasible(a_eq, b_eq, farkas=farkas)
     if solution is None:
-        return None
+        return _certificate(rows, signs, farkas)
     for (j, direction), value in zip(variables, solution):
         if value:
             point[j] = point[j] + value if direction == 1 else point[j] - value
     return point
+
+
+def _certificate(
+    rows: Sequence[Sequence[int]], signs: Sequence[int | None], farkas: Sequence[int]
+) -> _Certificate:
+    """The masks of ``w = -yᵀ rows``, ``y = farkas``, once ``w`` is checked to refute ``signs``.
+
+    For the LP ``_signed_point`` builds, ``yᵀA <= 0`` makes ``w`` >= 0 where
+    x_j >= 1, <= 0 where x_j <= -1 and 0 where x_j is free, and ``yᵀb > 0``
+    makes ``sum_j s_j w_j`` positive. Raises RuntimeError if either fails.
+    """
+    w = [0] * len(signs)
+    for y, row in zip(farkas, rows):
+        if y:
+            w = [v - y * x for v, x in zip(w, row)]
+    wpos = wneg = 0
+    strict = False
+    for j, (s, v) in enumerate(zip(signs, w)):
+        if not v:
+            continue
+        if s is None or s * v < 0:
+            raise RuntimeError("the phase-1 duals do not refute the sign pattern")
+        strict = strict or s != 0
+        if v > 0:
+            wpos |= 1 << j
+        else:
+            wneg |= 1 << j
+    if not strict:
+        raise RuntimeError("the phase-1 duals do not refute the sign pattern")
+    return wpos, wneg
 
 
 # A point with the bitmasks of its positive, negative and zero coordinates.
@@ -155,11 +198,28 @@ def _signs(count: int, masks: _Masks) -> list[int | None]:
     ]
 
 
-def _pool(pool: list[_Masked], point: _Masked) -> None:
-    """Append ``point``, keeping the 64 most recent."""
-    pool.append(point)
+def _pool(pool: list, item: _Masked | _Certificate) -> None:
+    """Append ``item``, keeping the 64 most recent."""
+    pool.append(item)
     if len(pool) > 64:
         del pool[0]
+
+
+def _refuted(certs: list[_Certificate], masks: _Masks) -> bool:
+    """Whether a pooled certificate proves the pattern ``masks`` infeasible.
+
+    Every x of the cone is orthogonal to w. If w is >= 0 on the coordinates
+    wanted positive, <= 0 on those wanted negative, 0 on the free ones, and
+    nonzero on one signed coordinate, then w . x > 0 for every x with the
+    wanted signs, so none exists. Any more specific pattern is refuted too.
+    """
+    plus, minus, zero = masks
+    plus_zero, minus_zero = plus | zero, minus | zero
+    for wpos, wneg in certs:
+        if (wpos & plus_zero == wpos and wneg & minus_zero == wneg
+                and (wpos & plus or wneg & minus)):
+            return True
+    return False
 
 
 class _BudgetExhausted(Exception):
@@ -174,6 +234,11 @@ class _WitnessSearch:
     recursion. Each reaction's reactant support is a species mask too, so
     the reactions it forces (pure +, pure -, all zero) follow from three
     subset tests per reaction.
+
+    Each side (alpha over reactions, sigma over species) pools the newest 64
+    feasible points and the newest 64 certificates of its LPs. A pattern is
+    answered by a conforming pooled point, else by a pooled certificate that
+    refutes it, and only then by an LP.
     """
 
     def __init__(self, net: Network, node_budget: int) -> None:
@@ -192,10 +257,10 @@ class _WitnessSearch:
         ]
         shared = Counter(index[name] for rxn in net.reactions for name, _ in rxn.reactant)
         self.order = sorted(shared, key=lambda i: (-shared[i], i))
-        self.alpha_cache: dict[_Masks, _Masked | None] = {}
-        self.alpha_infeasible: list[_Masks] = []
         self.alpha_pool: list[_Masked] = []
         self.sigma_pool: list[_Masked] = []
+        self.alpha_certs: list[_Certificate] = []
+        self.sigma_certs: list[_Certificate] = []
         self.zero_alpha = _masked([_ZERO] * self.reaction_count)
 
     def _signature(self, masks: _Masks) -> _Masks:
@@ -221,36 +286,31 @@ class _WitnessSearch:
 
     # -- pruning LPs ---------------------------------------------------------
 
-    def _alpha_point(self, signature: _Masks) -> _Masked | None:
-        for pooled in self.alpha_pool:
-            if self._conforms(pooled, signature):
-                return pooled
-        cached = self.alpha_cache.get(signature)
-        if cached is not None or signature in self.alpha_cache:
-            return cached
-        plus, minus, zero = signature
-        for p2, m2, z2 in self.alpha_infeasible:
-            if p2 & plus == p2 and m2 & minus == m2 and z2 & zero == z2:
-                self.alpha_cache[signature] = None
-                return None
-        solved = _signed_point(self.n_rows, _signs(self.reaction_count, signature))
-        point = None if solved is None else _masked(solved)
-        self.alpha_cache[signature] = point
-        if point is None:
-            self.alpha_infeasible.append(signature)
-        else:
-            _pool(self.alpha_pool, point)
-        return point
+    def _point(
+        self,
+        rows: list[list[int]],
+        count: int,
+        masks: _Masks,
+        pool: list[_Masked],
+        certs: list[_Certificate],
+    ) -> _Masked | None:
+        """A point of {rows . x = 0} with the signs ``masks`` wants, or None.
 
-    def _sigma_point(self, masks: _Masks) -> _Masked | None:
-        for pooled in self.sigma_pool:
+        A pooled point that conforms answers first, then a pooled
+        certificate that refutes; only then is the LP solved, and its point
+        or certificate pooled.
+        """
+        for pooled in pool:
             if self._conforms(pooled, masks):
                 return pooled
-        solved = _signed_point(self.left_null, _signs(self.species_count, masks))
-        if solved is None:
+        if _refuted(certs, masks):
+            return None
+        solved = _signed_point(rows, _signs(count, masks))
+        if type(solved) is tuple:
+            _pool(certs, solved)
             return None
         point = _masked(solved)
-        _pool(self.sigma_pool, point)
+        _pool(pool, point)
         return point
 
     # -- search --------------------------------------------------------------
@@ -284,13 +344,18 @@ class _WitnessSearch:
         signature = self._signature(masks)
         if signature[0] or signature[1]:
             if not self._conforms(alpha, signature):
-                alpha = self._alpha_point(signature)
+                alpha = self._point(
+                    self.n_rows, self.reaction_count, signature,
+                    self.alpha_pool, self.alpha_certs,
+                )
                 if alpha is None:
                     return None
         else:
             alpha = self.zero_alpha
         if not self._conforms(sigma, masks):
-            sigma = self._sigma_point(masks)
+            sigma = self._point(
+                self.left_null, self.species_count, masks, self.sigma_pool, self.sigma_certs
+            )
             if sigma is None:
                 return None
         return alpha, sigma
@@ -340,7 +405,13 @@ def check_concordance(
     net: Network, node_budget: int = DEFAULT_NODE_BUDGET
 ) -> ConcordanceVerdict:
     """Decide concordance by complete search, within a node budget."""
+    _check_budget(node_budget)
     return _WitnessSearch(net, node_budget).run()
+
+
+def _check_budget(node_budget: int) -> None:
+    if node_budget < 1:
+        raise ValueError("node_budget must be a positive integer")
 
 
 def verify_witness(net: Network, witness: SignWitness) -> bool:
@@ -378,18 +449,22 @@ def verify_witness(net: Network, witness: SignWitness) -> bool:
     return True
 
 
+def _positive_point(rows: Sequence[Sequence[int]], count: int) -> ConeCertificate:
+    """Whether {rows . x = 0} has a point with every coordinate >= 1, and one such point."""
+    point = _signed_point(rows, [1] * count)
+    if type(point) is tuple:
+        return ConeCertificate(False, None)
+    return ConeCertificate(True, tuple(point) or None)
+
+
 def is_positive_dependent(net: Network) -> ConeCertificate:
     """Whether some strictly positive combination of reaction vectors is 0."""
-    rows = [list(row) for row in zip(*reaction_vectors(net))]
-    point = _signed_point(rows, [1] * len(net.reactions))
-    return ConeCertificate(point is not None, tuple(point) if point else None)
+    return _positive_point(list(zip(*reaction_vectors(net))), len(net.reactions))
 
 
 def is_conservative(net: Network) -> ConeCertificate:
     """Whether a strictly positive vector is orthogonal to every reaction."""
-    rows = reaction_vectors(net)
-    point = _signed_point(rows, [1] * len(net.species))
-    return ConeCertificate(point is not None, tuple(point) if point else None)
+    return _positive_point(reaction_vectors(net), len(net.species))
 
 
 def _reaction_indices(net: Network, chosen: Iterable[Reaction | str]) -> list[int]:
@@ -425,6 +500,7 @@ def m3cr(
     Each reaction set is searched once per call, however often the passes
     meet it; ``search_nodes`` still adds a verdict's nodes at every use.
     """
+    _check_budget(node_budget)
     verdicts: dict[tuple[int, ...], ConcordanceVerdict] = {}
 
     def verdict_of(indices: list[int]) -> ConcordanceVerdict:

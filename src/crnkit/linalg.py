@@ -150,13 +150,22 @@ def _integer_nullspace(rows: Sequence[Sequence[Scalar]]) -> list[list[int]]:
 
 
 def lp_feasible(
-    a_eq: Sequence[Sequence[Scalar]], b_eq: Sequence[Scalar]
+    a_eq: Sequence[Sequence[Scalar]],
+    b_eq: Sequence[Scalar],
+    *,
+    farkas: list[int] | None = None,
 ) -> list[Fraction] | None:
     """Find ``u >= 0`` with ``A u = b``, or None if the system is infeasible.
 
     Phase-1 simplex with Bland's rule, so termination is guaranteed and
     verdicts are exact. Returns one feasible point (a basic one), not
     anything optimal — callers only need feasibility witnesses.
+
+    When the system is infeasible and ``farkas`` is a list, the list is
+    filled with an integer Farkas vector ``y``: ``yᵀA <= 0`` and ``yᵀb > 0``
+    hold exactly for the caller's ``A`` and ``b``. It is read off the final
+    phase-1 duals, with the sign of each row the kernel negated to make
+    ``b_i >= 0`` put back. A feasible system leaves ``farkas`` as it was.
 
     Raises:
         ValueError: if ``A`` is ragged or ``b`` does not have one entry per
@@ -216,6 +225,15 @@ def lp_feasible(
 
     infeasibility = sum(tableau[i][-1] for i in range(nrows) if basis[i] >= ncols)
     if infeasibility != 0:
+        if farkas is not None:
+            # y_i = s_i * (denom - obj[ncols + i]), s_i = -1 for a negated row.
+            # With duals pi of the negated rows, the true reduced cost under
+            # artificial i is 1 - pi_i. At the optimum every structural reduced
+            # cost -piᵀA_j is >= 0 and piᵀb is the positive infeasibility; denom
+            # times pi is integer and keeps those signs.
+            farkas[:] = [
+                (denom - obj[ncols + i]) * (-1 if rows[i][-1] < 0 else 1) for i in range(nrows)
+            ]
         return None
     solution = [Fraction(0)] * ncols
     for i, var in enumerate(basis):

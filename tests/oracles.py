@@ -45,6 +45,16 @@ elimination, and the blocks must agree (``test_decomp.py``).
 for every reaction set it meets. The library's ``m3cr`` searches each
 reaction set once per call; its report must be equal, ``search_nodes``
 included (``test_concord.py``).
+
+``PoolSearch`` is the witness search before infeasible LPs left Farkas
+certificates behind: it answers a sign pattern from its point pools, an
+alpha cache keyed by the forced reaction signs, or the list of infeasible
+alpha patterns a pattern refines, and otherwise solves an LP; it counts its
+solves. The library's search pools the certificates of its infeasible
+LPs instead and skips every LP a pooled certificate refutes; it must return
+the same verdict, witness and ``search_nodes`` with no more solves, and
+every pattern a certificate refutes must re-solve infeasible with this
+module's ``signed_point`` (``test_concord.py``, ``test_acceptance.py``).
 """
 
 from __future__ import annotations
@@ -53,14 +63,26 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
+from collections import Counter
+
+from crnkit import linalg
 from crnkit.concord import (
     DEFAULT_NODE_BUDGET,
+    ConcordanceVerdict,
     M3crReport,
+    SignWitness,
+    _BudgetExhausted,
+    _masked,
+    _Masked,
+    _Masks,
+    _pool,
     _reaction_indices,
+    _signs,
     check_concordance,
 )
 from crnkit.core import Network, Reaction, reaction_vectors, subnetwork
 from crnkit.decomp import Decomposition, _DisjointSet
+from crnkit.linalg import _eliminate, _integer_nullspace, _primitive
 
 Scalar = int | Fraction
 Matrix = list[list[Fraction]]
@@ -470,3 +492,197 @@ def m3cr(
         order_dependent=other_kept != kept,
         search_nodes=total_nodes,
     )
+
+
+_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
+
+
+def signed_point(
+    rows: Sequence[Sequence[int]], signs: Sequence[int | None]
+) -> list[Fraction] | None:
+    """Exact feasible point of {rows . x = 0} under per-coordinate signs.
+
+    signs[j] is +1 for x_j >= 1, -1 for x_j <= -1, 0 for x_j = 0, None for
+    unconstrained. Returns None when infeasible.
+    """
+    point = [_ONE if s == 1 else _MINUS_ONE if s == -1 else _ZERO for s in signs]
+    if not rows:
+        return point
+    variables: list[tuple[int, int]] = []  # (coordinate, direction)
+    for j, s in enumerate(signs):
+        if s == 1:
+            variables.append((j, 1))
+        elif s == -1:
+            variables.append((j, -1))
+        elif s is None:
+            variables.append((j, 1))
+            variables.append((j, -1))
+    a_eq = []
+    b_eq = []
+    for row in rows:
+        a_eq.append([direction * row[j] for j, direction in variables])
+        offset = 0
+        for j, s in enumerate(signs):
+            if s == 1:
+                offset += row[j]
+            elif s == -1:
+                offset -= row[j]
+        b_eq.append(-offset)
+    solution = linalg.lp_feasible(a_eq, b_eq)
+    if solution is None:
+        return None
+    for (j, direction), value in zip(variables, solution):
+        if value:
+            point[j] = point[j] + value if direction == 1 else point[j] - value
+    return point
+
+
+class PoolSearch:
+    """The sign search with point pools, an alpha cache and infeasible-alpha
+    subsumption, and no certificates; ``solves`` counts its LPs."""
+
+    def __init__(self, net: Network, node_budget: int) -> None:
+        self.node_budget = node_budget
+        self.nodes = 0
+        self.solves = 0
+        columns = reaction_vectors(net)
+        self.reaction_count = len(columns)
+        self.species_count = len(net.species)
+        reduced, pivots, denom = _eliminate(list(zip(*columns)))
+        self.n_rows = [_primitive(reduced[k], denom) for k in range(len(pivots))]
+        self.left_null = _integer_nullspace(columns)
+        index = {name: i for i, name in enumerate(net.species)}
+        self.supports = [
+            sum(1 << index[name] for name, _ in rxn.reactant) for rxn in net.reactions
+        ]
+        shared = Counter(index[name] for rxn in net.reactions for name, _ in rxn.reactant)
+        self.order = sorted(shared, key=lambda i: (-shared[i], i))
+        self.alpha_cache: dict[_Masks, _Masked | None] = {}
+        self.alpha_infeasible: list[_Masks] = []
+        self.alpha_pool: list[_Masked] = []
+        self.sigma_pool: list[_Masked] = []
+        self.zero_alpha = _masked([_ZERO] * self.reaction_count)
+
+    def _signature(self, masks: _Masks) -> _Masks:
+        plus, minus, zero = masks
+        plus_zero, minus_zero = plus | zero, minus | zero
+        forced_plus = forced_minus = forced_zero = 0
+        for r, support in enumerate(self.supports):
+            if support & zero == support:
+                forced_zero |= 1 << r
+            elif support & plus_zero == support:
+                forced_plus |= 1 << r
+            elif support & minus_zero == support:
+                forced_minus |= 1 << r
+        return forced_plus, forced_minus, forced_zero
+
+    @staticmethod
+    def _conforms(point: _Masked, masks: _Masks) -> bool:
+        _, pos, neg, zero = point
+        want_pos, want_neg, want_zero = masks
+        return (want_pos & pos == want_pos and want_neg & neg == want_neg
+                and want_zero & zero == want_zero)
+
+    def _alpha_point(self, signature: _Masks) -> _Masked | None:
+        for pooled in self.alpha_pool:
+            if self._conforms(pooled, signature):
+                return pooled
+        cached = self.alpha_cache.get(signature)
+        if cached is not None or signature in self.alpha_cache:
+            return cached
+        plus, minus, zero = signature
+        for p2, m2, z2 in self.alpha_infeasible:
+            if p2 & plus == p2 and m2 & minus == m2 and z2 & zero == z2:
+                self.alpha_cache[signature] = None
+                return None
+        self.solves += 1
+        solved = signed_point(self.n_rows, _signs(self.reaction_count, signature))
+        point = None if solved is None else _masked(solved)
+        self.alpha_cache[signature] = point
+        if point is None:
+            self.alpha_infeasible.append(signature)
+        else:
+            _pool(self.alpha_pool, point)
+        return point
+
+    def _sigma_point(self, masks: _Masks) -> _Masked | None:
+        for pooled in self.sigma_pool:
+            if self._conforms(pooled, masks):
+                return pooled
+        self.solves += 1
+        solved = signed_point(self.left_null, _signs(self.species_count, masks))
+        if solved is None:
+            return None
+        point = _masked(solved)
+        _pool(self.sigma_pool, point)
+        return point
+
+    def _off_support_sigma(self) -> list[Fraction] | None:
+        pinned = list(self.left_null)
+        for i in self.order:
+            row = [0] * self.species_count
+            row[i] = 1
+            pinned.append(row)
+        if not pinned:
+            return [Fraction(1)] + [Fraction(0)] * (self.species_count - 1)
+        basis = _integer_nullspace(pinned)
+        if not basis:
+            return None
+        return [Fraction(v) for v in basis[0]]
+
+    def _viable(
+        self, masks: _Masks, alpha: _Masked, sigma: _Masked
+    ) -> tuple[_Masked, _Masked] | None:
+        signature = self._signature(masks)
+        if signature[0] or signature[1]:
+            if not self._conforms(alpha, signature):
+                alpha = self._alpha_point(signature)
+                if alpha is None:
+                    return None
+        else:
+            alpha = self.zero_alpha
+        if not self._conforms(sigma, masks):
+            sigma = self._sigma_point(masks)
+            if sigma is None:
+                return None
+        return alpha, sigma
+
+    def _descend(
+        self, depth: int, masks: _Masks, alpha: _Masked, sigma: _Masked
+    ) -> SignWitness | None:
+        self.nodes += 1
+        if self.nodes > self.node_budget:
+            raise _BudgetExhausted
+        plus, minus, zero = masks
+        if depth == len(self.order):
+            if not plus | minus:
+                return None
+            return SignWitness(tuple(alpha[0]), tuple(sigma[0]))
+        bit = 1 << self.order[depth]
+        children = [(plus | bit, minus, zero), (plus, minus | bit, zero), (plus, minus, zero | bit)]
+        if not plus | minus:
+            del children[1]
+        for child in children:
+            carried = self._viable(child, alpha, sigma)
+            if carried is not None:
+                witness = self._descend(depth + 1, child, *carried)
+                if witness is not None:
+                    return witness
+        return None
+
+    def run(self) -> ConcordanceVerdict:
+        free_sigma = self._off_support_sigma()
+        if free_sigma is not None:
+            witness = SignWitness(
+                tuple(Fraction(0) for _ in range(self.reaction_count)),
+                tuple(free_sigma),
+            )
+            return ConcordanceVerdict("Discordant", witness, self.nodes)
+        zero_sigma = _masked([_ZERO] * self.species_count)
+        try:
+            witness = self._descend(0, (0, 0, 0), self.zero_alpha, zero_sigma)
+        except _BudgetExhausted:
+            return ConcordanceVerdict("Unknown", None, self.nodes)
+        if witness is not None:
+            return ConcordanceVerdict("Discordant", witness, self.nodes)
+        return ConcordanceVerdict("Concordant", None, self.nodes)

@@ -18,9 +18,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from crnkit import fixtures
+import oracles
+from crnkit import concord, fixtures
 from crnkit.cli import main as cli_main
 from crnkit.concord import (
+    _signs,
+    _WitnessSearch,
     check_concordance,
     is_conservative,
     is_positive_dependent,
@@ -320,6 +323,29 @@ def test_concordance_verdict_and_certificate(factory, expected):
     else:
         assert verdict.witness is None
     assert time.perf_counter() - start < 120.0
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [case[1] for case in CONCORDANCE_CASES],
+    ids=[case[0] for case in CONCORDANCE_CASES],
+)
+def test_every_pattern_a_certificate_refutes_is_infeasible(factory, monkeypatch):
+    # every (rows, pattern) a pooled certificate refutes during the search,
+    # re-solved with the certificate-free LP set-up of the oracle
+    refuted = set()
+    point = _WitnessSearch._point
+
+    def recording(self, rows, count, masks, pool, certs):
+        if concord._refuted(certs, masks):
+            refuted.add((tuple(map(tuple, rows)), count, masks))
+        return point(self, rows, count, masks, pool, certs)
+
+    monkeypatch.setattr(_WitnessSearch, "_point", recording)
+    check_concordance(factory())
+    assert refuted
+    for rows, count, masks in refuted:
+        assert oracles.signed_point(rows, _signs(count, masks)) is None
 
 
 def test_positive_dependence_and_nonconservativity_of_the_four_models():

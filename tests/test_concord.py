@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
+from unittest.mock import patch
 
 import oracles
 import pytest
@@ -16,7 +17,9 @@ from crnkit import concord
 from crnkit.concord import (
     DEFAULT_NODE_BUDGET,
     SignWitness,
+    _certificate,
     _masked,
+    _signed_point,
     _signs,
     _WitnessSearch,
     check_concordance,
@@ -189,6 +192,14 @@ def test_verdict_is_deterministic():
     first = check_concordance(SCHMITZ)
     second = check_concordance(SCHMITZ)
     assert first == second
+
+
+@pytest.mark.parametrize("budget", [0, -1])
+def test_budget_below_one_is_rejected(budget):
+    with pytest.raises(ValueError, match="node_budget must be a positive integer"):
+        check_concordance(SCHMITZ, node_budget=budget)
+    with pytest.raises(ValueError, match="node_budget must be a positive integer"):
+        m3cr(FAL, common_reactions(FAL, MACLEAN), node_budget=budget)
 
 
 def test_tiny_budget_returns_unknown():
@@ -517,13 +528,13 @@ def test_m3cr_search_node_totals(parent, other, nodes):
     assert m3cr(net, common_reactions(net, load(other))).search_nodes == nodes
 
 
-@pytest.mark.parametrize("net, solves", [(SCHMITZ, 62), (FAL, 74), (LEE, 143)])
+@pytest.mark.parametrize("net, solves", [(SCHMITZ, 44), (FAL, 54), (LEE, 76)])
 def test_lp_solves_per_search(net, solves, monkeypatch):
     calls = []
 
-    def counting(a_eq, b_eq):
+    def counting(a_eq, b_eq, **kwargs):
         calls.append(None)
-        return lp_feasible(a_eq, b_eq)
+        return lp_feasible(a_eq, b_eq, **kwargs)
 
     monkeypatch.setattr(concord, "lp_feasible", counting)
     assert check_concordance(net).status == "Discordant"
@@ -566,3 +577,36 @@ def test_m3cr_matches_the_memo_free_construction(net, data, node_budget):
             return str(error)
 
     assert outcome(m3cr) == outcome(oracles.m3cr)
+
+
+# --- certificate pruning against the search without certificates ----------
+
+
+def test_certificates_are_checked_before_use():
+    # x1 + x2 = 0 has no point with x1, x2 >= 1: w = (1, 1) refutes it
+    assert _signed_point([[1, 1]], [1, 1]) == (0b11, 0)
+    assert _signed_point([[1, 1, 0]], [-1, 0, None]) == (0, 0b11)
+    assert _certificate([[1, 1]], [1, 1], [-1]) == (0b11, 0)
+    # a vector of the wrong sign, zero, or nonzero on a free coordinate
+    for signs, farkas in (([1, 1], [1]), ([1, 1], [0]), ([1, None], [-1])):
+        with pytest.raises(RuntimeError, match="do not refute"):
+            _certificate([[1, 1]], signs, farkas)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(networks(max_species=5, max_reactions=7), st.sampled_from((3, 12, DEFAULT_NODE_BUDGET)))
+def test_certificates_change_nothing_but_the_solve_count(net, node_budget):
+    calls = []
+
+    def counting(a_eq, b_eq, **kwargs):
+        calls.append(None)
+        return lp_feasible(a_eq, b_eq, **kwargs)
+
+    with patch.object(concord, "lp_feasible", counting):
+        verdict = check_concordance(net, node_budget)
+    oracle = oracles.PoolSearch(net, node_budget)
+    want = oracle.run()
+    assert (verdict.status, repr(verdict.witness), verdict.search_nodes) == (
+        want.status, repr(want.witness), want.search_nodes
+    )
+    assert len(calls) <= oracle.solves

@@ -342,6 +342,63 @@ def test_primitive_rows_match_the_scaled_fraction_rref(mat):
     ]
 
 
+# --- Farkas vectors of infeasible systems ------------------------------------
+
+float_entries = st.one_of(
+    small_entries, st.floats(min_value=-4, max_value=4, allow_subnormal=False, width=32)
+)
+
+
+def _assert_farkas_output(a_eq, b_eq):
+    """An infeasible system fills ``farkas`` with an exact Farkas vector; a
+    feasible one leaves it empty. Either way the point is the oracle's."""
+    farkas: list[int] = []
+    point = lp_feasible(a_eq, b_eq, farkas=farkas)
+    _assert_identical(point, oracles.lp_feasible(a_eq, b_eq))
+    if point is not None:
+        assert farkas == []
+        return
+    assert len(farkas) == len(a_eq) and all(type(y) is int for y in farkas)
+    for j in range(len(a_eq[0])):
+        assert sum(y * Fraction(row[j]) for y, row in zip(farkas, a_eq)) <= 0
+    assert sum(y * Fraction(b) for y, b in zip(farkas, b_eq)) > 0
+
+
+@settings(max_examples=300)
+@given(lp_systems(small_entries))
+def test_farkas_vector_of_integer_systems(case):
+    _assert_farkas_output(*case)
+
+
+@settings(max_examples=300)
+@given(lp_systems(rational_entries))
+def test_farkas_vector_of_rational_systems(case):
+    _assert_farkas_output(*case)
+
+
+@settings(max_examples=200)
+@given(lp_systems(float_entries))
+def test_farkas_vector_of_float_systems(case):
+    _assert_farkas_output(*case)
+
+
+def test_farkas_vector_hand_cases():
+    # 0 = 1; u = 1 and u = 2; u + v = -1, whose row the kernel negates to
+    # make b >= 0, so y must carry that sign back
+    for a_eq, b_eq, want in (
+        ([[0, 0]], [1], [1]),
+        ([[1], [1]], [1, 2], [-1, 1]),
+        ([[1, 1]], [-1], [-1]),
+    ):
+        farkas: list[int] = []
+        assert lp_feasible(a_eq, b_eq, farkas=farkas) is None
+        assert farkas == want
+        _assert_farkas_output(a_eq, b_eq)
+    farkas = []
+    assert lp_feasible([[1, 1]], [1], farkas=farkas) == [1, 0]
+    assert farkas == []
+
+
 def test_kernels_take_float_entries_at_their_exact_value():
     for mat in ([[0.5, 1]], [[0.1, 3], [Fraction(1, 3), 2.5]], [[1.0, 2], [2, 4.0]]):
         want = oracles.rref(mat)
