@@ -56,14 +56,18 @@ def test_output_matches_golden_file_byte_for_byte(name, capsys, monkeypatch):
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
-def test_json_reports_share_one_envelope(capsys, monkeypatch):
+@pytest.mark.parametrize("name", sorted(n for n in GOLDEN_RUNS if n.endswith(".txt")))
+def test_json_output_matches_golden_file_byte_for_byte(name, capsys, monkeypatch):
+    # each text golden has a JSON twin from the same argv plus --json
     monkeypatch.chdir(HERE)
-    for argv in GOLDEN_RUNS.values():
-        code, out, _ = run(capsys, *argv, "--json")
-        assert code == 0
-        report = json.loads(out)
-        assert list(report) == ["command", "inputs", "payload"]
-        assert report["command"] == argv[0]
+    argv = GOLDEN_RUNS[name]
+    code, out, err = run(capsys, *argv, "--json")
+    assert code == 0
+    assert err == ""
+    assert out == (GOLDEN / name.replace(".txt", ".json")).read_text(encoding="utf-8")
+    report = json.loads(out)
+    assert list(report) == ["command", "inputs", "payload"]
+    assert report["command"] == argv[0]
 
 
 def test_json_output_is_stable_across_runs(capsys):
