@@ -1,8 +1,9 @@
 """Command-line reports over .crn files and the bundled model fixtures.
 
 Output is deterministic: identical inputs and flags produce byte-identical
-output, so the table renderings can be pinned by golden files.  JSON mode
-wraps every result in the same envelope (command, inputs, payload).
+output, so the table renderings can be pinned by golden files.  Each command
+builds one payload.  JSON mode wraps it in the same envelope (command, inputs,
+payload); the text report is rendered from that payload and the input names.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ import os
 import random
 import statistics
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
+from functools import partial
 from pathlib import Path
 
 from . import fixtures
@@ -24,7 +26,7 @@ from .concord import (
     verify_witness,
 )
 from .core import Network, common_reactions, parse_network
-from .decomp import fid
+from .decomp import fid, is_independent
 from .kinetics import (
     acr_scan,
     equilibrium_residual,
@@ -33,6 +35,7 @@ from .kinetics import (
     parametrization_names,
 )
 from .structure import (
+    NetworkNumbers,
     _deficiency_zero_of,
     _flags_of,
     _kinetic_subspace_of,
@@ -41,11 +44,7 @@ from .structure import (
 from .transform import core as common_core
 from .transform import csen
 
-PROFILE_FIELDS = (
-    "species, complexes, reactant complexes, reversible pairs, irreversible, "
-    "reactions, linkage classes, strong classes, terminal classes, rank, "
-    "reactant rank, deficiency, reactant deficiency"
-)
+PROFILE_FIELDS = ", ".join(field.name.replace("_", " ") for field in fields(NetworkNumbers))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -80,12 +79,12 @@ def _resolve_budget(args: argparse.Namespace) -> int:
     return DEFAULT_NODE_BUDGET
 
 
-def _emit(args: argparse.Namespace, payload: dict, table_lines: list[str]) -> None:
+def _emit(args: argparse.Namespace, payload: dict, text) -> None:
     if args.json:
         report = {"command": args.command, "inputs": args.inputs, "payload": payload}
         print(json.dumps(report, indent=2))
     else:
-        print("\n".join(table_lines))
+        print("\n".join(text(args, payload)))
 
 
 def _aligned(pairs: list[tuple[str, object]], indent: str = "  ") -> list[str]:
@@ -95,6 +94,10 @@ def _aligned(pairs: list[tuple[str, object]], indent: str = "  ") -> list[str]:
 
 def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
+
+
+def _listed(title: str, items: list[str]) -> list[str]:
+    return [f"{title} ({len(items)})"] + [f"  {text}" for text in items]
 
 
 def _labels(net: Network) -> list[str]:
@@ -107,30 +110,35 @@ def _labels(net: Network) -> list[str]:
 def cmd_analyze(args: argparse.Namespace) -> int:
     net = _load(args.network)
     numbers = network_numbers(net)
-    flags = _flags_of(numbers)
-    kinetic = _kinetic_subspace_of(numbers)
-    dz = _deficiency_zero_of(numbers)
-
     payload = {
         "networkNumbers": asdict(numbers),
-        "structuralFlags": asdict(flags),
-        "kineticSubspaceCoincides": kinetic,
-        "deficiencyZero": asdict(dz),
+        "structuralFlags": asdict(_flags_of(numbers)),
+        "kineticSubspaceCoincides": _kinetic_subspace_of(numbers),
+        "deficiencyZero": asdict(_deficiency_zero_of(numbers)),
     }
-    lines = [f"network: {args.network}", "", "network numbers"]
-    lines += _aligned([(key.replace("_", " "), value) for key, value in asdict(numbers).items()])
-    lines += ["", "structural flags"]
-    lines += _aligned(
-        [(key.replace("_", " "), _yesno(value)) for key, value in asdict(flags).items()]
+    _emit(args, payload, _analyze_text)
+    return 0
+
+
+def _analyze_text(args: argparse.Namespace, payload: dict) -> list[str]:
+    lines = [f"network: {args.network}"]
+    sections = (
+        ("network numbers", payload["networkNumbers"], str),
+        ("structural flags", payload["structuralFlags"], _yesno),
     )
+    for title, section, show in sections:
+        lines += ["", title]
+        lines += _aligned([(key.replace("_", " "), show(value)) for key, value in section.items()])
+    dz = payload["deficiencyZero"]
     lines += [
         "",
-        f"kinetic subspace coincides with stoichiometric subspace: {kinetic}",
-        f"deficiency-zero regime applies: {_yesno(dz.applies)}"
-        f" (weakly reversible: {_yesno(dz.weakly_reversible)}, deficiency: {dz.deficiency})",
+        "kinetic subspace coincides with stoichiometric subspace: "
+        f"{payload['kineticSubspaceCoincides']}",
+        f"deficiency-zero regime applies: {_yesno(dz['applies'])}"
+        f" (weakly reversible: {_yesno(dz['weakly_reversible'])},"
+        f" deficiency: {dz['deficiency']})",
     ]
-    _emit(args, payload, lines)
-    return 0
+    return lines
 
 
 # --- fid ---------------------------------------------------------------------
@@ -140,49 +148,33 @@ def cmd_fid(args: argparse.Namespace) -> int:
     net = _load(args.network)
     decomposition = fid(net)
     blocks = decomposition.block_networks()
-    numbers = [network_numbers(block) for block in blocks]
     payload = {
         "blockCount": len(blocks),
-        "independent": True,
+        "independent": is_independent(decomposition),
         "profileOrder": PROFILE_FIELDS,
         "blocks": [
-            {"reactions": _labels(block), "numbers": asdict(block_numbers)}
-            for block, block_numbers in zip(blocks, numbers)
+            {"reactions": _labels(block), "numbers": asdict(network_numbers(block))}
+            for block in blocks
         ],
     }
-    lines = [
-        f"finest independent decomposition: {args.network}",
-        f"{len(blocks)} block(s), independence confirmed",
-        f"profile order: ({PROFILE_FIELDS})",
-    ]
-    for i, (block, block_numbers) in enumerate(zip(blocks, numbers), start=1):
-        profile = block_numbers.as_tuple()
-        lines += ["", f"block {i}  profile {profile}", f"  {', '.join(_labels(block))}"]
-    _emit(args, payload, lines)
+    _emit(args, payload, _fid_text)
     return 0
 
 
+def _fid_text(args: argparse.Namespace, payload: dict) -> list[str]:
+    independence = "confirmed" if payload["independent"] else "NOT CONFIRMED"
+    lines = [
+        f"finest independent decomposition: {args.network}",
+        f"{payload['blockCount']} block(s), independence {independence}",
+        f"profile order: ({payload['profileOrder']})",
+    ]
+    for i, block in enumerate(payload["blocks"], start=1):
+        profile = tuple(block["numbers"].values())
+        lines += ["", f"block {i}  profile {profile}", f"  {', '.join(block['reactions'])}"]
+    return lines
+
+
 # --- concordance ---------------------------------------------------------------
-
-
-def _witness_payload(net: Network, witness, verified: bool) -> dict:
-    return {
-        "alpha": {label: str(a) for label, a in zip(_labels(net), witness.alpha)},
-        "sigma": {name: str(s) for name, s in zip(net.species, witness.sigma)},
-        "verified": verified,
-    }
-
-
-def _witness_lines(net: Network, witness, verified: bool) -> list[str]:
-    alpha = [
-        f"{label}={a}" for label, a in zip(_labels(net), witness.alpha) if a != 0
-    ]
-    sigma = [f"{name}={s}" for name, s in zip(net.species, witness.sigma) if s != 0]
-    return [
-        f"witness ({'verified' if verified else 'NOT VERIFIED'}; omitted entries are zero)",
-        f"  alpha: {', '.join(alpha) if alpha else '(zero vector)'}",
-        f"  sigma: {', '.join(sigma)}",
-    ]
 
 
 def cmd_concordance(args: argparse.Namespace) -> int:
@@ -196,17 +188,33 @@ def cmd_concordance(args: argparse.Namespace) -> int:
         "nodeBudget": budget,
         "witness": None,
     }
+    if witness is not None:
+        payload["witness"] = {
+            "alpha": {label: str(a) for label, a in zip(_labels(net), witness.alpha)},
+            "sigma": {name: str(s) for name, s in zip(net.species, witness.sigma)},
+            "verified": verify_witness(net, witness),
+        }
+    _emit(args, payload, _concordance_text)
+    return 2 if verdict.status == "Unknown" else 0
+
+
+def _concordance_text(args: argparse.Namespace, payload: dict) -> list[str]:
     lines = [
         f"network: {args.network}",
-        f"verdict: {verdict.status}",
-        f"nodes explored: {verdict.search_nodes} (budget {budget})",
+        f"verdict: {payload['verdict']}",
+        f"nodes explored: {payload['searchNodes']} (budget {payload['nodeBudget']})",
     ]
+    witness = payload["witness"]
     if witness is not None:
-        verified = verify_witness(net, witness)
-        payload["witness"] = _witness_payload(net, witness, verified)
-        lines += _witness_lines(net, witness, verified)
-    _emit(args, payload, lines)
-    return 2 if verdict.status == "Unknown" else 0
+        alpha = [f"{label}={a}" for label, a in witness["alpha"].items() if a != "0"]
+        sigma = [f"{name}={s}" for name, s in witness["sigma"].items() if s != "0"]
+        verified = "verified" if witness["verified"] else "NOT VERIFIED"
+        lines += [
+            f"witness ({verified}; omitted entries are zero)",
+            f"  alpha: {', '.join(alpha) if alpha else '(zero vector)'}",
+            f"  sigma: {', '.join(sigma)}",
+        ]
+    return lines
 
 
 # --- compare -------------------------------------------------------------------
@@ -223,40 +231,43 @@ def _reaction_list(reactions) -> list[str]:
 def cmd_compare(args: argparse.Namespace) -> int:
     net1, net2 = _load(args.network1), _load(args.network2)
     if args.mode == "csen":
-        return _compare_csen(args, net1, net2)
-    if args.mode == "core":
-        return _compare_core(args, net1, net2)
-    return _compare_m3cr(args, net1, net2)
+        _emit(args, _csen_payload(net1, net2), _csen_text)
+    elif args.mode == "core":
+        _emit(args, _core_payload(net1, net2), _core_text)
+    else:
+        sizes = (len(net1.reactions), len(net2.reactions))
+        _emit(args, _m3cr_payload(args, net1, net2), partial(_m3cr_text, parent_sizes=sizes))
+    return 0
 
 
-def _compare_csen(args: argparse.Namespace, net1: Network, net2: Network) -> int:
+def _csen_payload(net1: Network, net2: Network) -> dict:
     report = csen(net1, net2)
-    payload = {
+    return {
         "commonSpecies": list(report.common_species),
         "commonOriginal": _reaction_list(report.common_original),
         "embeddingDerived": _reaction_list(report.embedding_derived),
         "uniqueTo1": _reaction_list(report.unique1),
         "uniqueTo2": _reaction_list(report.unique2),
     }
+
+
+def _csen_text(args: argparse.Namespace, payload: dict) -> list[str]:
     sections = [
-        ("common reactions of the originals", report.common_original),
-        ("common reactions derived by embedding", report.embedding_derived),
-        (f"unique to {args.network1}", report.unique1),
-        (f"unique to {args.network2}", report.unique2),
+        ("common reactions of the originals", payload["commonOriginal"]),
+        ("common reactions derived by embedding", payload["embeddingDerived"]),
+        (f"unique to {args.network1}", payload["uniqueTo1"]),
+        (f"unique to {args.network2}", payload["uniqueTo2"]),
     ]
+    species = payload["commonSpecies"]
     lines = [
         f"common-species embedded networks: {args.network1} vs {args.network2}",
-        f"common species ({len(report.common_species)}): "
-        + ", ".join(report.common_species),
+        f"common species ({len(species)}): " + ", ".join(species),
     ]
     for title, reactions in sections:
-        lines += ["", f"{title} ({len(reactions)})"]
-        if reactions:
-            lines += [f"  {text}" for text in _reaction_list(reactions)]
-        else:
+        lines += ["", *_listed(title, reactions)]
+        if not reactions:
             lines.append("  (none)")
-    _emit(args, payload, lines)
-    return 0
+    return lines
 
 
 def _view_payload(view) -> dict:
@@ -269,20 +280,9 @@ def _view_payload(view) -> dict:
     }
 
 
-def _view_lines(name: str, view) -> list[str]:
-    blocks = "; ".join(", ".join(sorted(block)) for block in view.containing_blocks)
-    return [
-        f"inside {name}",
-        f"  FID blocks meeting the core: {blocks}",
-        f"  union rank {view.union_rank}, core rank {view.core_rank}, "
-        f"complement rank {view.complement_rank}, "
-        f"independent inside union: {_yesno(view.independent_inside_union)}",
-    ]
-
-
-def _compare_core(args: argparse.Namespace, net1: Network, net2: Network) -> int:
+def _core_payload(net1: Network, net2: Network) -> dict:
     report = common_core(net1, net2)
-    payload = {
+    return {
         "reactions": _reaction_list(report.core.reactions),
         "reversible": report.reversible,
         "deficiency": report.deficiency,
@@ -290,22 +290,28 @@ def _compare_core(args: argparse.Namespace, net1: Network, net2: Network) -> int
         "parent1": _view_payload(report.parent1),
         "parent2": _view_payload(report.parent2),
     }
-    lines = [
-        f"common-reactions core: {args.network1} vs {args.network2}",
-        f"core reactions ({len(report.core.reactions)})",
-    ]
-    lines += [f"  {text}" for text in _reaction_list(report.core.reactions)]
-    lines += [
-        f"reversible: {_yesno(report.reversible)}, deficiency: {report.deficiency}, "
-        f"rank: {report.rank}",
-    ]
-    lines += _view_lines(args.network1, report.parent1)
-    lines += _view_lines(args.network2, report.parent2)
-    _emit(args, payload, lines)
-    return 0
 
 
-def _m3cr_payload(report) -> dict:
+def _core_text(args: argparse.Namespace, payload: dict) -> list[str]:
+    lines = [f"common-reactions core: {args.network1} vs {args.network2}"]
+    lines += _listed("core reactions", payload["reactions"])
+    lines.append(
+        f"reversible: {_yesno(payload['reversible'])}, deficiency: {payload['deficiency']}, "
+        f"rank: {payload['rank']}"
+    )
+    for name, view in ((args.network1, payload["parent1"]), (args.network2, payload["parent2"])):
+        blocks = "; ".join(", ".join(block) for block in view["containingBlocks"])
+        lines += [
+            f"inside {name}",
+            f"  FID blocks meeting the core: {blocks}",
+            f"  union rank {view['unionRank']}, core rank {view['coreRank']}, "
+            f"complement rank {view['complementRank']}, "
+            f"independent inside union: {_yesno(view['independentInsideUnion'])}",
+        ]
+    return lines
+
+
+def _container_payload(report) -> dict:
     return {
         "containerReactions": _labels(report.container),
         "discordanceSet": _reaction_list(report.discordance_set),
@@ -315,43 +321,38 @@ def _m3cr_payload(report) -> dict:
     }
 
 
-def _m3cr_lines(name: str, parent: Network, report) -> list[str]:
-    kept = len(report.container.reactions)
-    lines = [
-        f"container inside {name}: keeps {kept} of {len(parent.reactions)} reactions"
-        f" (maximality verified: {_yesno(report.maximality_verified)},"
-        f" order dependent: {_yesno(report.order_dependent)})",
-    ]
-    if report.discordance_set:
-        lines.append("  discordance set")
-        lines += [f"    {text}" for text in _reaction_list(report.discordance_set)]
-    else:
-        lines.append("  discordance set: (empty)")
-    return lines
-
-
-def _compare_m3cr(args: argparse.Namespace, net1: Network, net2: Network) -> int:
+def _m3cr_payload(args: argparse.Namespace, net1: Network, net2: Network) -> dict:
     shared = common_reactions(net1, net2)
     if not shared:
         raise ValueError("networks have no common reactions")
     budget = _resolve_budget(args)
-    report1 = m3cr(net1, shared, node_budget=budget)
-    report2 = m3cr(net2, shared, node_budget=budget)
-    payload = {
+    return {
         "commonReactions": _reaction_list(shared),
-        "parent1": _m3cr_payload(report1),
-        "parent2": _m3cr_payload(report2),
+        "parent1": _container_payload(m3cr(net1, shared, node_budget=budget)),
+        "parent2": _container_payload(m3cr(net2, shared, node_budget=budget)),
     }
+
+
+def _m3cr_text(args: argparse.Namespace, payload: dict, parent_sizes: tuple[int, int]) -> list[str]:
     lines = [
         f"maximal concordant containers of the common reactions: "
         f"{args.network1} vs {args.network2}",
-        f"common reactions ({len(shared)})",
     ]
-    lines += [f"  {text}" for text in _reaction_list(shared)]
-    lines += _m3cr_lines(args.network1, net1, report1)
-    lines += _m3cr_lines(args.network2, net2, report2)
-    _emit(args, payload, lines)
-    return 0
+    lines += _listed("common reactions", payload["commonReactions"])
+    parents = (args.network1, payload["parent1"]), (args.network2, payload["parent2"])
+    for (name, report), size in zip(parents, parent_sizes):
+        kept = len(report["containerReactions"])
+        lines.append(
+            f"container inside {name}: keeps {kept} of {size} reactions"
+            f" (maximality verified: {_yesno(report['maximalityVerified'])},"
+            f" order dependent: {_yesno(report['orderDependent'])})"
+        )
+        if report["discordanceSet"]:
+            lines.append("  discordance set")
+            lines += [f"    {text}" for text in report["discordanceSet"]]
+        else:
+            lines.append("  discordance set: (empty)")
+    return lines
 
 
 # --- equilibria ----------------------------------------------------------------
@@ -383,30 +384,27 @@ def cmd_equilibria(args: argparse.Namespace) -> int:
         "maxResidual": max(residuals),
         "medianResidual": statistics.median(residuals),
         "robustSpecies": sorted(s for s, row in scan.items() if row.constant),
-        "scan": {
-            species: {
-                "constant": row.constant,
-                "spread": row.spread,
-                "value": row.value,
-            }
-            for species, row in scan.items()
-        },
+        "scan": {species: asdict(row) for species, row in scan.items()},
     }
+    _emit(args, payload, _equilibria_text)
+    return 0
+
+
+def _equilibria_text(args: argparse.Namespace, payload: dict) -> list[str]:
     lines = [
-        f"model: {name}   samples: {args.samples}   seed: {args.seed}",
-        f"max residual:    {max(residuals):.3e}",
-        f"median residual: {statistics.median(residuals):.3e}",
+        f"model: {payload['model']}   samples: {payload['samples']}   seed: {payload['seed']}",
+        f"max residual:    {payload['maxResidual']:.3e}",
+        f"median residual: {payload['medianResidual']:.3e}",
         "robustness scan (constant iff relative spread < 1e-09)",
     ]
-    for species, row in scan.items():
-        if row.constant:
-            lines.append(f"  {species:<4} constant  value {row.value:.12g}")
+    for species, row in payload["scan"].items():
+        if row["constant"]:
+            lines.append(f"  {species:<4} constant  value {row['value']:.12g}")
         else:
-            lines.append(f"  {species:<4} varying   spread {row.spread:.3e}")
-    robust = sorted(s for s, row in scan.items() if row.constant)
+            lines.append(f"  {species:<4} varying   spread {row['spread']:.3e}")
+    robust = payload["robustSpecies"]
     lines.append(f"robust species: {', '.join(robust) if robust else 'none'}")
-    _emit(args, payload, lines)
-    return 0
+    return lines
 
 
 # --- wiring ----------------------------------------------------------------------

@@ -146,7 +146,7 @@ class Network:
     species occurring in some complex.
     """
 
-    __slots__ = ("_species", "_reactions", "_by_label")
+    __slots__ = ("_species", "_reactions")
 
     def __init__(self, reactions: Iterable[Reaction], species: Sequence[str] | None = None) -> None:
         rxns = tuple(reactions)
@@ -157,12 +157,12 @@ class Network:
             if rxn.arrow in arrows:
                 raise ValueError(f"duplicate reaction: {rxn}")
             arrows.add(rxn.arrow)
-        by_label: dict[str, Reaction] = {}
+        labels: set[str] = set()
         for rxn in rxns:
             if rxn.label is not None:
-                if rxn.label in by_label:
+                if rxn.label in labels:
                     raise ValueError(f"duplicate reaction label {rxn.label!r}")
-                by_label[rxn.label] = rxn
+                labels.add(rxn.label)
         occurring = _first_appearance(rxns)
         if species is None:
             ordered = occurring
@@ -172,7 +172,6 @@ class Network:
                 raise ValueError("species list must cover exactly the occurring species")
         object.__setattr__(self, "_species", ordered)
         object.__setattr__(self, "_reactions", rxns)
-        object.__setattr__(self, "_by_label", by_label)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Network is immutable")
@@ -188,9 +187,6 @@ class Network:
     @property
     def labels(self) -> tuple[str | None, ...]:
         return tuple(rxn.label for rxn in self._reactions)
-
-    def reaction_by_label(self, label: str) -> Reaction:
-        return self._by_label[label]
 
     def indices_of_labels(self, labels: Iterable[str]) -> list[int]:
         position = {rxn.label: i for i, rxn in enumerate(self._reactions) if rxn.label}

@@ -94,6 +94,17 @@ def test_fid_json_lists_blocks_with_profiles(capsys):
     assert payload["blocks"][1]["numbers"]["deficiency"] == 0
 
 
+@pytest.mark.parametrize("mode", [(), ("--json",)])
+def test_fid_reports_an_unconfirmed_independence(mode, capsys, monkeypatch):
+    monkeypatch.setattr("crnkit.cli.is_independent", lambda decomposition: False)
+    code, out, _ = run(capsys, "fid", "fixture:schmitz", *mode)
+    assert code == 0
+    if mode:
+        assert json.loads(out)["payload"]["independent"] is False
+    else:
+        assert "4 block(s), independence NOT CONFIRMED" in out.splitlines()
+
+
 def test_concordance_json_carries_a_verified_witness(capsys):
     code, out, _ = run(capsys, "concordance", "fixture:schmitz", "--json")
     payload = json.loads(out)["payload"]
@@ -132,7 +143,11 @@ def test_equilibria_json_summarizes_scan_and_residuals(capsys):
 def test_unknown_verdict_exits_2(capsys):
     code, out, _ = run(capsys, "concordance", "fixture:lee", "--budget", "10")
     assert code == 2
-    assert "Unknown" in out
+    assert out == "network: fixture:lee\nverdict: Unknown\nnodes explored: 11 (budget 10)\n"
+    code, out, _ = run(capsys, "concordance", "fixture:lee", "--budget", "10", "--json")
+    assert code == 2
+    payload = json.loads(out)["payload"]
+    assert payload == {"verdict": "Unknown", "searchNodes": 11, "nodeBudget": 10, "witness": None}
 
 
 def test_budget_env_var_applies_and_the_flag_wins(capsys, monkeypatch):
