@@ -6,17 +6,18 @@ additivity), and incidence independent when the analogous identity holds for
 the incidence maps, n − ℓ = Σ (n_i − ℓ_i). The finest independent
 decomposition (FID) is computed by expressing each reaction vector outside a
 greedy basis in that basis and joining it to the basis vectors it loads on;
-connected components of that graph are the blocks.
+the blocks are the connected components of that graph, from the
+``structure._components`` helper that also gives the linkage classes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .core import Network, reaction_vectors, subnetwork
 from .linalg import _eliminate, rank
-from .structure import NetworkNumbers, network_numbers
+from .structure import NetworkNumbers, _components, network_numbers
 
 
 @dataclass(frozen=True)
@@ -83,22 +84,6 @@ def is_incidence_independent(decomposition: Decomposition) -> bool:
     return parent.complexes - parent.linkage_classes == total
 
 
-class _DisjointSet:
-    def __init__(self, size: int) -> None:
-        self.parent = list(range(size))
-
-    def find(self, item: int) -> int:
-        root = item
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[item] != root:
-            self.parent[item], item = root, self.parent[item]
-        return root
-
-    def join(self, left: int, right: int) -> None:
-        self.parent[self.find(left)] = self.find(right)
-
-
 def fid(net: Network) -> Decomposition:
     """The finest independent decomposition of the network.
 
@@ -115,16 +100,14 @@ def fid(net: Network) -> Decomposition:
     ``k``-th basis reaction, so the zero pattern is exact.
     """
     vectors = reaction_vectors(net)
-    groups = _DisjointSet(len(vectors))
     reduced, pivots, _ = _eliminate(list(zip(*vectors)))
+    loads = []
     for row, b in zip(reduced, pivots):
         for j, coeff in enumerate(row):
             if coeff and j != b:
-                groups.join(j, b)
-    components: dict[int, list[int]] = {}
-    for j in range(len(vectors)):
-        components.setdefault(groups.find(j), []).append(j)
-    return Decomposition.from_blocks(net, components.values())
+                loads.append((j, b))
+    blocks = _components(len(vectors), loads)
+    return Decomposition(net, tuple(tuple(block) for block in blocks))
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,18 @@ Covers the standard counting profile (species, complexes, linkage and strong
 linkage classes, ranks, deficiencies), the derived boolean property flags, the
 sufficient kinetic-subspace criterion, and the deficiency-zero theorem
 applicability report.
+
+Every partition here is a set of connected components from ``_components``,
+which ``decomp.fid`` shares. Linkage classes are the components of the
+reaction graph. Strong linkage classes are defined by mutual reachability:
+two complexes share one when each reaches the other. A strong class is
+terminal when it reaches nothing outside itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
-from typing import Iterator, Literal
+from typing import Iterable, Literal
 
 from .core import Network, _complexes, reaction_vectors
 from .linalg import rank
@@ -66,13 +72,25 @@ class DeficiencyZeroReport:
     deficiency: int
 
 
-def _complex_graph(net: Network) -> tuple[int, list[set[int]]]:
-    """Directed complex graph: node count and adjacency sets."""
-    index = {cpx: k for k, cpx in enumerate(_complexes(net))}
-    adjacency: list[set[int]] = [set() for _ in index]
-    for rxn in net.reactions:
-        adjacency[index[rxn.reactant]].add(index[rxn.product])
-    return len(index), adjacency
+def _components(count: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]:
+    """Connected components of the undirected graph on ``range(count)``.
+
+    Each component is sorted, and components are ordered by smallest member.
+    """
+    root = list(range(count))
+
+    def find(node: int) -> int:
+        while root[node] != node:
+            root[node] = root[root[node]]
+            node = root[node]
+        return node
+
+    for left, right in edges:
+        root[find(left)] = find(right)
+    components: dict[int, list[int]] = {}
+    for node in range(count):
+        components.setdefault(find(node), []).append(node)
+    return list(components.values())
 
 
 def linkage_partitions(
@@ -82,86 +100,35 @@ def linkage_partitions(
 
     Classes are lists of complex indices (into ``build_matrices(net).complexes``),
     sorted internally, with classes ordered by smallest member.
+
+    Linkage classes are the connected components of the reaction graph with
+    its arrows ignored. Two complexes share a strong linkage class when each
+    reaches the other along reactions, and a strong class is terminal when it
+    reaches nothing outside itself.
     """
-    count, adjacency = _complex_graph(net)
-    undirected: list[set[int]] = [set() for _ in range(count)]
-    for src in range(count):
-        for dst in adjacency[src]:
-            undirected[src].add(dst)
-            undirected[dst].add(src)
+    index = {cpx: k for k, cpx in enumerate(_complexes(net))}
+    count = len(index)
+    arrows = [(index[rxn.reactant], index[rxn.product]) for rxn in net.reactions]
+    successors: list[set[int]] = [set() for _ in range(count)]
+    for src, dst in arrows:
+        successors[src].add(dst)
 
-    seen = [False] * count
-    linkage: list[list[int]] = []
+    # reach[k] holds every complex reachable from complex k, k included.
+    reach: list[set[int]] = []
     for start in range(count):
-        if seen[start]:
-            continue
-        component = []
+        seen = {start}
         stack = [start]
-        seen[start] = True
         while stack:
-            node = stack.pop()
-            component.append(node)
-            for nxt in undirected[node]:
-                if not seen[nxt]:
-                    seen[nxt] = True
+            for nxt in successors[stack.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
                     stack.append(nxt)
-        linkage.append(sorted(component))
+        reach.append(seen)
 
-    # Kosaraju: order by finish time on the forward graph, then collect
-    # components on the reverse graph.
-    reverse: list[set[int]] = [set() for _ in range(count)]
-    for src in range(count):
-        for dst in adjacency[src]:
-            reverse[dst].add(src)
-    finish_order: list[int] = []
-    state = [0] * count  # 0 unvisited, 1 in progress, 2 done
-    for start in range(count):
-        if state[start]:
-            continue
-        stack: list[tuple[int, Iterator[int]]] = [(start, iter(sorted(adjacency[start])))]
-        state[start] = 1
-        while stack:
-            node, edges = stack[-1]
-            advanced = False
-            for nxt in edges:
-                if state[nxt] == 0:
-                    state[nxt] = 1
-                    stack.append((nxt, iter(sorted(adjacency[nxt]))))
-                    advanced = True
-                    break
-            if not advanced:
-                state[node] = 2
-                finish_order.append(node)
-                stack.pop()
-
-    assigned = [-1] * count
-    strong: list[list[int]] = []
-    for start in reversed(finish_order):
-        if assigned[start] != -1:
-            continue
-        component = []
-        stack = [start]
-        assigned[start] = len(strong)
-        while stack:
-            node = stack.pop()
-            component.append(node)
-            for nxt in reverse[node]:
-                if assigned[nxt] == -1:
-                    assigned[nxt] = len(strong)
-                    stack.append(nxt)
-        strong.append(sorted(component))
-    strong.sort(key=lambda component: component[0])
-    assigned = [-1] * count
-    for k, component in enumerate(strong):
-        for node in component:
-            assigned[node] = k
-
-    terminal = [
-        component
-        for k, component in enumerate(strong)
-        if all(assigned[dst] == k for node in component for dst in adjacency[node])
-    ]
-    linkage.sort(key=lambda component: component[0])
+    mutual = [(src, dst) for src in range(count) for dst in reach[src] if src in reach[dst]]
+    linkage = _components(count, arrows)
+    strong = _components(count, mutual)
+    terminal = [component for component in strong if reach[component[0]] == set(component)]
     return linkage, strong, terminal
 
 

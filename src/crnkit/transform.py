@@ -300,6 +300,18 @@ class RatedReaction:
         return _rate(self.rate_constant, self.exponents, x)
 
 
+def _species_of(
+    reactions: Iterable[RatedReaction], known: Sequence[str] = ()
+) -> tuple[str, ...]:
+    """``known``, then the species the reactions add, in first-appearance order."""
+    ordered = dict.fromkeys(known)
+    for rxn in reactions:
+        for part in (rxn.reactant, rxn.product, rxn.exponents):
+            for name, _ in part:
+                ordered.setdefault(name)
+    return tuple(ordered)
+
+
 class KineticSystem:
     """An ordered list of rated reactions; structural duplicates are allowed.
 
@@ -316,12 +328,7 @@ class KineticSystem:
         rxns = tuple(reactions)
         if not rxns:
             raise ValueError("a kinetic system needs at least one reaction")
-        seen: dict[str, None] = {}
-        for rxn in rxns:
-            for part in (rxn.reactant, rxn.product, rxn.exponents):
-                for name, _ in part:
-                    seen.setdefault(name)
-        occurring = tuple(seen)
+        occurring = _species_of(rxns)
         if species is None:
             ordered = occurring
         else:
@@ -385,7 +392,7 @@ class KineticSystem:
         )
         reactions = list(self._reactions)
         reactions[reaction_index] = shifted
-        return KineticSystem(reactions, species=self._merged_species(shifted))
+        return KineticSystem(reactions, species=_species_of([shifted], self._species))
 
     def split(
         self,
@@ -408,15 +415,7 @@ class KineticSystem:
         ]
         reactions = list(self._reactions)
         reactions[reaction_index : reaction_index + 1] = parts
-        return KineticSystem(reactions, species=self._merged_species(*parts))
-
-    def _merged_species(self, *new: RatedReaction) -> tuple[str, ...]:
-        ordered = dict.fromkeys(self._species)
-        for rxn in new:
-            for part in (rxn.reactant, rxn.product, rxn.exponents):
-                for name, _ in part:
-                    ordered.setdefault(name)
-        return tuple(ordered)
+        return KineticSystem(reactions, species=_species_of(parts, self._species))
 
     def mass_action_census(self) -> tuple[int, int]:
         """(mass-action count, generalized count) over the reactions."""

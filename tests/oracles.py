@@ -38,8 +38,18 @@ mask; the reaction masks must agree (``test_concord.py``).
 
 ``fid`` is the original finest independent decomposition, which picks the
 basis with a ``RowReducer`` and solves for each dependent reaction apart
-with ``solve_unique``; the library's ``fid`` reads everything off one
-elimination, and the blocks must agree (``test_decomp.py``).
+with ``solve_unique``, and groups the reactions with a ``_DisjointSet``; the
+library's ``fid`` reads everything off one elimination and takes the blocks
+from the shared ``structure._components`` helper, and the blocks must agree
+(``test_decomp.py``).
+
+``linkage_partitions`` is the original partition of the complexes, built on
+the directed complex graph of ``_complex_graph``: linkage classes from an
+undirected depth-first search, strong classes from an iterative Kosaraju
+pass, terminal classes from the edges that leave each strong class. The
+library's takes all three from ``structure._components``, with strong classes
+defined by mutual reachability; the lists must be equal
+(``test_structure.py``).
 
 ``m3cr`` is the original container construction, which runs a fresh search
 for every reaction set it meets. The library's ``m3cr`` searches each
@@ -61,7 +71,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from collections import Counter
 
@@ -80,8 +90,8 @@ from crnkit.concord import (
     _signs,
     check_concordance,
 )
-from crnkit.core import Network, Reaction, reaction_vectors, subnetwork
-from crnkit.decomp import Decomposition, _DisjointSet
+from crnkit.core import Network, Reaction, _complexes, reaction_vectors, subnetwork
+from crnkit.decomp import Decomposition
 from crnkit.linalg import _eliminate, _integer_nullspace, _primitive
 
 Scalar = int | Fraction
@@ -418,6 +428,22 @@ def signature(
     return plus, minus, zero
 
 
+class _DisjointSet:
+    def __init__(self, size: int) -> None:
+        self.parent = list(range(size))
+
+    def find(self, item: int) -> int:
+        root = item
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[item] != root:
+            self.parent[item], item = root, self.parent[item]
+        return root
+
+    def join(self, left: int, right: int) -> None:
+        self.parent[self.find(left)] = self.find(right)
+
+
 def fid(net: Network) -> Decomposition:
     """The finest independent decomposition of the network."""
     vectors = reaction_vectors(net)
@@ -442,6 +468,105 @@ def fid(net: Network) -> Decomposition:
     for j in range(len(vectors)):
         components.setdefault(groups.find(j), []).append(j)
     return Decomposition.from_blocks(net, components.values())
+
+
+def _complex_graph(net: Network) -> tuple[int, list[set[int]]]:
+    """Directed complex graph: node count and adjacency sets."""
+    index = {cpx: k for k, cpx in enumerate(_complexes(net))}
+    adjacency: list[set[int]] = [set() for _ in index]
+    for rxn in net.reactions:
+        adjacency[index[rxn.reactant]].add(index[rxn.product])
+    return len(index), adjacency
+
+
+def linkage_partitions(
+    net: Network,
+) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
+    """Linkage, strong linkage, and terminal strong linkage classes.
+
+    Classes are lists of complex indices (into ``build_matrices(net).complexes``),
+    sorted internally, with classes ordered by smallest member.
+    """
+    count, adjacency = _complex_graph(net)
+    undirected: list[set[int]] = [set() for _ in range(count)]
+    for src in range(count):
+        for dst in adjacency[src]:
+            undirected[src].add(dst)
+            undirected[dst].add(src)
+
+    seen = [False] * count
+    linkage: list[list[int]] = []
+    for start in range(count):
+        if seen[start]:
+            continue
+        component = []
+        stack = [start]
+        seen[start] = True
+        while stack:
+            node = stack.pop()
+            component.append(node)
+            for nxt in undirected[node]:
+                if not seen[nxt]:
+                    seen[nxt] = True
+                    stack.append(nxt)
+        linkage.append(sorted(component))
+
+    # Kosaraju: order by finish time on the forward graph, then collect
+    # components on the reverse graph.
+    reverse: list[set[int]] = [set() for _ in range(count)]
+    for src in range(count):
+        for dst in adjacency[src]:
+            reverse[dst].add(src)
+    finish_order: list[int] = []
+    state = [0] * count  # 0 unvisited, 1 in progress, 2 done
+    for start in range(count):
+        if state[start]:
+            continue
+        stack: list[tuple[int, Iterator[int]]] = [(start, iter(sorted(adjacency[start])))]
+        state[start] = 1
+        while stack:
+            node, edges = stack[-1]
+            advanced = False
+            for nxt in edges:
+                if state[nxt] == 0:
+                    state[nxt] = 1
+                    stack.append((nxt, iter(sorted(adjacency[nxt]))))
+                    advanced = True
+                    break
+            if not advanced:
+                state[node] = 2
+                finish_order.append(node)
+                stack.pop()
+
+    assigned = [-1] * count
+    strong: list[list[int]] = []
+    for start in reversed(finish_order):
+        if assigned[start] != -1:
+            continue
+        component = []
+        stack = [start]
+        assigned[start] = len(strong)
+        while stack:
+            node = stack.pop()
+            component.append(node)
+            for nxt in reverse[node]:
+                if assigned[nxt] == -1:
+                    assigned[nxt] = len(strong)
+                    stack.append(nxt)
+        strong.append(sorted(component))
+    strong.sort(key=lambda component: component[0])
+    assigned = [-1] * count
+    for k, component in enumerate(strong):
+        for node in component:
+            assigned[node] = k
+
+    terminal = [
+        component
+        for k, component in enumerate(strong)
+        if all(assigned[dst] == k for node in component for dst in adjacency[node])
+    ]
+    linkage.sort(key=lambda component: component[0])
+    return linkage, strong, terminal
 
 
 def m3cr(

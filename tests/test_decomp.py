@@ -208,3 +208,9 @@ def test_fid_matches_the_per_reaction_expansion(net):
     # the blocks read off one elimination are those of expanding every
     # dependent reaction apart with solve_unique (tests/oracles.py)
     assert fid(net).blocks == oracles.fid(net).blocks
+
+
+@pytest.mark.parametrize("name", fixtures.available())
+def test_fid_matches_the_per_reaction_expansion_on_fixtures(name):
+    net = fixtures.load(name)
+    assert fid(net).blocks == oracles.fid(net).blocks

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import oracles
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -62,6 +63,14 @@ def test_linkage_partitions_trivial_cases():
     linkage, strong, terminal = linkage_partitions(both_ways)
     assert strong == [[0, 1]]
     assert terminal == [[0, 1]]
+
+    # A <-> B is a cycle that drains into the terminal cycle C <-> D and into
+    # E; F -> G is a second linkage class. Complexes A..G are indices 0..6.
+    drained = parse_network("A <-> B\nB -> C\nC <-> D\nB -> E\nF -> G")
+    linkage, strong, terminal = linkage_partitions(drained)
+    assert linkage == [[0, 1, 2, 3, 4], [5, 6]]
+    assert strong == [[0, 1], [2, 3], [4], [5], [6]]
+    assert terminal == [[2, 3], [4], [6]]
 
 
 @pytest.mark.parametrize("name", ["lee", "fal", "maclean", "schmitz"])
@@ -153,3 +162,16 @@ def test_linkage_classes_partition_complexes(net):
         assert flat == list(range(len(mats.complexes)))
     terminal_sets = {tuple(block) for block in terminal}
     assert terminal_sets <= {tuple(block) for block in strong}
+
+
+@pytest.mark.parametrize("name", fixtures.available())
+def test_linkage_partitions_match_the_kosaraju_oracle_on_fixtures(name):
+    net = fixtures.load(name)
+    assert linkage_partitions(net) == oracles.linkage_partitions(net)
+
+
+@given(networks(max_species=5, max_reactions=10))
+def test_linkage_partitions_match_the_kosaraju_oracle(net):
+    # reachability and _components against the depth-first search and the
+    # Kosaraju pass they replaced (tests/oracles.py)
+    assert linkage_partitions(net) == oracles.linkage_partitions(net)
