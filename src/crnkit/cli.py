@@ -25,8 +25,8 @@ from .concord import (
     m3cr,
     verify_witness,
 )
-from .core import Network, common_reactions, parse_network
-from .decomp import fid, is_independent
+from .core import Network, common_reactions, parse_network, reaction_vectors
+from .decomp import fid
 from .kinetics import (
     acr_scan,
     equilibrium_residual,
@@ -34,6 +34,7 @@ from .kinetics import (
     parametrization,
     parametrization_names,
 )
+from .linalg import rank
 from .structure import (
     NetworkNumbers,
     _deficiency_zero_of,
@@ -146,15 +147,16 @@ def _analyze_text(args: argparse.Namespace, payload: dict) -> list[str]:
 
 def cmd_fid(args: argparse.Namespace) -> int:
     net = _load(args.network)
-    decomposition = fid(net)
-    blocks = decomposition.block_networks()
+    blocks = [(block, network_numbers(block)) for block in fid(net).block_networks()]
+    # independent: the block ranks add up to the parent's (decomp.is_independent)
+    block_ranks = sum(numbers.rank for _, numbers in blocks)
     payload = {
         "blockCount": len(blocks),
-        "independent": is_independent(decomposition),
+        "independent": block_ranks == rank(reaction_vectors(net)),
         "profileOrder": PROFILE_FIELDS,
         "blocks": [
-            {"reactions": _labels(block), "numbers": asdict(network_numbers(block))}
-            for block in blocks
+            {"reactions": _labels(block), "numbers": asdict(numbers)}
+            for block, numbers in blocks
         ],
     }
     _emit(args, payload, _fid_text)

@@ -37,9 +37,12 @@ of the cone fits such a pattern, nor any pattern that refines it, since
 ``w . x`` would be positive. The search checks each certificate against its
 own pattern in integers, keeps the masks ``(wpos, wneg)`` of the newest 64
 per side, and answers a pattern a pooled certificate refutes without an LP,
-just as a conforming pooled point answers a feasible one. Verdicts,
-witnesses and node counts are those of the search without certificates;
-only the number of LPs falls.
+just as a conforming pooled point answers a feasible one. Each row ``w``
+of an LP, and ``-w``, lies in the row space too, so the masks of every row
+and its negation are kept as certificates from the start and never
+evicted; they refute most infeasible patterns before any LP is solved.
+Verdicts, witnesses and node counts are those of the search without
+certificates; only the number of LPs falls.
 """
 
 from __future__ import annotations
@@ -179,7 +182,7 @@ _Masks = tuple[int, int, int]
 def _masked(point: list[Fraction]) -> _Masked:
     pos = neg = zero = 0
     for j, value in enumerate(point):
-        sign = value.numerator  # a Fraction's sign is its numerator's
+        sign = value.numerator  # the sign of a Fraction or an int is its numerator's
         if sign > 0:
             pos |= 1 << j
         elif sign < 0:
@@ -206,7 +209,7 @@ def _pool(pool: list, item: _Masked | _Certificate) -> None:
 
 
 def _refuted(certs: list[_Certificate], masks: _Masks) -> bool:
-    """Whether a pooled certificate proves the pattern ``masks`` infeasible.
+    """Whether one of ``certs`` proves the pattern ``masks`` infeasible.
 
     Every x of the cone is orthogonal to w. If w is >= 0 on the coordinates
     wanted positive, <= 0 on those wanted negative, 0 on the free ones, and
@@ -222,6 +225,59 @@ def _refuted(certs: list[_Certificate], masks: _Masks) -> bool:
     return False
 
 
+def _row_certificates(rows: list[list[int]]) -> list[_Certificate]:
+    """The masks of every row ``w`` of an LP and of ``-w``.
+
+    Both lie in the row space, so they refute patterns exactly as a Farkas
+    certificate does, with no LP solved to find them.
+    """
+    certs = []
+    for row in rows:
+        _, wpos, wneg, _ = _masked(row)
+        certs += [(wpos, wneg), (wneg, wpos)]
+    return certs
+
+
+class _Side:
+    """The LPs of one side of the search: {rows . x = 0} over ``count`` coordinates.
+
+    It keeps the newest 64 feasible points and the newest 64 certificates of
+    its LPs, plus the certificates of its own rows, which are never evicted.
+    """
+
+    __slots__ = ("rows", "count", "pool", "certs", "row_certs")
+
+    def __init__(self, rows: list[list[int]], count: int) -> None:
+        self.rows = rows
+        self.count = count
+        self.pool: list[_Masked] = []
+        self.certs: list[_Certificate] = []
+        self.row_certs = _row_certificates(rows)
+
+    def point(self, masks: _Masks) -> _Masked | None:
+        """A point with the signs ``masks`` wants, or None.
+
+        A pooled point that conforms answers first, then a row or pooled
+        certificate that refutes; only then is the LP solved, and its point
+        or certificate pooled.
+        """
+        want_pos, want_neg, want_zero = masks
+        for pooled in self.pool:
+            _, pos, neg, zero = pooled
+            if (want_pos & pos == want_pos and want_neg & neg == want_neg
+                    and want_zero & zero == want_zero):
+                return pooled
+        if _refuted(self.row_certs, masks) or _refuted(self.certs, masks):
+            return None
+        solved = _signed_point(self.rows, _signs(self.count, masks))
+        if type(solved) is tuple:
+            _pool(self.certs, solved)
+            return None
+        point = _masked(solved)
+        _pool(self.pool, point)
+        return point
+
+
 class _BudgetExhausted(Exception):
     pass
 
@@ -235,10 +291,10 @@ class _WitnessSearch:
     the reactions it forces (pure +, pure -, all zero) follow from three
     subset tests per reaction.
 
-    Each side (alpha over reactions, sigma over species) pools the newest 64
-    feasible points and the newest 64 certificates of its LPs. A pattern is
-    answered by a conforming pooled point, else by a pooled certificate that
-    refutes it, and only then by an LP.
+    Each side, ``alpha`` over reactions with the rows of N and ``sigma``
+    over species with a basis of its left nullspace, is a ``_Side``: it
+    answers a pattern from its pooled points, its row certificates and its
+    pooled certificates before it solves an LP.
     """
 
     def __init__(self, net: Network, node_budget: int) -> None:
@@ -249,18 +305,16 @@ class _WitnessSearch:
         self.species_count = len(net.species)
         # row-reduce once: the kernel only depends on the row space
         reduced, pivots, denom = _eliminate(list(zip(*columns)))
-        self.n_rows = [_primitive(reduced[k], denom) for k in range(len(pivots))]
-        self.left_null = _integer_nullspace(columns)
+        self.alpha = _Side(
+            [_primitive(reduced[k], denom) for k in range(len(pivots))], self.reaction_count
+        )
+        self.sigma = _Side(_integer_nullspace(columns), self.species_count)
         index = {name: i for i, name in enumerate(net.species)}
         self.supports = [
             sum(1 << index[name] for name, _ in rxn.reactant) for rxn in net.reactions
         ]
         shared = Counter(index[name] for rxn in net.reactions for name, _ in rxn.reactant)
         self.order = sorted(shared, key=lambda i: (-shared[i], i))
-        self.alpha_pool: list[_Masked] = []
-        self.sigma_pool: list[_Masked] = []
-        self.alpha_certs: list[_Certificate] = []
-        self.sigma_certs: list[_Certificate] = []
         self.zero_alpha = _masked([_ZERO] * self.reaction_count)
 
     def _signature(self, masks: _Masks) -> _Masks:
@@ -284,40 +338,11 @@ class _WitnessSearch:
         return (want_pos & pos == want_pos and want_neg & neg == want_neg
                 and want_zero & zero == want_zero)
 
-    # -- pruning LPs ---------------------------------------------------------
-
-    def _point(
-        self,
-        rows: list[list[int]],
-        count: int,
-        masks: _Masks,
-        pool: list[_Masked],
-        certs: list[_Certificate],
-    ) -> _Masked | None:
-        """A point of {rows . x = 0} with the signs ``masks`` wants, or None.
-
-        A pooled point that conforms answers first, then a pooled
-        certificate that refutes; only then is the LP solved, and its point
-        or certificate pooled.
-        """
-        for pooled in pool:
-            if self._conforms(pooled, masks):
-                return pooled
-        if _refuted(certs, masks):
-            return None
-        solved = _signed_point(rows, _signs(count, masks))
-        if type(solved) is tuple:
-            _pool(certs, solved)
-            return None
-        point = _masked(solved)
-        _pool(pool, point)
-        return point
-
     # -- search --------------------------------------------------------------
 
     def _off_support_sigma(self) -> list[Fraction] | None:
         """A nonzero image vector vanishing on every reactant support."""
-        pinned = list(self.left_null)
+        pinned = list(self.sigma.rows)
         for i in self.order:
             row = [0] * self.species_count
             row[i] = 1
@@ -344,18 +369,13 @@ class _WitnessSearch:
         signature = self._signature(masks)
         if signature[0] or signature[1]:
             if not self._conforms(alpha, signature):
-                alpha = self._point(
-                    self.n_rows, self.reaction_count, signature,
-                    self.alpha_pool, self.alpha_certs,
-                )
+                alpha = self.alpha.point(signature)
                 if alpha is None:
                     return None
         else:
             alpha = self.zero_alpha
         if not self._conforms(sigma, masks):
-            sigma = self._point(
-                self.left_null, self.species_count, masks, self.sigma_pool, self.sigma_certs
-            )
+            sigma = self.sigma.point(masks)
             if sigma is None:
                 return None
         return alpha, sigma

@@ -19,11 +19,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from crnkit import concord, fixtures
+from crnkit import fixtures
 from crnkit.cli import main as cli_main
 from crnkit.concord import (
+    _Side,
+    _refuted,
     _signs,
-    _WitnessSearch,
     check_concordance,
     is_conservative,
     is_positive_dependent,
@@ -331,17 +332,17 @@ def test_concordance_verdict_and_certificate(factory, expected):
     ids=[case[0] for case in CONCORDANCE_CASES],
 )
 def test_every_pattern_a_certificate_refutes_is_infeasible(factory, monkeypatch):
-    # every (rows, pattern) a pooled certificate refutes during the search,
-    # re-solved with the certificate-free LP set-up of the oracle
+    # every (rows, pattern) a row or pooled certificate refutes during the
+    # search, re-solved with the certificate-free LP set-up of the oracle
     refuted = set()
-    point = _WitnessSearch._point
+    point = _Side.point
 
-    def recording(self, rows, count, masks, pool, certs):
-        if concord._refuted(certs, masks):
-            refuted.add((tuple(map(tuple, rows)), count, masks))
-        return point(self, rows, count, masks, pool, certs)
+    def recording(side, masks):
+        if _refuted(side.row_certs, masks) or _refuted(side.certs, masks):
+            refuted.add((tuple(map(tuple, side.rows)), side.count, masks))
+        return point(side, masks)
 
-    monkeypatch.setattr(_WitnessSearch, "_point", recording)
+    monkeypatch.setattr(_Side, "point", recording)
     check_concordance(factory())
     assert refuted
     for rows, count, masks in refuted:

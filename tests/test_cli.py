@@ -9,8 +9,11 @@ from pathlib import Path
 
 import pytest
 
+from crnkit import fixtures
 from crnkit.cli import main
 from crnkit.concord import verify_witness
+from crnkit.decomp import fid, is_independent
+from crnkit.linalg import rank
 
 HERE = Path(__file__).parent
 GOLDEN = HERE / "golden"
@@ -94,9 +97,17 @@ def test_fid_json_lists_blocks_with_profiles(capsys):
     assert payload["blocks"][1]["numbers"]["deficiency"] == 0
 
 
+@pytest.mark.parametrize("name", fixtures.NAMES)
+def test_fid_independence_flag_is_the_library_check(name, capsys):
+    code, out, _ = run(capsys, "fid", f"fixture:{name}", "--json")
+    assert code == 0
+    assert json.loads(out)["payload"]["independent"] is is_independent(fid(fixtures.load(name)))
+
+
 @pytest.mark.parametrize("mode", [(), ("--json",)])
 def test_fid_reports_an_unconfirmed_independence(mode, capsys, monkeypatch):
-    monkeypatch.setattr("crnkit.cli.is_independent", lambda decomposition: False)
+    # a parent rank above the block ranks' sum: the blocks do not span it
+    monkeypatch.setattr("crnkit.cli.rank", lambda vectors: rank(vectors) + 1)
     code, out, _ = run(capsys, "fid", "fixture:schmitz", *mode)
     assert code == 0
     if mode:

@@ -19,6 +19,8 @@ from crnkit.concord import (
     SignWitness,
     _certificate,
     _masked,
+    _refuted,
+    _row_certificates,
     _signed_point,
     _signs,
     _WitnessSearch,
@@ -499,8 +501,10 @@ def test_search_rows_are_the_scaled_fraction_rows(net):
     search = _WitnessSearch(net, DEFAULT_NODE_BUDGET)
     columns = [[int(x) for x in col] for col in _columns(net)]
     reduced, pivots = oracles.rref([list(row) for row in zip(*columns)])
-    assert search.n_rows == [oracles.scale_to_integers(reduced[k]) for k in range(len(pivots))]
-    assert search.left_null == [
+    assert search.alpha.rows == [
+        oracles.scale_to_integers(reduced[k]) for k in range(len(pivots))
+    ]
+    assert search.sigma.rows == [
         oracles.scale_to_integers(w) for w in oracles.nullspace_basis(columns)
     ]
 
@@ -528,7 +532,9 @@ def test_m3cr_search_node_totals(parent, other, nodes):
     assert m3cr(net, common_reactions(net, load(other))).search_nodes == nodes
 
 
-@pytest.mark.parametrize("net, solves", [(SCHMITZ, 44), (FAL, 54), (LEE, 76)])
+@pytest.mark.parametrize(
+    "net, solves", [(SCHMITZ, 38), (FAL, 40), (LEE, 59)], ids=["schmitz", "fal", "lee"]
+)
 def test_lp_solves_per_search(net, solves, monkeypatch):
     calls = []
 
@@ -610,3 +616,44 @@ def test_certificates_change_nothing_but_the_solve_count(net, node_budget):
         want.status, repr(want.witness), want.search_nodes
     )
     assert len(calls) <= oracle.solves
+
+
+def test_row_certificates_are_the_masks_of_each_row_and_its_negation():
+    assert _row_certificates([[1, -1, 0]]) == [(0b01, 0b10), (0b10, 0b01)]
+    assert _row_certificates([[0, 2, 0], [-3, 0, 1]]) == [
+        (0b010, 0), (0, 0b010), (0b100, 0b001), (0b001, 0b100)
+    ]
+    assert _row_certificates([]) == []
+    # x1 - x2 = 0: the row refutes x1 >= 1 with x2 <= 0, its negation x2 >= 1
+    # with x1 <= 0, and nothing refutes x1, x2 >= 1 or an unassigned x2
+    certs = _row_certificates([[1, -1]])
+    assert _refuted(certs, (0b01, 0, 0b10))
+    assert _refuted(certs, (0b10, 0b01, 0))
+    assert not _refuted(certs, (0b11, 0, 0))
+    assert not _refuted(certs, (0b01, 0, 0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(networks(max_species=5, max_reactions=7), st.data())
+def test_every_pattern_a_row_certificate_refutes_is_infeasible(net, data):
+    # a pattern is drawn to fit one row certificate (wanted + or 0 where it
+    # is positive, - or 0 where it is negative, one of them signed, anything
+    # elsewhere); the LP of the certificate-free oracle must find no point
+    search = _WitnessSearch(net, DEFAULT_NODE_BUDGET)
+    side = data.draw(st.sampled_from([s for s in (search.alpha, search.sigma) if s.rows]))
+    wpos, wneg = data.draw(st.sampled_from(side.row_certs))
+    signs = []
+    for j in range(side.count):
+        if wpos >> j & 1:
+            signs.append(data.draw(st.sampled_from((1, 0))))
+        elif wneg >> j & 1:
+            signs.append(data.draw(st.sampled_from((-1, 0))))
+        else:
+            signs.append(data.draw(st.sampled_from((1, -1, 0, None))))
+    support = [j for j in range(side.count) if (wpos | wneg) >> j & 1]
+    signed = data.draw(st.sampled_from(support))
+    signs[signed] = 1 if wpos >> signed & 1 else -1
+    masks = _masks(signs)
+    assert _refuted(side.row_certs, masks)
+    assert side.point(masks) is None
+    assert oracles.signed_point(side.rows, signs) is None
