@@ -25,18 +25,21 @@ as coprime integer vectors off one integer elimination each. A partial
 pattern is three species masks (the signs assigned +, - and 0), passed down
 the recursion as one immutable value, and each reactant support is a
 species mask, so the alpha-signs a pattern forces follow from subset tests.
-Every feasible point the search keeps (pooled, or carried down the tree)
-is stored with the bitmasks of its positive, negative and zero
-coordinates, so whether it fits a pattern is three subset tests too.
+The masks of a pattern go down to the LP as they are, and the LP answers
+with a masked point or a certificate: every feasible point the search keeps
+(pooled, or carried down the tree) is stored with the bitmasks of its
+positive, negative and zero coordinates, so whether it fits a pattern is
+three subset tests too.
 
 An infeasible LP leaves a Farkas certificate instead: ``lp_feasible`` hands
 back its phase-1 duals ``y``, and ``w = -yᵀ rows`` is an integer vector of
 the row space that is >= 0 where the pattern wants +, <= 0 where it wants -,
 zero where it wants nothing, and nonzero on some signed coordinate. No point
 of the cone fits such a pattern, nor any pattern that refines it, since
-``w . x`` would be positive. The search checks each certificate against its
-own pattern in integers, keeps the masks ``(wpos, wneg)`` of the newest 64
-per side, and answers a pattern a pooled certificate refutes without an LP,
+``w . x`` would be positive. One test, ``_refuted``, says whether the masks
+``(wpos, wneg)`` of such a ``w`` refute a pattern: it accepts each fresh
+certificate against its own pattern, and the search keeps the newest 64
+per side and answers a pattern a pooled certificate refutes without an LP,
 just as a conforming pooled point answers a feasible one. Each row ``w``
 of an LP, and ``-w``, lies in the row space too, so the masks of every row
 and its negation are kept as certificates from the start and never
@@ -47,7 +50,7 @@ certificates; only the number of LPs falls.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Literal, Sequence
@@ -100,83 +103,13 @@ class M3crReport:
 
 
 _ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
-# The masks (wpos, wneg) of an integer vector w of an LP's row space that
-# proves a sign pattern infeasible.
-_Certificate = tuple[int, int]
-
-
-def _signed_point(
-    rows: Sequence[Sequence[int]], signs: Sequence[int | None]
-) -> list[Fraction] | _Certificate:
-    """Exact feasible point of {rows . x = 0} under per-coordinate signs.
-
-    signs[j] is +1 for x_j >= 1, -1 for x_j <= -1, 0 for x_j = 0, None for
-    unconstrained. When there is no such point, returns a certificate
-    ``(wpos, wneg)``: the masks of the positive and negative coordinates of
-    an integer vector ``w`` in the row space that refutes ``signs`` (see
-    ``_refuted``). It is ``w = -yᵀ rows`` for the Farkas vector ``y`` of the
-    LP, and is checked against ``signs`` in integers before it is returned.
-    """
-    point = [_ONE if s == 1 else _MINUS_ONE if s == -1 else _ZERO for s in signs]
-    if not rows:
-        return point
-    variables: list[tuple[int, int]] = []  # (coordinate, direction)
-    for j, s in enumerate(signs):
-        if s == 1:
-            variables.append((j, 1))
-        elif s == -1:
-            variables.append((j, -1))
-        elif s is None:
-            variables.append((j, 1))
-            variables.append((j, -1))
-    a_eq = [[direction * row[j] for j, direction in variables] for row in rows]
-    # x_j = s_j + u for a signed coordinate, so its +-1 moves to the right-hand
-    # side; a free coordinate's two columns cancel in the row sum
-    b_eq = [-sum(line) for line in a_eq]
-    farkas: list[int] = []
-    solution = lp_feasible(a_eq, b_eq, farkas=farkas)
-    if solution is None:
-        return _certificate(rows, signs, farkas)
-    for (j, direction), value in zip(variables, solution):
-        if value:
-            point[j] = point[j] + value if direction == 1 else point[j] - value
-    return point
-
-
-def _certificate(
-    rows: Sequence[Sequence[int]], signs: Sequence[int | None], farkas: Sequence[int]
-) -> _Certificate:
-    """The masks of ``w = -yᵀ rows``, ``y = farkas``, once ``w`` is checked to refute ``signs``.
-
-    For the LP ``_signed_point`` builds, ``yᵀA <= 0`` makes ``w`` >= 0 where
-    x_j >= 1, <= 0 where x_j <= -1 and 0 where x_j is free, and ``yᵀb > 0``
-    makes ``sum_j s_j w_j`` positive. Raises RuntimeError if either fails.
-    """
-    w = [0] * len(signs)
-    for y, row in zip(farkas, rows):
-        if y:
-            w = [v - y * x for v, x in zip(w, row)]
-    wpos = wneg = 0
-    strict = False
-    for j, (s, v) in enumerate(zip(signs, w)):
-        if not v:
-            continue
-        if s is None or s * v < 0:
-            raise RuntimeError("the phase-1 duals do not refute the sign pattern")
-        strict = strict or s != 0
-        if v > 0:
-            wpos |= 1 << j
-        else:
-            wneg |= 1 << j
-    if not strict:
-        raise RuntimeError("the phase-1 duals do not refute the sign pattern")
-    return wpos, wneg
-
-
 # A point with the bitmasks of its positive, negative and zero coordinates.
 _Masked = tuple[list[Fraction], int, int, int]
 # Bitmasks of the coordinates wanted positive, negative and zero.
 _Masks = tuple[int, int, int]
+# The masks (wpos, wneg) of an integer vector w of an LP's row space that
+# proves a sign pattern infeasible.
+_Certificate = tuple[int, int]
 
 
 def _masked(point: list[Fraction]) -> _Masked:
@@ -192,23 +125,51 @@ def _masked(point: list[Fraction]) -> _Masked:
     return point, pos, neg, zero
 
 
-def _signs(count: int, masks: _Masks) -> list[int | None]:
-    """The ``_signed_point`` sign list of ``count`` coordinates wanted as ``masks``."""
+def _signed_point(
+    rows: Sequence[Sequence[int]], count: int, masks: _Masks
+) -> _Masked | _Certificate:
+    """Exact feasible point of {rows . x = 0} over ``count`` coordinates, masked.
+
+    ``masks`` is ``(plus, minus, zero)``: x_j >= 1 where ``plus`` has bit j,
+    x_j <= -1 where ``minus`` has it, x_j = 0 where ``zero`` has it, and x_j
+    unconstrained elsewhere. When there is no such point, returns a
+    certificate ``(wpos, wneg)``: the masks of the positive and negative
+    coordinates of ``w = -yᵀ rows`` for the Farkas vector ``y`` of the LP,
+    an integer vector of the row space that is checked with ``_refuted`` to
+    refute ``masks`` before it is returned.
+    """
     plus, minus, zero = masks
-    return [
-        1 if plus >> j & 1 else -1 if minus >> j & 1 else 0 if zero >> j & 1 else None
-        for j in range(count)
+    point = [
+        _ONE if plus >> j & 1 else _MINUS_ONE if minus >> j & 1 else _ZERO for j in range(count)
     ]
+    if not rows:
+        return _masked(point)
+    variables: list[tuple[int, int]] = []  # (coordinate, direction)
+    for j in range(count):
+        if not zero >> j & 1:
+            if not minus >> j & 1:
+                variables.append((j, 1))
+            if not plus >> j & 1:
+                variables.append((j, -1))
+    a_eq = [[direction * row[j] for j, direction in variables] for row in rows]
+    # x_j = s_j + u for a signed coordinate, so its +-1 moves to the right-hand
+    # side; a free coordinate's two columns cancel in the row sum
+    b_eq = [-sum(line) for line in a_eq]
+    farkas: list[int] = []
+    solution = lp_feasible(a_eq, b_eq, farkas=farkas)
+    if solution is None:
+        w = [-sum(y * row[j] for y, row in zip(farkas, rows)) for j in range(count)]
+        _, wpos, wneg, _ = _masked(w)
+        if not _refuted([(wpos, wneg)], masks):
+            raise RuntimeError("the phase-1 duals do not refute the sign pattern")
+        return wpos, wneg
+    for (j, direction), value in zip(variables, solution):
+        if value:
+            point[j] = point[j] + value if direction == 1 else point[j] - value
+    return _masked(point)
 
 
-def _pool(pool: list, item: _Masked | _Certificate) -> None:
-    """Append ``item``, keeping the 64 most recent."""
-    pool.append(item)
-    if len(pool) > 64:
-        del pool[0]
-
-
-def _refuted(certs: list[_Certificate], masks: _Masks) -> bool:
+def _refuted(certs: Iterable[_Certificate], masks: _Masks) -> bool:
     """Whether one of ``certs`` proves the pattern ``masks`` infeasible.
 
     Every x of the cone is orthogonal to w. If w is >= 0 on the coordinates
@@ -241,8 +202,10 @@ def _row_certificates(rows: list[list[int]]) -> list[_Certificate]:
 class _Side:
     """The LPs of one side of the search: {rows . x = 0} over ``count`` coordinates.
 
-    It keeps the newest 64 feasible points and the newest 64 certificates of
-    its LPs, plus the certificates of its own rows, which are never evicted.
+    ``point`` takes the masks of a sign pattern and answers with a masked
+    point or None. It keeps the newest 64 feasible points and the newest 64
+    certificates of its LPs, plus the certificates of its own rows, which are
+    never evicted.
     """
 
     __slots__ = ("rows", "count", "pool", "certs", "row_certs")
@@ -250,8 +213,8 @@ class _Side:
     def __init__(self, rows: list[list[int]], count: int) -> None:
         self.rows = rows
         self.count = count
-        self.pool: list[_Masked] = []
-        self.certs: list[_Certificate] = []
+        self.pool: deque[_Masked] = deque(maxlen=64)
+        self.certs: deque[_Certificate] = deque(maxlen=64)
         self.row_certs = _row_certificates(rows)
 
     def point(self, masks: _Masks) -> _Masked | None:
@@ -269,13 +232,12 @@ class _Side:
                 return pooled
         if _refuted(self.row_certs, masks) or _refuted(self.certs, masks):
             return None
-        solved = _signed_point(self.rows, _signs(self.count, masks))
-        if type(solved) is tuple:
-            _pool(self.certs, solved)
+        solved = _signed_point(self.rows, self.count, masks)
+        if len(solved) == 2:  # a certificate
+            self.certs.append(solved)
             return None
-        point = _masked(solved)
-        _pool(self.pool, point)
-        return point
+        self.pool.append(solved)
+        return solved
 
 
 class _BudgetExhausted(Exception):
@@ -471,10 +433,10 @@ def verify_witness(net: Network, witness: SignWitness) -> bool:
 
 def _positive_point(rows: Sequence[Sequence[int]], count: int) -> ConeCertificate:
     """Whether {rows . x = 0} has a point with every coordinate >= 1, and one such point."""
-    point = _signed_point(rows, [1] * count)
-    if type(point) is tuple:
+    point = _signed_point(rows, count, ((1 << count) - 1, 0, 0))
+    if len(point) == 2:  # a certificate
         return ConeCertificate(False, None)
-    return ConeCertificate(True, tuple(point) or None)
+    return ConeCertificate(True, tuple(point[0]) or None)
 
 
 def is_positive_dependent(net: Network) -> ConeCertificate:

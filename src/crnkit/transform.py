@@ -432,6 +432,8 @@ def same_dynamics(
     mismatch is decisive and agreement on all points is decisive for
     polynomial right-hand sides of these sizes.
     """
+    if points < 1:
+        raise ValueError("points must be a positive integer")
     if set(first.species) != set(second.species):
         raise ValueError("systems live on different species sets")
     rng = random.Random(seed)

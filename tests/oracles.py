@@ -65,6 +65,16 @@ LPs instead and skips every LP a pooled certificate refutes; it must return
 the same verdict, witness and ``search_nodes`` with no more solves, and
 every pattern a certificate refutes must re-solve infeasible with this
 module's ``signed_point`` (``test_concord.py``, ``test_acceptance.py``).
+
+``signed_point`` takes a per-coordinate sign list (``1``, ``-1``, ``0`` or
+``None``) and returns a bare point or None. ``_signs`` and ``_pool`` are
+its sign-list adapters, moved here unchanged from the library when its
+search came to describe a pattern by masks all the way down to the LP:
+``_signs`` turns the masks ``(plus, minus, zero)`` into a sign list, and
+``_pool`` appends to a list that keeps the 64 most recent items. The
+library's ``_signed_point`` builds the same LP straight from the masks and
+returns the masked point or a certificate; it must agree with
+``signed_point`` on feasibility and on the point (``test_concord.py``).
 """
 
 from __future__ import annotations
@@ -82,12 +92,11 @@ from crnkit.concord import (
     M3crReport,
     SignWitness,
     _BudgetExhausted,
+    _Certificate,
     _masked,
     _Masked,
     _Masks,
-    _pool,
     _reaction_indices,
-    _signs,
     check_concordance,
 )
 from crnkit.core import Network, Reaction, _complexes, reaction_vectors, subnetwork
@@ -620,6 +629,22 @@ def m3cr(
 
 
 _ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
+
+
+def _signs(count: int, masks: _Masks) -> list[int | None]:
+    """The ``_signed_point`` sign list of ``count`` coordinates wanted as ``masks``."""
+    plus, minus, zero = masks
+    return [
+        1 if plus >> j & 1 else -1 if minus >> j & 1 else 0 if zero >> j & 1 else None
+        for j in range(count)
+    ]
+
+
+def _pool(pool: list, item: _Masked | _Certificate) -> None:
+    """Append ``item``, keeping the 64 most recent."""
+    pool.append(item)
+    if len(pool) > 64:
+        del pool[0]
 
 
 def signed_point(

@@ -19,12 +19,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import _signs
 from crnkit import fixtures
 from crnkit.cli import main as cli_main
 from crnkit.concord import (
     _Side,
     _refuted,
-    _signs,
     check_concordance,
     is_conservative,
     is_positive_dependent,

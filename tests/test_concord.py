@@ -17,12 +17,10 @@ from crnkit import concord
 from crnkit.concord import (
     DEFAULT_NODE_BUDGET,
     SignWitness,
-    _certificate,
     _masked,
     _refuted,
     _row_certificates,
     _signed_point,
-    _signs,
     _WitnessSearch,
     check_concordance,
     is_conservative,
@@ -470,8 +468,8 @@ def test_sign_masks_agree_with_per_entry_conformance(net, data):
     # of sigma
     classes = _sign_list(data, len(net.reactions))
     sign = _sign_list(data, len(net.species))
-    assert _signs(len(classes), _masks(classes)) == classes
-    assert _signs(len(sign), _masks(sign)) == sign
+    assert oracles._signs(len(classes), _masks(classes)) == classes
+    assert oracles._signs(len(sign), _masks(sign)) == sign
     for _ in range(2):
         alpha = _near(data, classes)
         assert _WitnessSearch._conforms(_masked(alpha), _masks(classes)) == (
@@ -588,15 +586,44 @@ def test_m3cr_matches_the_memo_free_construction(net, data, node_budget):
 # --- certificate pruning against the search without certificates ----------
 
 
-def test_certificates_are_checked_before_use():
+def test_certificates_are_checked_before_use(monkeypatch):
     # x1 + x2 = 0 has no point with x1, x2 >= 1: w = (1, 1) refutes it
-    assert _signed_point([[1, 1]], [1, 1]) == (0b11, 0)
-    assert _signed_point([[1, 1, 0]], [-1, 0, None]) == (0, 0b11)
-    assert _certificate([[1, 1]], [1, 1], [-1]) == (0b11, 0)
+    assert _signed_point([[1, 1]], 2, (0b11, 0, 0)) == (0b11, 0)
+    assert _signed_point([[1, 1, 0]], 3, (0, 0b01, 0b10)) == (0, 0b11)
+
+    def infeasible(vector):
+        # an LP kernel that finds every system infeasible, with Farkas vector ``vector``
+        def solve(a_eq, b_eq, farkas):
+            farkas[:] = vector
+            return None
+
+        return solve
+
+    monkeypatch.setattr(concord, "lp_feasible", infeasible([-1]))
+    assert _signed_point([[1, 1]], 2, (0b11, 0, 0)) == (0b11, 0)
     # a vector of the wrong sign, zero, or nonzero on a free coordinate
-    for signs, farkas in (([1, 1], [1]), ([1, 1], [0]), ([1, None], [-1])):
+    for masks, farkas in (((0b11, 0, 0), [1]), ((0b11, 0, 0), [0]), ((0b01, 0, 0), [-1])):
+        monkeypatch.setattr(concord, "lp_feasible", infeasible(farkas))
         with pytest.raises(RuntimeError, match="do not refute"):
-            _certificate([[1, 1]], signs, farkas)
+            _signed_point([[1, 1]], 2, masks)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_signed_point_from_masks_matches_the_sign_list_oracle(count, data):
+    # the LP built straight from the masks, against the oracle's LP built
+    # from the sign list of the same masks
+    entries = st.lists(st.integers(-3, 3), min_size=count, max_size=count)
+    rows = data.draw(st.lists(entries, max_size=3))
+    masks = _masks(_sign_list(data, count))
+    solved = _signed_point(rows, count, masks)
+    want = oracles.signed_point(rows, oracles._signs(count, masks))
+    assert (len(solved) == 4) == (want is not None)
+    if want is None:
+        assert _refuted([solved], masks)
+    else:
+        assert repr(solved[0]) == repr(want)
+        assert solved == _masked(want)
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])

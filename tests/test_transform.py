@@ -363,6 +363,10 @@ def test_same_dynamics_distinguishes_different_rates():
     other = KineticSystem.mass_action(parse_network("C -> D\n"), [1])
     with pytest.raises(ValueError):
         same_dynamics(one, other)
+    # with no point checked, any two systems on the same species would agree
+    for points in (0, -1):
+        with pytest.raises(ValueError, match="points must be a positive integer"):
+            same_dynamics(one, two, points=points)
 
 
 def test_split_validates_vector_sum_for_kinetic_systems():
