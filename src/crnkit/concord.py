@@ -31,6 +31,19 @@ with a masked point or a certificate: every feasible point the search keeps
 positive, negative and zero coordinates, so whether it fits a pattern is
 three subset tests too.
 
+Each side splits its rows once into independent blocks: the connected
+components of the graph that joins the coordinates sharing a row. The cone
+is the direct sum of the blocks' cones, so a pattern is feasible exactly
+when each block's part of it is. On the alpha side the blocks are the
+blocks of the finest independent decomposition (``decomp.fid``): ker N is
+the direct sum of the block kernels. On the sigma side they are the groups
+of species that share conservation laws, and a species in no conservation
+law takes its sign with no LP. An LP is solved block by block, once per
+block sub-pattern in a search; a block whose sub-pattern wants no sign has
+the point 0. In a block-diagonal tableau a pivot touches only its own
+block's rows and reduced costs, so under Bland's rule each block pivots as
+it would alone, and the point is that of the whole LP.
+
 An infeasible LP leaves a Farkas certificate instead: ``lp_feasible`` hands
 back its phase-1 duals ``y``, and ``w = -yᵀ rows`` is an integer vector of
 the row space that is >= 0 where the pattern wants +, <= 0 where it wants -,
@@ -53,10 +66,12 @@ from __future__ import annotations
 from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from typing import Iterable, Literal, Sequence
 
 from .core import Network, Reaction, reaction_vectors, subnetwork
 from .linalg import _eliminate, _integer_nullspace, _primitive, lp_feasible, nullspace_basis
+from .structure import _components
 
 DEFAULT_NODE_BUDGET = 5_000_000
 
@@ -112,9 +127,13 @@ _Masks = tuple[int, int, int]
 _Certificate = tuple[int, int]
 
 
-def _masked(point: list[Fraction]) -> _Masked:
+def _masked(point: list[Fraction], coords: Sequence[int] = ()) -> _Masked:
+    """``point`` with the masks of its signs; entry k is coordinate ``coords[k]``.
+
+    ``coords`` defaults to ``range(len(point))``.
+    """
     pos = neg = zero = 0
-    for j, value in enumerate(point):
+    for j, value in zip(coords or range(len(point)), point):
         sign = value.numerator  # the sign of a Fraction or an int is its numerator's
         if sign > 0:
             pos |= 1 << j
@@ -126,47 +145,49 @@ def _masked(point: list[Fraction]) -> _Masked:
 
 
 def _signed_point(
-    rows: Sequence[Sequence[int]], count: int, masks: _Masks
+    rows: Sequence[Sequence[int]], coords: Sequence[int], masks: _Masks
 ) -> _Masked | _Certificate:
-    """Exact feasible point of {rows . x = 0} over ``count`` coordinates, masked.
+    """Exact feasible point of {rows . x = 0} over the coordinates ``coords``, masked.
 
-    ``masks`` is ``(plus, minus, zero)``: x_j >= 1 where ``plus`` has bit j,
-    x_j <= -1 where ``minus`` has it, x_j = 0 where ``zero`` has it, and x_j
-    unconstrained elsewhere. When there is no such point, returns a
-    certificate ``(wpos, wneg)``: the masks of the positive and negative
-    coordinates of ``w = -yᵀ rows`` for the Farkas vector ``y`` of the LP,
-    an integer vector of the row space that is checked with ``_refuted`` to
-    refute ``masks`` before it is returned.
+    Entry k of each row, and of the point, belongs to coordinate ``coords[k]``;
+    the masks are over coordinates. ``masks`` is ``(plus, minus, zero)``:
+    x_j >= 1 where ``plus`` has bit j, x_j <= -1 where ``minus`` has it, x_j = 0
+    where ``zero`` has it, and x_j unconstrained elsewhere. A pattern that
+    wants no sign has b = 0, so its point is 0 with no LP. When there is no
+    such point, returns a certificate ``(wpos, wneg)``: the masks of the
+    positive and negative coordinates of ``w = -yᵀ rows`` for the Farkas
+    vector ``y`` of the LP, an integer vector of the row space that is
+    checked with ``_refuted`` to refute ``masks`` before it is returned.
     """
     plus, minus, zero = masks
     point = [
-        _ONE if plus >> j & 1 else _MINUS_ONE if minus >> j & 1 else _ZERO for j in range(count)
+        _ONE if plus >> j & 1 else _MINUS_ONE if minus >> j & 1 else _ZERO for j in coords
     ]
-    if not rows:
-        return _masked(point)
-    variables: list[tuple[int, int]] = []  # (coordinate, direction)
-    for j in range(count):
+    if not rows or not plus | minus | zero:
+        return _masked(point, coords)
+    variables: list[tuple[int, int]] = []  # (entry, direction)
+    for k, j in enumerate(coords):
         if not zero >> j & 1:
             if not minus >> j & 1:
-                variables.append((j, 1))
+                variables.append((k, 1))
             if not plus >> j & 1:
-                variables.append((j, -1))
-    a_eq = [[direction * row[j] for j, direction in variables] for row in rows]
+                variables.append((k, -1))
+    a_eq = [[direction * row[k] for k, direction in variables] for row in rows]
     # x_j = s_j + u for a signed coordinate, so its +-1 moves to the right-hand
     # side; a free coordinate's two columns cancel in the row sum
     b_eq = [-sum(line) for line in a_eq]
     farkas: list[int] = []
     solution = lp_feasible(a_eq, b_eq, farkas=farkas)
     if solution is None:
-        w = [-sum(y * row[j] for y, row in zip(farkas, rows)) for j in range(count)]
-        _, wpos, wneg, _ = _masked(w)
+        w = [-sum(y * row[k] for y, row in zip(farkas, rows)) for k in range(len(coords))]
+        _, wpos, wneg, _ = _masked(w, coords)
         if not _refuted([(wpos, wneg)], masks):
             raise RuntimeError("the phase-1 duals do not refute the sign pattern")
         return wpos, wneg
-    for (j, direction), value in zip(variables, solution):
+    for (k, direction), value in zip(variables, solution):
         if value:
-            point[j] = point[j] + value if direction == 1 else point[j] - value
-    return _masked(point)
+            point[k] = point[k] + value if direction == 1 else point[k] - value
+    return _masked(point, coords)
 
 
 def _refuted(certs: Iterable[_Certificate], masks: _Masks) -> bool:
@@ -199,16 +220,43 @@ def _row_certificates(rows: list[list[int]]) -> list[_Certificate]:
     return certs
 
 
+# An independent block of an LP: its coordinates, their mask, its rows over
+# those coordinates, and the answers of ``_signed_point`` by sub-pattern.
+_Block = tuple[list[int], int, list[list[int]], dict[_Masks, _Masked | _Certificate]]
+
+
+def _blocks(rows: list[list[int]], count: int) -> list[_Block]:
+    """The independent blocks of {rows . x = 0} over ``count`` coordinates.
+
+    They are the connected components of the graph that joins the
+    coordinates of each row, so every row lies in one block and the LP is
+    their direct sum. A coordinate in no row is a block of its own, with no
+    rows.
+    """
+    supports = [[j for j, entry in enumerate(row) if entry] for row in rows]
+    components = _components(count, [(s[0], j) for s in supports for j in s[1:]])
+    block_of = {j: b for b, coords in enumerate(components) for j in coords}
+    block_rows: list[list[list[int]]] = [[] for _ in components]
+    for row, support in zip(rows, supports):
+        if support:
+            block_rows[block_of[support[0]]].append(row)
+    return [
+        (coords, sum(1 << j for j in coords), [[row[j] for j in coords] for row in lines], {})
+        for coords, lines in zip(components, block_rows)
+    ]
+
+
 class _Side:
     """The LPs of one side of the search: {rows . x = 0} over ``count`` coordinates.
 
     ``point`` takes the masks of a sign pattern and answers with a masked
     point or None. It keeps the newest 64 feasible points and the newest 64
     certificates of its LPs, plus the certificates of its own rows, which are
-    never evicted.
+    never evicted. It splits its rows into independent ``blocks`` once, and
+    solves the LP of a pattern block by block, each block's sub-pattern once.
     """
 
-    __slots__ = ("rows", "count", "pool", "certs", "row_certs")
+    __slots__ = ("rows", "count", "pool", "certs", "row_certs", "blocks")
 
     def __init__(self, rows: list[list[int]], count: int) -> None:
         self.rows = rows
@@ -216,28 +264,56 @@ class _Side:
         self.pool: deque[_Masked] = deque(maxlen=64)
         self.certs: deque[_Certificate] = deque(maxlen=64)
         self.row_certs = _row_certificates(rows)
+        self.blocks = _blocks(rows, count)
 
-    def point(self, masks: _Masks) -> _Masked | None:
+    def point(self, masks: _Masks, carried: _Masked) -> _Masked | None:
         """A point with the signs ``masks`` wants, or None.
 
-        A pooled point that conforms answers first, then a row or pooled
-        certificate that refutes; only then is the LP solved, and its point
-        or certificate pooled.
+        The first of the ``carried`` point and the pooled points that
+        conforms answers, then a row or pooled certificate that refutes;
+        only then is the LP solved, and its point or certificate pooled.
         """
         want_pos, want_neg, want_zero = masks
-        for pooled in self.pool:
+        for pooled in chain((carried,), self.pool):
             _, pos, neg, zero = pooled
             if (want_pos & pos == want_pos and want_neg & neg == want_neg
                     and want_zero & zero == want_zero):
                 return pooled
         if _refuted(self.row_certs, masks) or _refuted(self.certs, masks):
             return None
-        solved = _signed_point(self.rows, self.count, masks)
+        solved = self._solve(masks)
         if len(solved) == 2:  # a certificate
             self.certs.append(solved)
             return None
         self.pool.append(solved)
         return solved
+
+    def _solve(self, masks: _Masks) -> _Masked | _Certificate:
+        """``_signed_point`` of the whole LP, put together from its blocks.
+
+        A pivot touches only its own block's rows and reduced costs, so under
+        Bland's rule each block pivots as it would alone: the point is the
+        blocks' points side by side, and the LP is infeasible when a block
+        is. The first infeasible block's certificate is zero off the block,
+        so it refutes ``masks``.
+        """
+        plus, minus, zero = masks
+        point = [_ZERO] * self.count
+        pos = neg = zeros = 0
+        for coords, mask, rows, solved in self.blocks:
+            sub = (plus & mask, minus & mask, zero & mask)
+            answer = solved.get(sub)
+            if answer is None:
+                answer = solved[sub] = _signed_point(rows, coords, sub)
+            if len(answer) == 2:  # a certificate
+                return answer
+            values, block_pos, block_neg, block_zero = answer
+            for j, value in zip(coords, values):
+                point[j] = value
+            pos |= block_pos
+            neg |= block_neg
+            zeros |= block_zero
+        return point, pos, neg, zeros
 
 
 class _BudgetExhausted(Exception):
@@ -255,8 +331,9 @@ class _WitnessSearch:
 
     Each side, ``alpha`` over reactions with the rows of N and ``sigma``
     over species with a basis of its left nullspace, is a ``_Side``: it
-    answers a pattern from its pooled points, its row certificates and its
-    pooled certificates before it solves an LP.
+    answers a pattern from the point carried down from the parent node, its
+    pooled points, its row certificates and its pooled certificates before
+    it solves an LP, block by block.
     """
 
     def __init__(self, net: Network, node_budget: int) -> None:
@@ -293,13 +370,6 @@ class _WitnessSearch:
                 forced_minus |= 1 << r
         return forced_plus, forced_minus, forced_zero
 
-    @staticmethod
-    def _conforms(point: _Masked, masks: _Masks) -> bool:
-        _, pos, neg, zero = point
-        want_pos, want_neg, want_zero = masks
-        return (want_pos & pos == want_pos and want_neg & neg == want_neg
-                and want_zero & zero == want_zero)
-
     # -- search --------------------------------------------------------------
 
     def _off_support_sigma(self) -> list[Fraction] | None:
@@ -330,16 +400,14 @@ class _WitnessSearch:
         """
         signature = self._signature(masks)
         if signature[0] or signature[1]:
-            if not self._conforms(alpha, signature):
-                alpha = self.alpha.point(signature)
-                if alpha is None:
-                    return None
+            alpha = self.alpha.point(signature, alpha)
+            if alpha is None:
+                return None
         else:
             alpha = self.zero_alpha
-        if not self._conforms(sigma, masks):
-            sigma = self.sigma.point(masks)
-            if sigma is None:
-                return None
+        sigma = self.sigma.point(masks, sigma)
+        if sigma is None:
+            return None
         return alpha, sigma
 
     def _descend(
@@ -433,7 +501,7 @@ def verify_witness(net: Network, witness: SignWitness) -> bool:
 
 def _positive_point(rows: Sequence[Sequence[int]], count: int) -> ConeCertificate:
     """Whether {rows . x = 0} has a point with every coordinate >= 1, and one such point."""
-    point = _signed_point(rows, count, ((1 << count) - 1, 0, 0))
+    point = _signed_point(rows, range(count), ((1 << count) - 1, 0, 0))
     if len(point) == 2:  # a certificate
         return ConeCertificate(False, None)
     return ConeCertificate(True, tuple(point[0]) or None)

@@ -98,8 +98,10 @@ def linkage_partitions(
 ) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """Linkage, strong linkage, and terminal strong linkage classes.
 
-    Classes are lists of complex indices (into ``build_matrices(net).complexes``),
-    sorted internally, with classes ordered by smallest member.
+    Classes are lists of complex indices into ``core._complexes(net)``, the
+    distinct complexes in first-appearance order along the reactions,
+    reactant before product. Each class is sorted, and classes are ordered
+    by smallest member.
 
     Linkage classes are the connected components of the reaction graph with
     its arrows ignored. Two complexes share a strong linkage class when each

@@ -75,6 +75,13 @@ search came to describe a pattern by masks all the way down to the LP:
 library's ``_signed_point`` builds the same LP straight from the masks and
 returns the masked point or a certificate; it must agree with
 ``signed_point`` on feasibility and on the point (``test_concord.py``).
+
+``WholeSide`` is the search's ``_Side`` as it was before it split its LP
+along the independent blocks of its rows: it solves each pattern as one LP
+over all its coordinates. The library's side solves each block apart, once
+per sub-pattern; its points must be those of ``signed_point``, and the
+search must return the same verdict, witness and ``search_nodes`` with
+either side (``test_concord.py``).
 """
 
 from __future__ import annotations
@@ -97,6 +104,8 @@ from crnkit.concord import (
     _Masked,
     _Masks,
     _reaction_indices,
+    _Side,
+    _signed_point,
     check_concordance,
 )
 from crnkit.core import Network, Reaction, _complexes, reaction_vectors, subnetwork
@@ -836,3 +845,12 @@ class PoolSearch:
         if witness is not None:
             return ConcordanceVerdict("Discordant", witness, self.nodes)
         return ConcordanceVerdict("Concordant", None, self.nodes)
+
+
+class WholeSide(_Side):
+    """``_Side`` with each pattern solved as one LP over all its coordinates."""
+
+    __slots__ = ()
+
+    def _solve(self, masks: _Masks) -> _Masked | _Certificate:
+        return _signed_point(self.rows, range(self.count), masks)

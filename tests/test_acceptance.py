@@ -337,10 +337,10 @@ def test_every_pattern_a_certificate_refutes_is_infeasible(factory, monkeypatch)
     refuted = set()
     point = _Side.point
 
-    def recording(side, masks):
+    def recording(side, masks, carried):
         if _refuted(side.row_certs, masks) or _refuted(side.certs, masks):
             refuted.add((tuple(map(tuple, side.rows)), side.count, masks))
-        return point(side, masks)
+        return point(side, masks, carried)
 
     monkeypatch.setattr(_Side, "point", recording)
     check_concordance(factory())

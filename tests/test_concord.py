@@ -20,6 +20,7 @@ from crnkit.concord import (
     _masked,
     _refuted,
     _row_certificates,
+    _Side,
     _signed_point,
     _WitnessSearch,
     check_concordance,
@@ -34,6 +35,7 @@ from crnkit.core import (
     subnetwork,
     subnetwork_by_labels,
 )
+from crnkit.decomp import fid
 from crnkit.linalg import lp_feasible, rank
 from netgen import networks
 
@@ -461,22 +463,29 @@ def _masks(sign):
     return tuple(sum(1 << j for j, s in enumerate(sign) if s == wanted) for wanted in (1, -1, 0))
 
 
+def _conforms(point, masks):
+    # a side answers with the carried point exactly when it conforms; one
+    # with no rows and nothing pooled answers with a new point otherwise
+    carried = _masked(point)
+    return _Side([], len(point)).point(masks, carried) is carried
+
+
 @settings(max_examples=100, deadline=None)
 @given(networks(max_species=5, max_reactions=6), st.data())
 def test_sign_masks_agree_with_per_entry_conformance(net, data):
-    # one _conforms serves the reaction masks of alpha and the species masks
-    # of sigma
+    # one subset test serves the reaction masks of alpha and the species
+    # masks of sigma
     classes = _sign_list(data, len(net.reactions))
     sign = _sign_list(data, len(net.species))
     assert oracles._signs(len(classes), _masks(classes)) == classes
     assert oracles._signs(len(sign), _masks(sign)) == sign
     for _ in range(2):
         alpha = _near(data, classes)
-        assert _WitnessSearch._conforms(_masked(alpha), _masks(classes)) == (
+        assert _conforms(alpha, _masks(classes)) == (
             oracles.alpha_conforms(alpha, _masks(classes))
         )
         sigma = _near(data, sign)
-        assert _WitnessSearch._conforms(_masked(sigma), _masks(sign)) == (
+        assert _conforms(sigma, _masks(sign)) == (
             oracles.sigma_conforms(sigma, range(len(sign)), sign)
         )
 
@@ -531,7 +540,7 @@ def test_m3cr_search_node_totals(parent, other, nodes):
 
 
 @pytest.mark.parametrize(
-    "net, solves", [(SCHMITZ, 38), (FAL, 40), (LEE, 59)], ids=["schmitz", "fal", "lee"]
+    "net, solves", [(SCHMITZ, 33), (FAL, 47), (LEE, 49)], ids=["schmitz", "fal", "lee"]
 )
 def test_lp_solves_per_search(net, solves, monkeypatch):
     calls = []
@@ -588,8 +597,8 @@ def test_m3cr_matches_the_memo_free_construction(net, data, node_budget):
 
 def test_certificates_are_checked_before_use(monkeypatch):
     # x1 + x2 = 0 has no point with x1, x2 >= 1: w = (1, 1) refutes it
-    assert _signed_point([[1, 1]], 2, (0b11, 0, 0)) == (0b11, 0)
-    assert _signed_point([[1, 1, 0]], 3, (0, 0b01, 0b10)) == (0, 0b11)
+    assert _signed_point([[1, 1]], range(2), (0b11, 0, 0)) == (0b11, 0)
+    assert _signed_point([[1, 1, 0]], range(3), (0, 0b01, 0b10)) == (0, 0b11)
 
     def infeasible(vector):
         # an LP kernel that finds every system infeasible, with Farkas vector ``vector``
@@ -600,12 +609,12 @@ def test_certificates_are_checked_before_use(monkeypatch):
         return solve
 
     monkeypatch.setattr(concord, "lp_feasible", infeasible([-1]))
-    assert _signed_point([[1, 1]], 2, (0b11, 0, 0)) == (0b11, 0)
+    assert _signed_point([[1, 1]], range(2), (0b11, 0, 0)) == (0b11, 0)
     # a vector of the wrong sign, zero, or nonzero on a free coordinate
     for masks, farkas in (((0b11, 0, 0), [1]), ((0b11, 0, 0), [0]), ((0b01, 0, 0), [-1])):
         monkeypatch.setattr(concord, "lp_feasible", infeasible(farkas))
         with pytest.raises(RuntimeError, match="do not refute"):
-            _signed_point([[1, 1]], 2, masks)
+            _signed_point([[1, 1]], range(2), masks)
 
 
 @settings(max_examples=300, deadline=None)
@@ -616,7 +625,7 @@ def test_signed_point_from_masks_matches_the_sign_list_oracle(count, data):
     entries = st.lists(st.integers(-3, 3), min_size=count, max_size=count)
     rows = data.draw(st.lists(entries, max_size=3))
     masks = _masks(_sign_list(data, count))
-    solved = _signed_point(rows, count, masks)
+    solved = _signed_point(rows, range(count), masks)
     want = oracles.signed_point(rows, oracles._signs(count, masks))
     assert (len(solved) == 4) == (want is not None)
     if want is None:
@@ -682,5 +691,84 @@ def test_every_pattern_a_row_certificate_refutes_is_infeasible(net, data):
     signs[signed] = 1 if wpos >> signed & 1 else -1
     masks = _masks(signs)
     assert _refuted(side.row_certs, masks)
-    assert side.point(masks) is None
+    assert side.point(masks, _masked([Fraction(0)] * side.count)) is None
     assert oracles.signed_point(side.rows, signs) is None
+
+
+# --- the LP split along its independent blocks ------------------------------
+
+
+@st.composite
+def _block_diagonal(draw):
+    """Integer rows in blocks on disjoint, shuffled columns, some columns in
+    no row, the rows of all blocks interleaved."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    count = sum(sizes) + draw(st.integers(0, 2))
+    columns = draw(st.permutations(range(count)))
+    rows = []
+    for b, size in enumerate(sizes):
+        block = columns[sum(sizes[:b]):sum(sizes[:b + 1])]
+        for _ in range(draw(st.integers(1, 2))):
+            row = [0] * count
+            for j in block:
+                row[j] = draw(st.integers(-3, 3))
+            rows.append(row)
+    return draw(st.permutations(rows)), count
+
+
+@settings(max_examples=300, deadline=None)
+@given(_block_diagonal(), st.data())
+def test_block_solve_matches_the_whole_lp(system, data):
+    # one side answers a run of patterns, so later ones meet cached blocks
+    rows, count = system
+    side = _Side(rows, count)
+    for _ in range(6):
+        signs = _sign_list(data, count)
+        masks = _masks(signs)
+        solved = side._solve(masks)
+        want = oracles.signed_point(rows, signs)
+        assert (len(solved) == 4) == (want is not None)
+        if want is None:
+            assert _refuted([solved], masks)
+        else:
+            assert repr(solved[0]) == repr(want)
+            assert solved == _masked(want)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(networks(max_species=5, max_reactions=7), st.sampled_from((3, 12, DEFAULT_NODE_BUDGET)))
+def test_block_split_changes_nothing_but_the_solve_count(net, node_budget):
+    # the same search with each side solving one whole LP per pattern
+    whole = _WitnessSearch(net, node_budget)
+    whole.alpha = oracles.WholeSide(whole.alpha.rows, whole.alpha.count)
+    whole.sigma = oracles.WholeSide(whole.sigma.rows, whole.sigma.count)
+    verdict, want = check_concordance(net, node_budget), whole.run()
+    assert (verdict.status, repr(verdict.witness), verdict.search_nodes) == (
+        want.status, repr(want.witness), want.search_nodes
+    )
+
+
+@pytest.mark.parametrize("name", fixtures.NAMES)
+def test_alpha_blocks_are_the_fid_blocks(name):
+    # the rows of N split as the finest independent decomposition does
+    net = fixtures.load(name)
+    search = _WitnessSearch(net, DEFAULT_NODE_BUDGET)
+    assert [tuple(coords) for coords, *_ in search.alpha.blocks] == list(fid(net).blocks)
+
+
+def test_species_in_no_left_null_row_are_signed_without_an_lp(monkeypatch):
+    search = _WitnessSearch(LEE, DEFAULT_NODE_BUDGET)
+    loose = [coords[0] for coords, _, rows, _ in search.sigma.blocks if not rows]
+    assert len(loose) == 3
+    calls = []
+
+    def counting(a_eq, b_eq, **kwargs):
+        calls.append(None)
+        return lp_feasible(a_eq, b_eq, **kwargs)
+
+    monkeypatch.setattr(concord, "lp_feasible", counting)
+    masks = (1 << loose[0], 1 << loose[1], 1 << loose[2])
+    point, pos, neg, zero = search.sigma.point(masks, _masked([Fraction(0)] * search.species_count))
+    assert not calls
+    assert (pos, neg) == masks[:2]
+    assert point == [1 if j == loose[0] else -1 if j == loose[1] else 0 for j in range(len(point))]
