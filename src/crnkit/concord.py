@@ -44,6 +44,14 @@ the point 0. In a block-diagonal tableau a pivot touches only its own
 block's rows and reduced costs, so under Bland's rule each block pivots as
 it would alone, and the point is that of the whole LP.
 
+Most blocks of the finest independent decomposition have rank 1, so most
+block LPs have one row, and Bland's rule settles such an LP in its first
+pivot: the artificial variable starts basic, the first column that can
+carry the right-hand side enters, and then no reduced cost is negative.
+``_first_pivot`` answers it in closed form with that pivot's point, or with
+the row itself as the Farkas certificate when no column can enter. Only
+blocks of two or more rows reach ``lp_feasible``.
+
 An infeasible LP leaves a Farkas certificate instead: ``lp_feasible`` hands
 back its phase-1 duals ``y``, and ``w = -yᵀ rows`` is an integer vector of
 the row space that is >= 0 where the pattern wants +, <= 0 where it wants -,
@@ -153,7 +161,8 @@ def _signed_point(
     the masks are over coordinates. ``masks`` is ``(plus, minus, zero)``:
     x_j >= 1 where ``plus`` has bit j, x_j <= -1 where ``minus`` has it, x_j = 0
     where ``zero`` has it, and x_j unconstrained elsewhere. A pattern that
-    wants no sign has b = 0, so its point is 0 with no LP. When there is no
+    wants no sign has b = 0, so its point is 0 with no LP, and one row is
+    answered by ``_first_pivot`` with no LP either. When there is no
     such point, returns a certificate ``(wpos, wneg)``: the masks of the
     positive and negative coordinates of ``w = -yᵀ rows`` for the Farkas
     vector ``y`` of the LP, an integer vector of the row space that is
@@ -165,29 +174,68 @@ def _signed_point(
     ]
     if not rows or not plus | minus | zero:
         return _masked(point, coords)
-    variables: list[tuple[int, int]] = []  # (entry, direction)
-    for k, j in enumerate(coords):
-        if not zero >> j & 1:
-            if not minus >> j & 1:
-                variables.append((k, 1))
-            if not plus >> j & 1:
-                variables.append((k, -1))
-    a_eq = [[direction * row[k] for k, direction in variables] for row in rows]
-    # x_j = s_j + u for a signed coordinate, so its +-1 moves to the right-hand
-    # side; a free coordinate's two columns cancel in the row sum
-    b_eq = [-sum(line) for line in a_eq]
-    farkas: list[int] = []
-    solution = lp_feasible(a_eq, b_eq, farkas=farkas)
-    if solution is None:
-        w = [-sum(y * row[k] for y, row in zip(farkas, rows)) for k in range(len(coords))]
-        _, wpos, wneg, _ = _masked(w, coords)
-        if not _refuted([(wpos, wneg)], masks):
-            raise RuntimeError("the phase-1 duals do not refute the sign pattern")
-        return wpos, wneg
-    for (k, direction), value in zip(variables, solution):
-        if value:
-            point[k] = point[k] + value if direction == 1 else point[k] - value
-    return _masked(point, coords)
+    if len(rows) == 1:
+        w = _first_pivot(rows[0], coords, masks, point)
+    else:
+        variables: list[tuple[int, int]] = []  # (entry, direction)
+        for k, j in enumerate(coords):
+            if not zero >> j & 1:
+                if not minus >> j & 1:
+                    variables.append((k, 1))
+                if not plus >> j & 1:
+                    variables.append((k, -1))
+        a_eq = [[direction * row[k] for k, direction in variables] for row in rows]
+        # x_j = s_j + u for a signed coordinate, so its +-1 moves to the right-hand
+        # side; a free coordinate's two columns cancel in the row sum
+        b_eq = [-sum(line) for line in a_eq]
+        farkas: list[int] = []
+        solution = lp_feasible(a_eq, b_eq, farkas=farkas)
+        if solution is None:
+            w = [-sum(y * row[k] for y, row in zip(farkas, rows)) for k in range(len(coords))]
+        else:
+            w = None
+            for (k, direction), value in zip(variables, solution):
+                if value:
+                    point[k] = point[k] + value if direction == 1 else point[k] - value
+    if w is None:
+        return _masked(point, coords)
+    _, wpos, wneg, _ = _masked(w, coords)
+    if not _refuted([(wpos, wneg)], masks):
+        raise RuntimeError("the phase-1 duals do not refute the sign pattern")
+    return wpos, wneg
+
+
+def _first_pivot(
+    row: Sequence[int], coords: Sequence[int], masks: _Masks, point: list[Fraction]
+) -> list[int] | None:
+    """``_signed_point``'s LP for the one row ``row``, in closed form.
+
+    Moves ``point`` onto the row and returns None, or returns ``w = -yᵀ row``
+    for the Farkas vector ``y`` when the LP is infeasible. The LP is
+    ``a . u = b`` with ``b = -row . point``, and its artificial variable
+    starts basic. Bland's rule enters the first column with ``s * a > 0``,
+    ``s`` the sign of b, at ``b / a``; after that pivot no reduced cost is
+    negative. Either column of entry k moves it by ``b / row[k]``. With
+    ``b = 0`` the point already fits; with no column to enter, ``y = [s]``.
+    """
+    plus, minus, zero = masks
+    b = 0
+    for entry, j in zip(row, coords):
+        if plus >> j & 1:
+            b -= entry
+        elif minus >> j & 1:
+            b += entry
+    if not b:
+        return None
+    s = 1 if b > 0 else -1
+    for k, (entry, j) in enumerate(zip(row, coords)):
+        # s * entry > 0 enters the + column, which x_j lacks when wanted - or 0;
+        # s * entry < 0 enters the - column, which it lacks when wanted + or 0
+        blocked = minus if s * entry > 0 else plus
+        if entry and not (blocked | zero) >> j & 1:
+            point[k] += Fraction(b, entry)
+            return None
+    return [-s * entry for entry in row]
 
 
 def _refuted(certs: Iterable[_Certificate], masks: _Masks) -> bool:
@@ -374,6 +422,8 @@ class _WitnessSearch:
 
     def _off_support_sigma(self) -> list[Fraction] | None:
         """A nonzero image vector vanishing on every reactant support."""
+        if len(self.order) == self.species_count:
+            return None  # every species is a reactant, pinned to 0
         pinned = list(self.sigma.rows)
         for i in self.order:
             row = [0] * self.species_count

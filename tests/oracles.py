@@ -67,14 +67,25 @@ every pattern a certificate refutes must re-solve infeasible with this
 module's ``signed_point`` (``test_concord.py``, ``test_acceptance.py``).
 
 ``signed_point`` takes a per-coordinate sign list (``1``, ``-1``, ``0`` or
-``None``) and returns a bare point or None. ``_signs`` and ``_pool`` are
-its sign-list adapters, moved here unchanged from the library when its
-search came to describe a pattern by masks all the way down to the LP:
+``None``) and returns a bare point or None, with the Farkas vector of
+``lp_feasible`` on request. ``_signs`` and ``_pool`` are its sign-list
+adapters, moved here unchanged from the library when its search came to
+describe a pattern by masks all the way down to the LP:
 ``_signs`` turns the masks ``(plus, minus, zero)`` into a sign list, and
 ``_pool`` appends to a list that keeps the 64 most recent items. The
 library's ``_signed_point`` builds the same LP straight from the masks and
 returns the masked point or a certificate; it must agree with
-``signed_point`` on feasibility and on the point (``test_concord.py``).
+``signed_point`` on feasibility and on the point (``test_concord.py``). It
+answers a one-row LP in closed form, without ``lp_feasible``; on every
+integer row of 1-3 entries in -2..2 and every sign wish it must return the
+oracle's point, or the masks of ``-yᵀ row`` for the oracle's Farkas vector
+``y`` (``test_concord.py``).
+
+``off_support_sigma`` is the search's original first step, which looks for
+a sigma that vanishes on every reactant species by one elimination, even
+when every species is a reactant and only 0 can. The library's returns None
+at once then; both must give the same vector, or None (``test_concord.py``).
+``PoolSearch`` uses it too.
 
 ``WholeSide`` is the search's ``_Side`` as it was before it split its LP
 along the independent blocks of its rows: it solves each pattern as one LP
@@ -657,12 +668,16 @@ def _pool(pool: list, item: _Masked | _Certificate) -> None:
 
 
 def signed_point(
-    rows: Sequence[Sequence[int]], signs: Sequence[int | None]
+    rows: Sequence[Sequence[int]],
+    signs: Sequence[int | None],
+    *,
+    farkas: list[int] | None = None,
 ) -> list[Fraction] | None:
     """Exact feasible point of {rows . x = 0} under per-coordinate signs.
 
     signs[j] is +1 for x_j >= 1, -1 for x_j <= -1, 0 for x_j = 0, None for
-    unconstrained. Returns None when infeasible.
+    unconstrained. Returns None when infeasible, and then fills ``farkas``,
+    if given, with the Farkas vector ``lp_feasible`` reports.
     """
     point = [_ONE if s == 1 else _MINUS_ONE if s == -1 else _ZERO for s in signs]
     if not rows:
@@ -687,13 +702,31 @@ def signed_point(
             elif s == -1:
                 offset -= row[j]
         b_eq.append(-offset)
-    solution = linalg.lp_feasible(a_eq, b_eq)
+    solution = linalg.lp_feasible(a_eq, b_eq, farkas=farkas)
     if solution is None:
         return None
     for (j, direction), value in zip(variables, solution):
         if value:
             point[j] = point[j] + value if direction == 1 else point[j] - value
     return point
+
+
+def off_support_sigma(
+    rows: Sequence[Sequence[int]], order: Sequence[int], species_count: int
+) -> list[Fraction] | None:
+    """A nonzero vector of {rows . x = 0} vanishing on the species ``order``, or None."""
+    pinned = list(rows)
+    for i in order:
+        row = [0] * species_count
+        row[i] = 1
+        pinned.append(row)
+    if not pinned:
+        # no left-null constraints and no reactant species at all
+        return [Fraction(1)] + [Fraction(0)] * (species_count - 1)
+    basis = _integer_nullspace(pinned)
+    if not basis:
+        return None
+    return [Fraction(v) for v in basis[0]]
 
 
 class PoolSearch:
@@ -777,17 +810,7 @@ class PoolSearch:
         return point
 
     def _off_support_sigma(self) -> list[Fraction] | None:
-        pinned = list(self.left_null)
-        for i in self.order:
-            row = [0] * self.species_count
-            row[i] = 1
-            pinned.append(row)
-        if not pinned:
-            return [Fraction(1)] + [Fraction(0)] * (self.species_count - 1)
-        basis = _integer_nullspace(pinned)
-        if not basis:
-            return None
-        return [Fraction(v) for v in basis[0]]
+        return off_support_sigma(self.left_null, self.order, self.species_count)
 
     def _viable(
         self, masks: _Masks, alpha: _Masked, sigma: _Masked

@@ -540,7 +540,7 @@ def test_m3cr_search_node_totals(parent, other, nodes):
 
 
 @pytest.mark.parametrize(
-    "net, solves", [(SCHMITZ, 33), (FAL, 47), (LEE, 49)], ids=["schmitz", "fal", "lee"]
+    "net, solves", [(SCHMITZ, 16), (FAL, 27), (LEE, 20)], ids=["schmitz", "fal", "lee"]
 )
 def test_lp_solves_per_search(net, solves, monkeypatch):
     calls = []
@@ -608,13 +608,21 @@ def test_certificates_are_checked_before_use(monkeypatch):
 
         return solve
 
-    monkeypatch.setattr(concord, "lp_feasible", infeasible([-1]))
-    assert _signed_point([[1, 1]], range(2), (0b11, 0, 0)) == (0b11, 0)
+    # one row never reaches the kernel, whose zero vector would not refute:
+    # 2 x1 - x2 = 0 with x1 >= 1, x2 <= -1 has b = -3, and -sign(b) w = w
+    monkeypatch.setattr(concord, "lp_feasible", infeasible([0]))
+    assert _signed_point([[2, -1, 0]], range(3), (0b001, 0b010, 0)) == (0b001, 0b010)
+    # x1 + x2 = x1 - x2 = 0 has no point with x1, x2 >= 1: y = (-1, 0) gives w = (1, 1)
+    rows = [[1, 1], [1, -1]]
+    monkeypatch.setattr(concord, "lp_feasible", infeasible([-1, 0]))
+    assert _signed_point(rows, range(2), (0b11, 0, 0)) == (0b11, 0)
     # a vector of the wrong sign, zero, or nonzero on a free coordinate
-    for masks, farkas in (((0b11, 0, 0), [1]), ((0b11, 0, 0), [0]), ((0b01, 0, 0), [-1])):
+    for masks, farkas in (
+        ((0b11, 0, 0), [1, 0]), ((0b11, 0, 0), [0, 0]), ((0b01, 0, 0), [-1, 0])
+    ):
         monkeypatch.setattr(concord, "lp_feasible", infeasible(farkas))
         with pytest.raises(RuntimeError, match="do not refute"):
-            _signed_point([[1, 1]], range(2), masks)
+            _signed_point(rows, range(2), masks)
 
 
 @settings(max_examples=300, deadline=None)
@@ -633,6 +641,35 @@ def test_signed_point_from_masks_matches_the_sign_list_oracle(count, data):
     else:
         assert repr(solved[0]) == repr(want)
         assert solved == _masked(want)
+
+
+def test_one_row_closed_form_matches_the_lp_on_every_small_row():
+    # every integer row over 1-3 coordinates with entries in -2..2, under
+    # every (+, -, 0, free) wish per coordinate, against the oracle's LP;
+    # the closed form sees the coordinates spread out, as a block does
+    kinds = set()
+    for count in (1, 2, 3):
+        coords = [2 * k + 1 for k in range(count)]
+        for row, signs in product(
+            product(range(-2, 3), repeat=count), product((1, -1, 0, None), repeat=count)
+        ):
+            plus, minus, zero = _masks(signs)
+            spread = tuple(sum(1 << j for k, j in enumerate(coords) if m >> k & 1)
+                           for m in (plus, minus, zero))
+            solved = _signed_point([list(row)], coords, spread)
+            farkas = []
+            want = oracles.signed_point([list(row)], signs, farkas=farkas)
+            b = sum(-w if s == 1 else w if s == -1 else 0 for w, s in zip(row, signs))
+            kinds.add("b = 0" if not b else "infeasible" if want is None else "feasible")
+            if all(s == 0 for s in signs):
+                kinds.add("no columns")
+            if want is None:
+                w = [-farkas[0] * entry for entry in row]
+                assert solved == _masked(w, coords)[1:3]
+            else:
+                assert repr(solved[0]) == repr(want)
+                assert solved == _masked(want, coords)
+    assert kinds == {"b = 0", "no columns", "feasible", "infeasible"}
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -772,3 +809,21 @@ def test_species_in_no_left_null_row_are_signed_without_an_lp(monkeypatch):
     assert not calls
     assert (pos, neg) == masks[:2]
     assert point == [1 if j == loose[0] else -1 if j == loose[1] else 0 for j in range(len(point))]
+
+
+def _assert_off_support_sigma_matches_the_elimination(net):
+    search = _WitnessSearch(net, DEFAULT_NODE_BUDGET)
+    want = oracles.off_support_sigma(search.sigma.rows, search.order, search.species_count)
+    assert repr(search._off_support_sigma()) == repr(want)
+
+
+@pytest.mark.parametrize("name", fixtures.NAMES)
+def test_off_support_sigma_matches_the_elimination_on_fixtures(name):
+    _assert_off_support_sigma_matches_the_elimination(fixtures.load(name))
+
+
+@settings(max_examples=200, deadline=None)
+@given(networks(max_species=5, max_reactions=7))
+def test_off_support_sigma_matches_the_elimination(net):
+    # with every species a reactant, the search skips the elimination
+    _assert_off_support_sigma_matches_the_elimination(net)
