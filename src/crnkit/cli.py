@@ -4,37 +4,22 @@ Output is deterministic: identical inputs and flags produce byte-identical
 output, so the table renderings can be pinned by golden files.  Each command
 builds one payload.  JSON mode wraps it in the same envelope (command, inputs,
 payload); the text report is rendered from that payload and the input names.
+Each command imports the layers it runs on first use, not at module level,
+because a cold start compiles everything it imports.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import random
-import statistics
 import sys
 from dataclasses import asdict, fields
 from functools import partial
 from pathlib import Path
 
 from . import fixtures
-from .concord import (
-    DEFAULT_NODE_BUDGET,
-    check_concordance,
-    m3cr,
-    verify_witness,
-)
 from .core import Network, common_reactions, parse_network, reaction_vectors
-from .decomp import fid
-from .kinetics import (
-    acr_scan,
-    equilibrium_residual,
-    free_parameters,
-    parametrization,
-    parametrization_names,
-)
-from .linalg import rank
+from .kinetics import parametrization_names
 from .structure import (
     NetworkNumbers,
     _deficiency_zero_of,
@@ -42,8 +27,6 @@ from .structure import (
     _kinetic_subspace_of,
     network_numbers,
 )
-from .transform import core as common_core
-from .transform import csen
 
 PROFILE_FIELDS = ", ".join(field.name.replace("_", " ") for field in fields(NetworkNumbers))
 
@@ -64,6 +47,8 @@ def _load(source: str) -> Network:
 
 
 def _resolve_budget(args: argparse.Namespace) -> int:
+    from .concord import DEFAULT_NODE_BUDGET
+
     if args.budget is not None:
         if args.budget < 1:
             raise ValueError("--budget must be a positive integer")
@@ -82,6 +67,8 @@ def _resolve_budget(args: argparse.Namespace) -> int:
 
 def _emit(args: argparse.Namespace, payload: dict, text) -> None:
     if args.json:
+        import json
+
         report = {"command": args.command, "inputs": args.inputs, "payload": payload}
         print(json.dumps(report, indent=2))
     else:
@@ -146,6 +133,9 @@ def _analyze_text(args: argparse.Namespace, payload: dict) -> list[str]:
 
 
 def cmd_fid(args: argparse.Namespace) -> int:
+    from .decomp import fid
+    from .linalg import rank
+
     net = _load(args.network)
     blocks = [(block, network_numbers(block)) for block in fid(net).block_networks()]
     # independent: the block ranks add up to the parent's (decomp.is_independent)
@@ -180,6 +170,8 @@ def _fid_text(args: argparse.Namespace, payload: dict) -> list[str]:
 
 
 def cmd_concordance(args: argparse.Namespace) -> int:
+    from .concord import check_concordance, verify_witness
+
     net = _load(args.network)
     budget = _resolve_budget(args)
     verdict = check_concordance(net, node_budget=budget)
@@ -243,6 +235,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _csen_payload(net1: Network, net2: Network) -> dict:
+    from .transform import csen
+
     report = csen(net1, net2)
     return {
         "commonSpecies": list(report.common_species),
@@ -283,6 +277,8 @@ def _view_payload(view) -> dict:
 
 
 def _core_payload(net1: Network, net2: Network) -> dict:
+    from .transform import core as common_core
+
     report = common_core(net1, net2)
     return {
         "reactions": _reaction_list(report.core.reactions),
@@ -324,6 +320,8 @@ def _container_payload(report) -> dict:
 
 
 def _m3cr_payload(args: argparse.Namespace, net1: Network, net2: Network) -> dict:
+    from .concord import m3cr
+
     shared = common_reactions(net1, net2)
     if not shared:
         raise ValueError("networks have no common reactions")
@@ -361,6 +359,11 @@ def _m3cr_text(args: argparse.Namespace, payload: dict, parent_sizes: tuple[int,
 
 
 def cmd_equilibria(args: argparse.Namespace) -> int:
+    import random
+    import statistics
+
+    from .kinetics import acr_scan, equilibrium_residual, free_parameters, parametrization
+
     name = args.model
     if name not in parametrization_names():
         raise ValueError(

@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import crnkit
 from crnkit import fixtures
 from crnkit.cli import main
 from crnkit.concord import verify_witness
@@ -106,8 +108,10 @@ def test_fid_independence_flag_is_the_library_check(name, capsys):
 
 @pytest.mark.parametrize("mode", [(), ("--json",)])
 def test_fid_reports_an_unconfirmed_independence(mode, capsys, monkeypatch):
-    # a parent rank above the block ranks' sum: the blocks do not span it
-    monkeypatch.setattr("crnkit.cli.rank", lambda vectors: rank(vectors) + 1)
+    # a parent rank above the block ranks' sum: the blocks do not span it.
+    # cmd_fid imports rank when it runs; decomp and structure, imported above,
+    # hold their own binding, so only the parent's rank sees the patch.
+    monkeypatch.setattr("crnkit.linalg.rank", lambda vectors: rank(vectors) + 1)
     code, out, _ = run(capsys, "fid", "fixture:schmitz", *mode)
     assert code == 0
     if mode:
@@ -134,7 +138,7 @@ def test_concordance_verifies_its_witness_once(mode, capsys, monkeypatch):
         calls.append(witness)
         return verify_witness(net, witness)
 
-    monkeypatch.setattr("crnkit.cli.verify_witness", counting)
+    monkeypatch.setattr("crnkit.concord.verify_witness", counting)
     code, out, _ = run(capsys, "concordance", "fixture:schmitz", *mode)
     assert code == 0
     assert "Discordant" in out
@@ -232,3 +236,52 @@ def test_console_entry_point_runs_in_a_subprocess():
     )
     assert result.returncode == 0
     assert "network numbers" in result.stdout
+
+
+def test_help_exits_0_and_lists_the_parametrized_models(capsys):
+    for argv in (["--help"], ["equilibria", "--help"]):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 0
+    out = capsys.readouterr().out
+    equilibria_help = out[out.index("usage: crnkit equilibria") :]
+    for name in ("schmitz", "fal", "maclean"):
+        assert name in equilibria_help
+
+
+LAZY_LAYERS = ("crnkit.concord", "crnkit.decomp", "crnkit.transform")
+
+
+def lazy_layers_loaded(*argv: str) -> list[str]:
+    """Which of LAZY_LAYERS a fresh interpreter holds after ``import
+    crnkit.cli`` and, if ``argv`` is given, ``main(argv)``."""
+    script = "\n".join(
+        [
+            "import json, sys",
+            "from crnkit.cli import main",
+            f"argv = {list(argv)!r}",
+            "code = main(argv) if argv else 0",
+            f"print(json.dumps([m for m in {LAZY_LAYERS!r} if m in sys.modules]))",
+            "raise SystemExit(code)",
+        ]
+    )
+    src = str(Path(crnkit.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def test_commands_import_only_the_layers_they_run():
+    # counts modules, times nothing: analyze must not pay for the
+    # concordance, decomposition or transform layers at a cold start
+    assert lazy_layers_loaded() == []
+    assert lazy_layers_loaded("analyze", "fixture:lee") == []
+    toys = [str(HERE / "data" / name) for name in ("toy-a.crn", "toy-b.crn")]
+    assert "crnkit.concord" in lazy_layers_loaded("compare", "m3cr", *toys)
