@@ -46,22 +46,28 @@ def _load(source: str) -> Network:
     return parse_network(Path(source).read_text(encoding="utf-8"))
 
 
+def _budget(text: str) -> int:
+    """A search-node budget, from ``--budget`` or ``CRNKIT_BUDGET``: at least 1."""
+    try:
+        budget = int(text)
+    except ValueError:
+        budget = 0  # reported like any other value below 1
+    if budget < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, not {text!r}")
+    return budget
+
+
 def _resolve_budget(args: argparse.Namespace) -> int:
     from .concord import DEFAULT_NODE_BUDGET
 
     if args.budget is not None:
-        if args.budget < 1:
-            raise ValueError("--budget must be a positive integer")
         return args.budget
     env = os.environ.get("CRNKIT_BUDGET")
     if env is not None:
         try:
-            budget = int(env)
-        except ValueError:
-            budget = 0  # reported like any other value below 1
-        if budget < 1:
-            raise ValueError("CRNKIT_BUDGET must be a positive integer")
-        return budget
+            return _budget(env)
+        except argparse.ArgumentTypeError:
+            raise ValueError("CRNKIT_BUDGET must be a positive integer") from None
     return DEFAULT_NODE_BUDGET
 
 
@@ -437,13 +443,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("concordance", "concordance verdict with witness", cmd_concordance)
     p.add_argument("network", help=".crn file or fixture:<name>")
-    p.add_argument("--budget", type=int, default=None, help="search-node budget")
+    p.add_argument("--budget", type=_budget, default=None, help="search-node budget")
 
     p = add("compare", "two-network comparisons", cmd_compare)
     p.add_argument("mode", choices=("csen", "core", "m3cr"))
     p.add_argument("network1", help=".crn file or fixture:<name>")
     p.add_argument("network2", help=".crn file or fixture:<name>")
-    p.add_argument("--budget", type=int, default=None, help="search-node budget (m3cr)")
+    p.add_argument("--budget", type=_budget, default=None, help="search-node budget (m3cr)")
 
     p = add("equilibria", "equilibrium residuals and robustness scan", cmd_equilibria)
     p.add_argument("model", help=f"one of: {', '.join(parametrization_names())}")

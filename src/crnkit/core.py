@@ -317,6 +317,7 @@ def parse_network(text: str) -> Network:
     """
     reactions: list[Reaction] = []
     arrows: set[tuple[Complex, Complex]] = set()
+    labels: set[str] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -327,6 +328,9 @@ def parse_network(text: str) -> Network:
             label = label_text.strip()
             if not label or re.search(r"\s|@", label):
                 raise CrnParseError("malformed label", lineno)
+            if label in labels:
+                raise CrnParseError(f"duplicate reaction label {label!r}", lineno)
+            labels.add(label)
             line = body.strip()
         if "<->" in line:
             left, _, right = line.partition("<->")

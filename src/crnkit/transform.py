@@ -4,16 +4,18 @@ Species-projection (embedded networks), the two reaction rewrites that
 preserve dynamics (shifting a reaction by a species vector and splitting it
 across its reaction vector), the common-species embedded-network comparison
 (CSEN), and the common-reactions (CORE) comparison. A small kinetic layer —
-reactions carrying concrete monomial rate functions — supports exact
-dynamical-equivalence checking of the rewrites, including rate functions
-whose exponents are not the reactant stoichiometry. Its rates and
-right-hand sides come from the one evaluator in ``kinetics``.
+reactions carrying concrete monomial rate functions — carries the rewrites
+over to kinetic systems, including rate functions whose exponents are not
+the reactant stoichiometry. ``same_dynamics`` decides exactly whether two
+such systems have the same right-hand side, by comparing the rational
+coefficient of each (species, rate monomial) pair. Rates and right-hand
+sides at a point come from the one evaluator in ``kinetics``.
 """
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from numbers import Real
 from typing import Iterable, Mapping, Sequence
@@ -27,12 +29,8 @@ from .structure import network_numbers
 SpeciesVector = Mapping[str, int]
 
 
-def _as_counts(cpx: Complex) -> dict[str, int]:
-    return dict(cpx.terms)
-
-
 def _shift_complex(cpx: Complex, z: SpeciesVector) -> Complex:
-    counts = _as_counts(cpx)
+    counts = dict(cpx.terms)
     for name, delta in z.items():
         counts[name] = counts.get(name, 0) + delta
     for name, value in list(counts.items()):
@@ -59,6 +57,36 @@ def _check_split(
     total = {name: value for name, value in total.items() if value != 0}
     if total != _vector_of(rxn.reactant, rxn.product):
         raise ValueError("part reaction vectors do not sum to the original")
+
+
+def _shifted(reactions: Sequence[Reaction | RatedReaction], index: int, z: SpeciesVector) -> list:
+    """``reactions`` with the one at ``index`` shifted by ``z``, keeping its
+    label and any rate function."""
+    rxn = reactions[index]
+    out = list(reactions)
+    out[index] = replace(
+        rxn, reactant=_shift_complex(rxn.reactant, z), product=_shift_complex(rxn.product, z)
+    )
+    return out
+
+
+def _split(
+    reactions: Sequence[Reaction | RatedReaction],
+    index: int,
+    part1: tuple[Complex, Complex],
+    part2: tuple[Complex, Complex],
+) -> list:
+    """``reactions`` with the one at ``index`` replaced by its parts, labelled
+    with the suffixes ``a`` and ``b``, each keeping any rate function."""
+    index = range(len(reactions))[index]  # for -1, out[-1:0] would be empty
+    rxn = reactions[index]
+    _check_split(rxn, part1, part2)
+    out = list(reactions)
+    out[index : index + 1] = [
+        replace(rxn, reactant=r, product=p, label=rxn.label + suffix if rxn.label else None)
+        for (r, p), suffix in ((part1, "a"), (part2, "b"))
+    ]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -113,11 +141,7 @@ def embedded_network(net: Network, keep: Iterable[str]) -> Network:
 
 def shift(net: Network, reaction_index: int, z: SpeciesVector) -> Network:
     """Replace a reaction y→y' with y+z→y'+z (same reaction vector)."""
-    rxn = net.reactions[reaction_index]
-    shifted = Reaction(_shift_complex(rxn.reactant, z), _shift_complex(rxn.product, z), rxn.label)
-    reactions = list(net.reactions)
-    reactions[reaction_index] = shifted
-    return Network(reactions)
+    return Network(_shifted(net.reactions, reaction_index, z))
 
 
 def split_by_reaction_vector(
@@ -127,16 +151,7 @@ def split_by_reaction_vector(
     part2: tuple[Complex, Complex],
 ) -> Network:
     """Replace a reaction by two reactions whose vectors sum to the original's."""
-    rxn = net.reactions[reaction_index]
-    _check_split(rxn, part1, part2)
-    label_a = rxn.label + "a" if rxn.label else None
-    label_b = rxn.label + "b" if rxn.label else None
-    reactions = list(net.reactions)
-    reactions[reaction_index : reaction_index + 1] = [
-        Reaction(part1[0], part1[1], label_a),
-        Reaction(part2[0], part2[1], label_b),
-    ]
-    return Network(reactions)
+    return Network(_split(net.reactions, reaction_index, part1, part2))
 
 
 # ---------------------------------------------------------------------------
@@ -289,8 +304,8 @@ class RatedReaction:
     def __post_init__(self) -> None:
         if self.reactant == self.product:
             raise ValueError("trivial reaction: reactant equals product")
-        if self.rate_constant <= 0:
-            raise ValueError("rate constant must be positive")
+        if not 0 < self.rate_constant < math.inf:
+            raise ValueError("rate constant must be positive and finite")
 
     @property
     def is_mass_action(self) -> bool:
@@ -382,17 +397,8 @@ class KineticSystem:
 
     def shift(self, reaction_index: int, z: SpeciesVector) -> KineticSystem:
         """Shift one reaction by a species vector, keeping its rate function."""
-        rxn = self._reactions[reaction_index]
-        shifted = RatedReaction(
-            _shift_complex(rxn.reactant, z),
-            _shift_complex(rxn.product, z),
-            rxn.rate_constant,
-            rxn.exponents,
-            rxn.label,
-        )
-        reactions = list(self._reactions)
-        reactions[reaction_index] = shifted
-        return KineticSystem(reactions, species=_species_of([shifted], self._species))
+        reactions = _shifted(self._reactions, reaction_index, z)
+        return KineticSystem(reactions, species=_species_of(reactions, self._species))
 
     def split(
         self,
@@ -401,21 +407,8 @@ class KineticSystem:
         part2: tuple[Complex, Complex],
     ) -> KineticSystem:
         """Split one reaction across its reaction vector; parts inherit its rate."""
-        rxn = self._reactions[reaction_index]
-        _check_split(rxn, part1, part2)
-        parts = [
-            RatedReaction(
-                part[0],
-                part[1],
-                rxn.rate_constant,
-                rxn.exponents,
-                f"{rxn.label}{suffix}" if rxn.label else None,
-            )
-            for part, suffix in ((part1, "a"), (part2, "b"))
-        ]
-        reactions = list(self._reactions)
-        reactions[reaction_index : reaction_index + 1] = parts
-        return KineticSystem(reactions, species=_species_of(parts, self._species))
+        reactions = _split(self._reactions, reaction_index, part1, part2)
+        return KineticSystem(reactions, species=_species_of(reactions, self._species))
 
     def mass_action_census(self) -> tuple[int, int]:
         """(mass-action count, generalized count) over the reactions."""
@@ -423,27 +416,27 @@ class KineticSystem:
         return mak, len(self._reactions) - mak
 
 
-def same_dynamics(
-    first: KineticSystem, second: KineticSystem, points: int = 200, seed: int = 0
-) -> bool:
-    """Exact equality of the two systems' right-hand sides at random points.
+def _coefficients(system: KineticSystem) -> dict[tuple[str, Complex], Fraction]:
+    """The nonzero coefficient of each (species, rate monomial) pair in the
+    right-hand side: the sum of ``k * (product - reactant coefficient)``."""
+    total: dict[tuple[str, Complex], Fraction] = {}
+    for rxn in system.reactions:
+        k = Fraction(rxn.rate_constant)
+        for name, change in _vector_of(rxn.reactant, rxn.product).items():
+            key = (name, rxn.exponents)
+            total[key] = total.get(key, 0) + k * change
+    return {key: value for key, value in total.items() if value}
 
-    Points are positive rationals; equality is checked exactly, so a single
-    mismatch is decisive and agreement on all points is decisive for
-    polynomial right-hand sides of these sizes.
+
+def same_dynamics(first: KineticSystem, second: KineticSystem) -> bool:
+    """Whether the two systems have the same right-hand side, decided exactly.
+
+    Every rate is a monomial ``k * x^e``, so the right-hand sides are equal
+    polynomials exactly when each (species, monomial) pair has the same
+    coefficient in both; rate constants are read exactly, as ``Fraction``.
+    This is dynamical equivalence by coefficient identity (Craciun and
+    Pantea, J. Math. Chem. 44, 2008).
     """
-    if points < 1:
-        raise ValueError("points must be a positive integer")
     if set(first.species) != set(second.species):
         raise ValueError("systems live on different species sets")
-    rng = random.Random(seed)
-    for _ in range(points):
-        x = {
-            name: Fraction(rng.randint(1, 999), rng.randint(1, 999))
-            for name in first.species
-        }
-        left = first.rhs(x)
-        right = second.rhs(x)
-        if any(left[name] != right[name] for name in first.species):
-            return False
-    return True
+    return _coefficients(first) == _coefficients(second)

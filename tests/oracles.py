@@ -24,6 +24,13 @@ evaluator keeps the number type of its input; on floats it must return
 exactly what these return, since the ``equilibria`` golden files print
 their results (``test_kinetics.py``).
 
+``same_dynamics`` is the original dynamics comparison, which evaluates both
+right-hand sides at 200 seeded random positive rational points and compares
+them exactly there. It answers by sampling, and compares floats when the
+rate constants are floats. The library's compares the exact coefficient of
+each (species, rate monomial) pair instead; on systems with ``Fraction``
+rate constants the two must agree (``test_transform.py``).
+
 ``alpha_conforms`` and ``sigma_conforms`` are the original sign tests of the
 witness search, one ``Fraction`` comparison per coordinate. The search now
 keeps each point's positive, negative and zero coordinates as bitmasks and
@@ -97,6 +104,7 @@ either side (``test_concord.py``).
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -122,6 +130,7 @@ from crnkit.concord import (
 from crnkit.core import Network, Reaction, _complexes, reaction_vectors, subnetwork
 from crnkit.decomp import Decomposition
 from crnkit.linalg import _eliminate, _integer_nullspace, _primitive
+from crnkit.transform import KineticSystem
 
 Scalar = int | Fraction
 Matrix = list[list[Fraction]]
@@ -306,6 +315,32 @@ def equilibrium_residual(
             f[name] += rate * coeff
             gross[name] += rate * coeff
     return max(abs(f[name]) / max(1.0, gross[name]) for name in net.species)
+
+
+def same_dynamics(
+    first: KineticSystem, second: KineticSystem, points: int = 200, seed: int = 0
+) -> bool:
+    """Exact equality of the two systems' right-hand sides at random points.
+
+    Points are positive rationals; equality is checked exactly, so a single
+    mismatch is decisive and agreement on all points is decisive for
+    polynomial right-hand sides of these sizes.
+    """
+    if points < 1:
+        raise ValueError("points must be a positive integer")
+    if set(first.species) != set(second.species):
+        raise ValueError("systems live on different species sets")
+    rng = random.Random(seed)
+    for _ in range(points):
+        x = {
+            name: Fraction(rng.randint(1, 999), rng.randint(1, 999))
+            for name in first.species
+        }
+        left = first.rhs(x)
+        right = second.rhs(x)
+        if any(left[name] != right[name] for name in first.species):
+            return False
+    return True
 
 
 def alpha_conforms(point: Sequence[Fraction], signature: tuple[int, int, int]) -> bool:

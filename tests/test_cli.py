@@ -178,6 +178,28 @@ def test_budget_env_var_applies_and_the_flag_wins(capsys, monkeypatch):
     assert "CRNKIT_BUDGET must be a positive integer" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("concordance", "fixture:lee"),
+        ("compare", "csen", "fixture:lee", "fixture:fal"),
+        ("compare", "core", "fixture:fal", "fixture:maclean"),
+        ("compare", "m3cr", "fixture:fal", "fixture:maclean"),
+    ],
+)
+@pytest.mark.parametrize("budget", ["0", "-3"])
+def test_budget_below_one_exits_1_on_every_command(argv, budget, capsys):
+    try:
+        code = main([*argv, "--budget", budget])
+    except SystemExit as exc:  # argument errors leave through argparse
+        code = exc.code
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--budget" in captured.err and "must be a positive integer" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_input_errors_exit_1(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "analyze", str(tmp_path / "missing.crn"))
     assert code == 1

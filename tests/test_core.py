@@ -87,6 +87,12 @@ def test_parse_duplicate_reaction_rejected_with_line():
     assert info.value.line == 2
 
 
+def test_parse_duplicate_label_rejected_with_line():
+    with pytest.raises(CrnParseError, match="duplicate reaction label 'x'") as info:
+        parse_network("A -> B @x\nB -> C @x\n")
+    assert info.value.line == 2
+
+
 def test_parse_comments_and_blanks_keep_line_numbers():
     with pytest.raises(CrnParseError) as info:
         parse_network("# header\n\nA -> %\n")

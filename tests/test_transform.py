@@ -1,9 +1,12 @@
 """Tests for embedded networks, rewrites, CSEN/CORE comparisons, kinetics."""
 
+import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crnkit import fixtures
 from crnkit.core import Complex, Network, Reaction, parse_network, reaction_vectors
@@ -20,7 +23,8 @@ from crnkit.transform import (
     split_by_reaction_vector,
 )
 
-from netgen import networks
+import oracles
+from netgen import complexes, networks
 
 LEE = fixtures.load("lee")
 FAL = fixtures.load("fal")
@@ -348,10 +352,10 @@ def test_non_mass_action_rate_uses_its_own_exponents():
 def test_kinetic_shift_and_split_preserve_dynamics():
     system = _mass_action(SCHMITZ)
     shifted = system.shift(0, {"A1": 1})
-    assert same_dynamics(system, shifted, points=40)
+    assert same_dynamics(system, shifted)
     rxn = system.reactions[13]
     split = system.split(13, (rxn.reactant, Complex({})), (Complex({}), rxn.product))
-    assert same_dynamics(system, split, points=40)
+    assert same_dynamics(system, split)
     assert len(split.reactions) == len(system.reactions) + 1
 
 
@@ -359,14 +363,32 @@ def test_same_dynamics_distinguishes_different_rates():
     net = parse_network("A -> B\n")
     one = KineticSystem.mass_action(net, [1])
     two = KineticSystem.mass_action(net, [2])
-    assert not same_dynamics(one, two, points=5)
+    assert not same_dynamics(one, two)
     other = KineticSystem.mass_action(parse_network("C -> D\n"), [1])
     with pytest.raises(ValueError):
         same_dynamics(one, other)
-    # with no point checked, any two systems on the same species would agree
-    for points in (0, -1):
-        with pytest.raises(ValueError, match="points must be a positive integer"):
-            same_dynamics(one, two, points=points)
+
+
+def test_same_dynamics_reads_float_rate_constants_exactly():
+    # summed in another order, 0.1 + 0.2 + 0.3 is another float: sampling
+    # compares those sums, the coefficient test compares exact rationals
+    a, b = cpx("A"), cpx("B")
+    forward = KineticSystem([RatedReaction(a, b, k, a) for k in (0.1, 0.2, 0.3)])
+    backward = KineticSystem(reversed(forward.reactions))
+    assert same_dynamics(forward, backward)
+    assert not oracles.same_dynamics(forward, backward)
+
+
+def test_rate_constants_must_be_positive_and_finite():
+    a, b = cpx("A"), cpx("B")
+    net = parse_network("A -> B @R1\n")
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            RatedReaction(a, b, bad, a)
+        with pytest.raises(ValueError):
+            KineticSystem.mass_action(net, [bad])
+        with pytest.raises(ValueError):
+            KineticSystem.mass_action(net, {"R1": bad})
 
 
 def test_split_validates_vector_sum_for_kinetic_systems():
@@ -414,7 +436,7 @@ def test_realizing_the_maclean_flows_from_schmitz_kinetics():
     original = KineticSystem.mass_action(
         nse, {r.label: Fraction(i + 3, i + 2) for i, r in enumerate(nse.reactions)}
     )
-    assert same_dynamics(original, system, points=200)
+    assert same_dynamics(original, system)
 
 
 def test_splitting_an_embedded_lee_reaction_preserves_dynamics_exactly():
@@ -432,7 +454,7 @@ def test_splitting_an_embedded_lee_reaction_preserves_dynamics_exactly():
     assert part_a.exponents == part_b.exponents == Complex({"A13": 1, "A2": 1})
     assert part_a.rate_constant == part_b.rate_constant == rxn.rate_constant
     assert part_a.is_mass_action and not part_b.is_mass_action
-    assert same_dynamics(system, split, points=200)
+    assert same_dynamics(system, split)
 
 
 # ---------------------------------------------------------------------------
@@ -462,3 +484,67 @@ def test_mass_action_systems_are_mass_action(net):
     point = {name: Fraction(1, 2) for name in net.species}
     values = system.rhs(point)
     assert set(values) == set(net.species)
+
+
+def _rewrite(data, reactions, species):
+    """Draw a shift or a split of one of ``reactions``: the method name and
+    its arguments after the reaction index. Every complex stays on
+    ``species``."""
+    i = data.draw(st.integers(0, len(reactions) - 1))
+    if data.draw(st.booleans()):
+        name = data.draw(st.sampled_from(species))
+        return "shift", i, ({name: data.draw(st.integers(1, 2))},)
+    rxn = reactions[i]
+    middle = data.draw(complexes(species))
+    if middle in (rxn.reactant, rxn.product):
+        name = species[0]
+        middle = Complex({name: rxn.reactant.coefficient(name) + rxn.product.coefficient(name) + 1})
+    return "split", i, ((rxn.reactant, middle), (middle, rxn.product))
+
+
+@settings(max_examples=40, deadline=None)
+@given(networks(), st.data())
+def test_same_dynamics_agrees_with_the_sampling_oracle(net, data):
+    fractions = st.builds(Fraction, st.integers(1, 9), st.integers(1, 9))
+    system = KineticSystem.mass_action(net, [data.draw(fractions) for _ in net.reactions])
+    rewritten = system
+    for _ in range(data.draw(st.integers(1, 3))):
+        method, i, args = _rewrite(data, rewritten.reactions, net.species)
+        rewritten = getattr(rewritten, method)(i, *args)
+    j = data.draw(st.integers(0, len(rewritten.reactions) - 1))
+    changed = list(rewritten.reactions)
+    changed[j] = replace(changed[j], rate_constant=changed[j].rate_constant + data.draw(fractions))
+    reordered = data.draw(st.permutations(rewritten.reactions))
+    for other, expected in (
+        (rewritten, True),
+        (KineticSystem(changed), False),
+        (KineticSystem(reordered), True),
+    ):
+        assert same_dynamics(system, other) is expected
+        assert oracles.same_dynamics(system, other) is expected
+
+
+def _arrows_and_labels(reactions):
+    return [(rxn.reactant, rxn.product, rxn.label) for rxn in reactions]
+
+
+@settings(max_examples=60, deadline=None)
+@given(networks(), st.data())
+def test_network_rewrites_match_kinetic_rewrites(net, data):
+    unlabelled = data.draw(st.integers(0, len(net.reactions) - 1))
+    net = Network(
+        [
+            Reaction(rxn.reactant, rxn.product, None if i == unlabelled else rxn.label)
+            for i, rxn in enumerate(net.reactions)
+        ]
+    )
+    method, i, args = _rewrite(data, net.reactions, net.species)
+    kinetic = _arrows_and_labels(getattr(_mass_action(net), method)(i, *args).reactions)
+    rewrite = shift if method == "shift" else split_by_reaction_vector
+    if len({(r, p) for r, p, _ in kinetic}) < len(kinetic):
+        with pytest.raises(ValueError, match="duplicate reaction"):
+            rewrite(net, i, *args)
+    else:
+        rewritten = rewrite(net, i, *args)
+        assert _arrows_and_labels(rewritten.reactions) == kinetic
+        assert rewrite(net, i - len(net.reactions), *args) == rewritten
