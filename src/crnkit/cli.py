@@ -18,7 +18,7 @@ from functools import partial
 from pathlib import Path
 
 from . import fixtures
-from .core import Network, common_reactions, parse_network, reaction_vectors
+from .core import Network, common_reactions, parse_network
 from .kinetics import parametrization_names
 from .structure import (
     NetworkNumbers,
@@ -139,16 +139,13 @@ def _analyze_text(args: argparse.Namespace, payload: dict) -> list[str]:
 
 
 def cmd_fid(args: argparse.Namespace) -> int:
-    from .decomp import fid
-    from .linalg import rank
+    from .decomp import fid, is_independent
 
-    net = _load(args.network)
-    blocks = [(block, network_numbers(block)) for block in fid(net).block_networks()]
-    # independent: the block ranks add up to the parent's (decomp.is_independent)
-    block_ranks = sum(numbers.rank for _, numbers in blocks)
+    decomposition = fid(_load(args.network))
+    blocks = [(block, network_numbers(block)) for block in decomposition.block_networks()]
     payload = {
         "blockCount": len(blocks),
-        "independent": block_ranks == rank(reaction_vectors(net)),
+        "independent": is_independent(decomposition),
         "profileOrder": PROFILE_FIELDS,
         "blocks": [
             {"reactions": _labels(block), "numbers": asdict(numbers)}
@@ -371,11 +368,7 @@ def cmd_equilibria(args: argparse.Namespace) -> int:
     from .kinetics import acr_scan, equilibrium_residual, free_parameters, parametrization
 
     name = args.model
-    if name not in parametrization_names():
-        raise ValueError(
-            f"no equilibrium parametrization for {name!r};"
-            f" choose one of {', '.join(parametrization_names())}"
-        )
+    free_names = free_parameters(name)
     if args.samples < 2:
         raise ValueError("--samples must be at least 2")
     net = fixtures.load(name)
@@ -383,7 +376,7 @@ def cmd_equilibria(args: argparse.Namespace) -> int:
     residuals = []
     for _ in range(args.samples):
         k = {rxn.label: 10.0 ** rng.uniform(-1.0, 1.0) for rxn in net.reactions}
-        free = {p: 10.0 ** rng.uniform(-2.0, 2.0) for p in free_parameters(name)}
+        free = {p: 10.0 ** rng.uniform(-2.0, 2.0) for p in free_names}
         residuals.append(equilibrium_residual(net, k, parametrization(name, k, free)))
     scan_rates = {rxn.label: 10.0 ** rng.uniform(-1.0, 1.0) for rxn in net.reactions}
     scan = acr_scan(name, scan_rates, sample_count=args.samples, seed=args.seed)

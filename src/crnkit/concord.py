@@ -28,21 +28,22 @@ species mask, so the alpha-signs a pattern forces follow from subset tests.
 The masks of a pattern go down to the LP as they are, and the LP answers
 with a masked point or a certificate: every feasible point the search keeps
 (pooled, or carried down the tree) is stored with the bitmasks of its
-positive, negative and zero coordinates, so whether it fits a pattern is
-three subset tests too.
+positive and negative coordinates (the rest are zero), so whether it fits a
+pattern is three mask tests too.
 
 Each side splits its rows once into independent blocks: the connected
-components of the graph that joins the coordinates sharing a row. The cone
-is the direct sum of the blocks' cones, so a pattern is feasible exactly
-when each block's part of it is. On the alpha side the blocks are the
-blocks of the finest independent decomposition (``decomp.fid``): ker N is
-the direct sum of the block kernels. On the sigma side they are the groups
-of species that share conservation laws, and a species in no conservation
-law takes its sign with no LP. An LP is solved block by block, once per
-block sub-pattern in a search; a block whose sub-pattern wants no sign has
-the point 0. In a block-diagonal tableau a pivot touches only its own
-block's rows and reduced costs, so under Bland's rule each block pivots as
-it would alone, and the point is that of the whole LP.
+components of the graph that joins the coordinates sharing a row, from
+``structure._row_components``. The cone is the direct sum of the blocks'
+cones, so a pattern is feasible exactly when each block's part of it is.
+The alpha rows are the reduced row echelon form of N, as in ``decomp.fid``,
+so the blocks are those of the finest independent decomposition. On the
+sigma side they are the groups of species that share conservation laws,
+and a species in no conservation law takes its sign with no LP. An LP is
+solved block by block, once per block sub-pattern in a search; a block
+whose sub-pattern wants no sign has the point 0. In a block-diagonal
+tableau a pivot touches only its own block's rows and reduced costs, so
+under Bland's rule each block pivots as it would alone, and the point is
+that of the whole LP.
 
 Most blocks of the finest independent decomposition have rank 1, so most
 block LPs have one row, and Bland's rule settles such an LP in its first
@@ -79,7 +80,7 @@ from typing import Iterable, Literal, Sequence
 
 from .core import Network, Reaction, reaction_vectors, subnetwork
 from .linalg import _eliminate, _integer_nullspace, _primitive, lp_feasible, nullspace_basis
-from .structure import _components
+from .structure import _row_components
 
 DEFAULT_NODE_BUDGET = 5_000_000
 
@@ -126,8 +127,9 @@ class M3crReport:
 
 
 _ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
-# A point with the bitmasks of its positive, negative and zero coordinates.
-_Masked = tuple[list[Fraction], int, int, int]
+# A point with the bitmasks of its positive and negative coordinates; the
+# rest are zero.
+_Masked = tuple[list[Fraction], int, int]
 # Bitmasks of the coordinates wanted positive, negative and zero.
 _Masks = tuple[int, int, int]
 # The masks (wpos, wneg) of an integer vector w of an LP's row space that
@@ -140,16 +142,14 @@ def _masked(point: list[Fraction], coords: Sequence[int] = ()) -> _Masked:
 
     ``coords`` defaults to ``range(len(point))``.
     """
-    pos = neg = zero = 0
+    pos = neg = 0
     for j, value in zip(coords or range(len(point)), point):
         sign = value.numerator  # the sign of a Fraction or an int is its numerator's
         if sign > 0:
             pos |= 1 << j
         elif sign < 0:
             neg |= 1 << j
-        else:
-            zero |= 1 << j
-    return point, pos, neg, zero
+    return point, pos, neg
 
 
 def _signed_point(
@@ -199,7 +199,7 @@ def _signed_point(
                     point[k] = point[k] + value if direction == 1 else point[k] - value
     if w is None:
         return _masked(point, coords)
-    _, wpos, wneg, _ = _masked(w, coords)
+    _, wpos, wneg = _masked(w, coords)
     if not _refuted([(wpos, wneg)], masks):
         raise RuntimeError("the phase-1 duals do not refute the sign pattern")
     return wpos, wneg
@@ -263,7 +263,7 @@ def _row_certificates(rows: list[list[int]]) -> list[_Certificate]:
     """
     certs = []
     for row in rows:
-        _, wpos, wneg, _ = _masked(row)
+        _, wpos, wneg = _masked(row)
         certs += [(wpos, wneg), (wneg, wpos)]
     return certs
 
@@ -277,17 +277,17 @@ def _blocks(rows: list[list[int]], count: int) -> list[_Block]:
     """The independent blocks of {rows . x = 0} over ``count`` coordinates.
 
     They are the connected components of the graph that joins the
-    coordinates of each row, so every row lies in one block and the LP is
-    their direct sum. A coordinate in no row is a block of its own, with no
-    rows.
+    coordinates of each row (``_row_components``), so every row lies in the
+    block of its first nonzero coordinate and the LP is their direct sum. A
+    coordinate in no row is a block of its own, with no rows.
     """
-    supports = [[j for j, entry in enumerate(row) if entry] for row in rows]
-    components = _components(count, [(s[0], j) for s in supports for j in s[1:]])
+    components = _row_components(rows, count)
     block_of = {j: b for b, coords in enumerate(components) for j in coords}
     block_rows: list[list[list[int]]] = [[] for _ in components]
-    for row, support in zip(rows, supports):
-        if support:
-            block_rows[block_of[support[0]]].append(row)
+    for row in rows:
+        first = next((j for j, entry in enumerate(row) if entry), None)
+        if first is not None:
+            block_rows[block_of[first]].append(row)
     return [
         (coords, sum(1 << j for j in coords), [[row[j] for j in coords] for row in lines], {})
         for coords, lines in zip(components, block_rows)
@@ -323,9 +323,9 @@ class _Side:
         """
         want_pos, want_neg, want_zero = masks
         for pooled in chain((carried,), self.pool):
-            _, pos, neg, zero = pooled
+            _, pos, neg = pooled
             if (want_pos & pos == want_pos and want_neg & neg == want_neg
-                    and want_zero & zero == want_zero):
+                    and not want_zero & (pos | neg)):
                 return pooled
         if _refuted(self.row_certs, masks) or _refuted(self.certs, masks):
             return None
@@ -347,7 +347,7 @@ class _Side:
         """
         plus, minus, zero = masks
         point = [_ZERO] * self.count
-        pos = neg = zeros = 0
+        pos = neg = 0
         for coords, mask, rows, solved in self.blocks:
             sub = (plus & mask, minus & mask, zero & mask)
             answer = solved.get(sub)
@@ -355,13 +355,12 @@ class _Side:
                 answer = solved[sub] = _signed_point(rows, coords, sub)
             if len(answer) == 2:  # a certificate
                 return answer
-            values, block_pos, block_neg, block_zero = answer
+            values, block_pos, block_neg = answer
             for j, value in zip(coords, values):
                 point[j] = value
             pos |= block_pos
             neg |= block_neg
-            zeros |= block_zero
-        return point, pos, neg, zeros
+        return point, pos, neg
 
 
 class _BudgetExhausted(Exception):

@@ -4,10 +4,11 @@ A decomposition partitions the reactions; it is independent when the parent's
 stoichiometric subspace is the direct sum of the blocks' subspaces (rank
 additivity), and incidence independent when the analogous identity holds for
 the incidence maps, n − ℓ = Σ (n_i − ℓ_i). The finest independent
-decomposition (FID) is computed by expressing each reaction vector outside a
-greedy basis in that basis and joining it to the basis vectors it loads on;
-the blocks are the connected components of that graph, from the
-``structure._components`` helper that also gives the linkage classes.
+decomposition (FID) is read off the reduced row echelon form of the matrix
+whose columns are the reaction vectors: its blocks are the connected
+components of the graph that joins the nonzero columns of each row, from the
+``structure._row_components`` helper that also splits the LPs of the sign
+search in ``concord``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterable
 
 from .core import Network, reaction_vectors, subnetwork
 from .linalg import _eliminate, rank
-from .structure import NetworkNumbers, _components, network_numbers
+from .structure import NetworkNumbers, _row_components, network_numbers
 
 
 @dataclass(frozen=True)
@@ -95,18 +96,13 @@ def fid(net: Network) -> Decomposition:
 
     One elimination does all of it: in the reduced row echelon form of the
     matrix whose columns are the reaction vectors, the pivot columns are the
-    greedy basis, and row ``k`` holds, in each other column, a nonzero
-    multiple (the shared denominator) of that reaction's coefficient on the
-    ``k``-th basis reaction, so the zero pattern is exact.
+    greedy basis, and row ``k`` is nonzero at its pivot and where a reaction
+    loads on the ``k``-th basis reaction (the load times the shared
+    denominator), so joining the nonzero columns of each row links them.
     """
     vectors = reaction_vectors(net)
-    reduced, pivots, _ = _eliminate(list(zip(*vectors)))
-    loads = []
-    for row, b in zip(reduced, pivots):
-        for j, coeff in enumerate(row):
-            if coeff and j != b:
-                loads.append((j, b))
-    blocks = _components(len(vectors), loads)
+    reduced, _, _ = _eliminate(list(zip(*vectors)))
+    blocks = _row_components(reduced, len(vectors))
     return Decomposition(net, tuple(tuple(block) for block in blocks))
 
 

@@ -6,10 +6,14 @@ the number type of its inputs: floats give binary64 results, and
 ``fractions.Fraction`` gives exact ones, so a closed-form equilibrium can be
 checked to zero the rate equations exactly. The robustness scan and the CLI
 draw floats and compare against tolerances.
+
+Rate constants, concentrations and free parameters, here and in
+``transform.RatedReaction``, pass one rule, ``_positive``: positive and finite.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
@@ -29,9 +33,16 @@ __all__ = [
 ]
 
 
+def _positive(value: Real, what: str) -> Real:
+    """``value``, if it is positive and finite; ``what`` names it in the error."""
+    if not 0 < value < math.inf:
+        raise ValueError(f"{what} must be positive and finite")
+    return value
+
+
 def _rate_constants(net: Network, k: Mapping[str, Real]) -> list[Real]:
     """The rate constants in reaction order, checked to pair one to one with
-    the labelled reactions and to be positive."""
+    the labelled reactions and to be positive and finite."""
     labels = net.labels
     if None in labels:
         raise ValueError("every reaction needs a label to pair with a rate constant")
@@ -41,10 +52,7 @@ def _rate_constants(net: Network, k: Mapping[str, Real]) -> list[Real]:
     extra = sorted(set(k) - set(labels))
     if extra:
         raise ValueError(f"unknown rate constant {extra[0]}")
-    for label in labels:
-        if not k[label] > 0:
-            raise ValueError(f"rate constant for {label} must be positive")
-    return [k[label] for label in labels]
+    return [_positive(k[label], f"rate constant for {label}") for label in labels]
 
 
 def _rate(k: Real, exponents: Complex, x: Mapping[str, Real]) -> Real:
@@ -84,8 +92,7 @@ def _mass_action_rates(
     for name in net.species:
         if name not in x:
             raise ValueError(f"missing concentration for {name}")
-        if not x[name] > 0:
-            raise ValueError(f"concentration of {name} must be positive")
+        _positive(x[name], f"concentration of {name}")
     reactions = (
         (c, rxn.reactant, rxn.reactant, rxn.product) for c, rxn in zip(constants, net.reactions)
     )
@@ -112,7 +119,6 @@ def equilibrium_residual(
 
 @dataclass(frozen=True)
 class _Parametrization:
-    name: str
     free_names: tuple[str, ...]
     evaluate: object  # (k-by-index, free) -> species map
 
@@ -226,11 +232,9 @@ def _maclean_point(k, free):
 
 
 _PARAMETRIZATIONS = {
-    "schmitz": _Parametrization("schmitz", ("sigma1", "tau2"), _schmitz_point),
-    "fal": _Parametrization("fal", ("sigma2", "a7", "a23"), _fal_point),
-    "maclean": _Parametrization(
-        "maclean", ("sigma1", "sigma2", "d12", "tau12", "tau13"), _maclean_point
-    ),
+    "schmitz": _Parametrization(("sigma1", "tau2"), _schmitz_point),
+    "fal": _Parametrization(("sigma2", "a7", "a23"), _fal_point),
+    "maclean": _Parametrization(("sigma1", "sigma2", "d12", "tau12", "tau13"), _maclean_point),
 }
 
 
@@ -246,7 +250,10 @@ def _fixture(name: str) -> _Parametrization:
     try:
         return _PARAMETRIZATIONS[name]
     except KeyError:
-        raise ValueError(f"no equilibrium parametrization for {name!r}") from None
+        raise ValueError(
+            f"no equilibrium parametrization for {name!r};"
+            f" choose one of {', '.join(_PARAMETRIZATIONS)}"
+        ) from None
 
 
 def parametrization(
@@ -262,15 +269,14 @@ def parametrization(
             f"free parameters for {name} are {', '.join(fixture.free_names)}"
         )
     for pname, value in free.items():
-        if not value > 0:
-            raise ValueError(f"free parameter {pname} must be positive")
+        _positive(value, f"free parameter {pname}")
     net = fixtures.load(name)
     indexed = {int(rxn.label[1:]): c for rxn, c in zip(net.reactions, _rate_constants(net, k))}
     point = fixture.evaluate(indexed, dict(free))
-    ordered = {species: point[species] for species in net.species}
-    if any(not value > 0 for value in ordered.values()):
-        raise ValueError("parametrization produced a non-positive concentration")
-    return ordered
+    return {
+        species: _positive(point[species], f"parametrized concentration of {species}")
+        for species in net.species
+    }
 
 
 @dataclass(frozen=True)

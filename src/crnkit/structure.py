@@ -5,17 +5,18 @@ linkage classes, ranks, deficiencies), the derived boolean property flags, the
 sufficient kinetic-subspace criterion, and the deficiency-zero theorem
 applicability report.
 
-Every partition here is a set of connected components from ``_components``,
-which ``decomp.fid`` shares. Linkage classes are the components of the
-reaction graph. Strong linkage classes are defined by mutual reachability:
-two complexes share one when each reaches the other. A strong class is
-terminal when it reaches nothing outside itself.
+Every partition here is a set of connected components from ``_components``;
+``_row_components`` gives the blocks of ``decomp.fid`` and ``concord``'s LPs.
+Linkage classes are the components of the reaction graph. Strong linkage
+classes are defined by mutual reachability: two complexes share one when
+each reaches the other. A strong class is terminal when it reaches nothing
+outside itself.
 """
 
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
-from typing import Iterable, Literal
+from typing import Iterable, Literal, Sequence
 
 from .core import Network, _complexes, reaction_vectors
 from .linalg import rank
@@ -91,6 +92,12 @@ def _components(count: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]
     for node in range(count):
         components.setdefault(find(node), []).append(node)
     return list(components.values())
+
+
+def _row_components(rows: Iterable[Sequence[int]], count: int) -> list[list[int]]:
+    """``_components`` of the graph joining the nonzero coordinates of each row."""
+    supports = [[j for j, entry in enumerate(row) if entry] for row in rows]
+    return _components(count, ((s[0], j) for s in supports for j in s[1:]))
 
 
 def linkage_partitions(

@@ -14,7 +14,6 @@ sides at a point come from the one evaluator in ``kinetics``.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from numbers import Real
@@ -22,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .core import Complex, Network, Reaction, common_reactions, reaction_vectors
 from .decomp import fid
-from .kinetics import _rate, _rate_constants, _species_rates
+from .kinetics import _positive, _rate, _rate_constants, _species_rates
 from .linalg import rank
 from .structure import network_numbers
 
@@ -179,7 +178,8 @@ class CsenReport:
 
 def csen(net1: Network, net2: Network) -> CsenReport:
     """Compare two networks through their common-species embedded networks."""
-    shared = [name for name in net1.species if name in set(net2.species)]
+    species2 = set(net2.species)
+    shared = [name for name in net1.species if name in species2]
     if not shared:
         raise ValueError("networks share no species")
     embedded1 = embedded_network(net1, shared)
@@ -304,8 +304,7 @@ class RatedReaction:
     def __post_init__(self) -> None:
         if self.reactant == self.product:
             raise ValueError("trivial reaction: reactant equals product")
-        if not 0 < self.rate_constant < math.inf:
-            raise ValueError("rate constant must be positive and finite")
+        _positive(self.rate_constant, "rate constant")
 
     @property
     def is_mass_action(self) -> bool:

@@ -33,8 +33,8 @@ rate constants the two must agree (``test_transform.py``).
 
 ``alpha_conforms`` and ``sigma_conforms`` are the original sign tests of the
 witness search, one ``Fraction`` comparison per coordinate. The search now
-keeps each point's positive, negative and zero coordinates as bitmasks and
-tests subsets of them with one ``_conforms``; the answers must agree
+keeps each point's positive and negative coordinates as bitmasks and
+tests them against a pattern with one ``_conforms``; the answers must agree
 (``test_concord.py``).
 
 ``signature`` is the search's original reaction classification, which kept
@@ -805,10 +805,10 @@ class PoolSearch:
 
     @staticmethod
     def _conforms(point: _Masked, masks: _Masks) -> bool:
-        _, pos, neg, zero = point
+        _, pos, neg = point
         want_pos, want_neg, want_zero = masks
         return (want_pos & pos == want_pos and want_neg & neg == want_neg
-                and want_zero & zero == want_zero)
+                and not want_zero & (pos | neg))
 
     def _alpha_point(self, signature: _Masks) -> _Masked | None:
         for pooled in self.alpha_pool:

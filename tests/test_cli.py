@@ -109,9 +109,12 @@ def test_fid_independence_flag_is_the_library_check(name, capsys):
 @pytest.mark.parametrize("mode", [(), ("--json",)])
 def test_fid_reports_an_unconfirmed_independence(mode, capsys, monkeypatch):
     # a parent rank above the block ranks' sum: the blocks do not span it.
-    # cmd_fid imports rank when it runs; decomp and structure, imported above,
-    # hold their own binding, so only the parent's rank sees the patch.
-    monkeypatch.setattr("crnkit.linalg.rank", lambda vectors: rank(vectors) + 1)
+    # is_independent reads decomp's binding of rank, and only the parent
+    # has all of schmitz's reactions, so only the parent's rank sees the patch.
+    parent = len(fixtures.load("schmitz").reactions)
+    monkeypatch.setattr(
+        "crnkit.decomp.rank", lambda vectors: rank(vectors) + (len(vectors) == parent)
+    )
     code, out, _ = run(capsys, "fid", "fixture:schmitz", *mode)
     assert code == 0
     if mode:
@@ -223,6 +226,18 @@ def test_input_errors_exit_1(capsys, tmp_path, monkeypatch):
     code, _, err = run(capsys, "compare", "csen", "data/toy-a.crn", "fixture:lee")
     assert code == 1
     assert "share no species" in err
+
+
+@pytest.mark.parametrize("mode", [(), ("--json",)])
+def test_equilibria_lists_the_models_it_can_run(mode, capsys):
+    # lee is a bundled fixture with no equilibrium parametrization
+    code, out, err = run(capsys, "equilibria", "lee", *mode)
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "crnkit: error: no equilibrium parametrization for 'lee';"
+        " choose one of schmitz, fal, maclean\n"
+    )
 
 
 def test_discordant_mandatory_set_exits_1(capsys, tmp_path):

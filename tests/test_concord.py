@@ -635,7 +635,7 @@ def test_signed_point_from_masks_matches_the_sign_list_oracle(count, data):
     masks = _masks(_sign_list(data, count))
     solved = _signed_point(rows, range(count), masks)
     want = oracles.signed_point(rows, oracles._signs(count, masks))
-    assert (len(solved) == 4) == (want is not None)
+    assert (len(solved) == 3) == (want is not None)
     if want is None:
         assert _refuted([solved], masks)
     else:
@@ -764,7 +764,7 @@ def test_block_solve_matches_the_whole_lp(system, data):
         masks = _masks(signs)
         solved = side._solve(masks)
         want = oracles.signed_point(rows, signs)
-        assert (len(solved) == 4) == (want is not None)
+        assert (len(solved) == 3) == (want is not None)
         if want is None:
             assert _refuted([solved], masks)
         else:
@@ -805,7 +805,7 @@ def test_species_in_no_left_null_row_are_signed_without_an_lp(monkeypatch):
 
     monkeypatch.setattr(concord, "lp_feasible", counting)
     masks = (1 << loose[0], 1 << loose[1], 1 << loose[2])
-    point, pos, neg, zero = search.sigma.point(masks, _masked([Fraction(0)] * search.species_count))
+    point, pos, neg = search.sigma.point(masks, _masked([Fraction(0)] * search.species_count))
     assert not calls
     assert (pos, neg) == masks[:2]
     assert point == [1 if j == loose[0] else -1 if j == loose[1] else 0 for j in range(len(point))]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -26,6 +27,7 @@ from crnkit.kinetics import (
 SCHMITZ = fixtures.load("schmitz")
 FAL = fixtures.load("fal")
 MACLEAN = fixtures.load("maclean")
+LINE = parse_network("A -> B @R1")
 
 MODELS = ("schmitz", "fal", "maclean")
 
@@ -77,6 +79,36 @@ def test_rhs_rejects_bad_input():
         mass_action_rhs(net, {"R1": 1.0}, {"A": 1.0})
     with pytest.raises(ValueError, match="label"):
         mass_action_rhs(parse_network("A -> B"), {}, {"A": 1.0, "B": 1.0})
+
+
+_X = {"A": 1.0, "B": 1.0}
+_FAL_RATES = {rxn.label: 1.0 for rxn in FAL.reactions}
+_FAL_FREE = {"sigma2": 1.0, "a7": 1.0, "a23": 1.0}
+
+
+# positive means positive and finite, for every kinetic input; an infinite R19
+# or a7 would come out of the fal parametrization as an infinite A12 or A7
+@pytest.mark.parametrize(
+    "evaluate, what",
+    [
+        (lambda: mass_action_rhs(LINE, {"R1": math.inf}, _X), "rate constant for R1"),
+        (lambda: equilibrium_residual(LINE, {"R1": math.inf}, _X), "rate constant for R1"),
+        (
+            lambda: parametrization("fal", {**_FAL_RATES, "R19": math.inf}, _FAL_FREE),
+            "rate constant for R19",
+        ),
+        (lambda: mass_action_rhs(LINE, {"R1": 1.0}, {**_X, "A": math.inf}), "concentration of A"),
+        (
+            lambda: parametrization("fal", _FAL_RATES, {**_FAL_FREE, "a7": math.inf}),
+            "free parameter a7",
+        ),
+    ],
+    ids=["rhs-rate", "residual-rate", "parametrization-rate", "rhs-concentration",
+         "parametrization-free"],
+)
+def test_infinite_kinetic_inputs_are_refused(evaluate, what):
+    with pytest.raises(ValueError, match=f"{what} must be positive"):
+        evaluate()
 
 
 # --- the float kernel the one evaluator replaced (tests/oracles.py) ------------
