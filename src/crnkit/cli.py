@@ -365,7 +365,7 @@ def cmd_equilibria(args: argparse.Namespace) -> int:
     import random
     import statistics
 
-    from .kinetics import acr_scan, equilibrium_residual, free_parameters, parametrization
+    from .kinetics import _equilibrium, _rate_constants, _residual, acr_scan, free_parameters
 
     name = args.model
     free_names = free_parameters(name)
@@ -377,7 +377,9 @@ def cmd_equilibria(args: argparse.Namespace) -> int:
     for _ in range(args.samples):
         k = {rxn.label: 10.0 ** rng.uniform(-1.0, 1.0) for rxn in net.reactions}
         free = {p: 10.0 ** rng.uniform(-2.0, 2.0) for p in free_names}
-        residuals.append(equilibrium_residual(net, k, parametrization(name, k, free)))
+        # each draw's rate constants are checked once, for both the point and its residual
+        constants = _rate_constants(net, k)
+        residuals.append(_residual(net, constants, _equilibrium(name, net, constants, free)))
     scan_rates = {rxn.label: 10.0 ** rng.uniform(-1.0, 1.0) for rxn in net.reactions}
     scan = acr_scan(name, scan_rates, sample_count=args.samples, seed=args.seed)
 

@@ -20,8 +20,10 @@ constraint cones are invariant under positive scaling. The search is
 budgeted; verdicts are Concordant, Discordant (with a witness), or Unknown
 when the node budget runs out.
 
-The LP rows (a row basis of N and a basis of its left nullspace) are read
-as coprime integer vectors off one integer elimination each. A partial
+The LP rows are coprime integer vectors off two integer eliminations: the
+reduced row echelon form of N is the row basis, and its pivot columns,
+which span the image of N, give the basis of its left nullspace, as the
+nullspace of those reactions' vectors alone. A partial
 pattern is three species masks (the signs assigned +, - and 0), passed down
 the recursion as one immutable value, and each reactant support is a
 species mask, so the alpha-signs a pattern forces follow from subset tests.
@@ -79,7 +81,7 @@ from itertools import chain
 from typing import Iterable, Literal, Sequence
 
 from .core import Network, Reaction, reaction_vectors, subnetwork
-from .linalg import _eliminate, _integer_nullspace, _primitive, lp_feasible, nullspace_basis
+from .linalg import _eliminate, _integer_nullspace, lp_feasible, nullspace_basis
 from .structure import _row_components
 
 DEFAULT_NODE_BUDGET = 5_000_000
@@ -273,21 +275,21 @@ def _row_certificates(rows: list[list[int]]) -> list[_Certificate]:
 _Block = tuple[list[int], int, list[list[int]], dict[_Masks, _Masked | _Certificate]]
 
 
-def _blocks(rows: list[list[int]], count: int) -> list[_Block]:
+def _blocks(rows: list[list[int]], supports: list[int], count: int) -> list[_Block]:
     """The independent blocks of {rows . x = 0} over ``count`` coordinates.
 
-    They are the connected components of the graph that joins the
-    coordinates of each row (``_row_components``), so every row lies in the
-    block of its first nonzero coordinate and the LP is their direct sum. A
-    coordinate in no row is a block of its own, with no rows.
+    ``supports`` holds the mask of each row's nonzero coordinates. The blocks
+    are the connected components of the graph that joins the coordinates of
+    each row (``_row_components``), so every row lies in the block of its
+    first nonzero coordinate and the LP is their direct sum. A coordinate in
+    no row is a block of its own, with no rows.
     """
-    components = _row_components(rows, count)
+    components = _row_components(supports, count)
     block_of = {j: b for b, coords in enumerate(components) for j in coords}
     block_rows: list[list[list[int]]] = [[] for _ in components]
-    for row in rows:
-        first = next((j for j, entry in enumerate(row) if entry), None)
-        if first is not None:
-            block_rows[block_of[first]].append(row)
+    for row, support in zip(rows, supports):
+        if support:
+            block_rows[block_of[(support & -support).bit_length() - 1]].append(row)
     return [
         (coords, sum(1 << j for j in coords), [[row[j] for j in coords] for row in lines], {})
         for coords, lines in zip(components, block_rows)
@@ -312,7 +314,8 @@ class _Side:
         self.pool: deque[_Masked] = deque(maxlen=64)
         self.certs: deque[_Certificate] = deque(maxlen=64)
         self.row_certs = _row_certificates(rows)
-        self.blocks = _blocks(rows, count)
+        # each row's certificate (wpos, wneg) comes first, so its support is wpos | wneg
+        self.blocks = _blocks(rows, [wpos | wneg for wpos, wneg in self.row_certs[::2]], count)
 
     def point(self, masks: _Masks, carried: _Masked) -> _Masked | None:
         """A point with the signs ``masks`` wants, or None.
@@ -390,11 +393,12 @@ class _WitnessSearch:
         self.reaction_count = len(columns)
         self.species_count = len(net.species)
         # row-reduce once: the kernel only depends on the row space
-        reduced, pivots, denom = _eliminate(list(zip(*columns)))
-        self.alpha = _Side(
-            [_primitive(reduced[k], denom) for k in range(len(pivots))], self.reaction_count
+        reduced, pivots = _eliminate(list(zip(*columns)))
+        self.alpha = _Side(reduced[: len(pivots)], self.reaction_count)
+        # the pivot reactions span the image, so their left nullspace is N's
+        self.sigma = _Side(
+            _integer_nullspace([columns[r] for r in pivots]), self.species_count
         )
-        self.sigma = _Side(_integer_nullspace(columns), self.species_count)
         index = {name: i for i, name in enumerate(net.species)}
         self.supports = [
             sum(1 << index[name] for name, _ in rxn.reactant) for rxn in net.reactions

@@ -276,10 +276,16 @@ def build_matrices(net: Network) -> NetworkMatrices:
 def reaction_vectors(net: Network) -> list[list[int]]:
     """The stoichiometric matrix's columns as integer vectors, one per reaction,
     read straight off the reactions (product minus reactant, in species order)."""
-    return [
-        [rxn.product.coefficient(name) - rxn.reactant.coefficient(name) for name in net.species]
-        for rxn in net.reactions
-    ]
+    index = {name: i for i, name in enumerate(net.species)}
+    vectors = []
+    for rxn in net.reactions:
+        vector = [0] * len(index)
+        for name, coeff in rxn.product:
+            vector[index[name]] += coeff
+        for name, coeff in rxn.reactant:
+            vector[index[name]] -= coeff
+        vectors.append(vector)
+    return vectors
 
 
 # ---------------------------------------------------------------------------

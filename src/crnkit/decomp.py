@@ -97,12 +97,14 @@ def fid(net: Network) -> Decomposition:
     One elimination does all of it: in the reduced row echelon form of the
     matrix whose columns are the reaction vectors, the pivot columns are the
     greedy basis, and row ``k`` is nonzero at its pivot and where a reaction
-    loads on the ``k``-th basis reaction (the load times the shared
-    denominator), so joining the nonzero columns of each row links them.
+    loads on the ``k``-th basis reaction (the load times the row's pivot, in
+    the coprime integer rows of ``_eliminate``), so joining the nonzero
+    columns of each row links them.
     """
     vectors = reaction_vectors(net)
-    reduced, _, _ = _eliminate(list(zip(*vectors)))
-    blocks = _row_components(reduced, len(vectors))
+    reduced, _ = _eliminate(list(zip(*vectors)))
+    supports = (sum(1 << j for j, entry in enumerate(row) if entry) for row in reduced)
+    blocks = _row_components(supports, len(vectors))
     return Decomposition(net, tuple(tuple(block) for block in blocks))
 
 

@@ -86,9 +86,9 @@ def _species_rates(
 
 
 def _mass_action_rates(
-    net: Network, k: Mapping[str, Real], x: Mapping[str, Real]
+    net: Network, constants: Sequence[Real], x: Mapping[str, Real]
 ) -> tuple[dict[str, Real], dict[str, Real]]:
-    constants = _rate_constants(net, k)
+    """Net and gross production at ``x``, with ``constants`` from ``_rate_constants``."""
     for name in net.species:
         if name not in x:
             raise ValueError(f"missing concentration for {name}")
@@ -103,14 +103,19 @@ def mass_action_rhs(
     net: Network, k: Mapping[str, Real], x: Mapping[str, Real]
 ) -> dict[str, Real]:
     """The species-formation rate f(x) = N·K(x) under mass-action kinetics."""
-    return _mass_action_rates(net, k, x)[0]
+    return _mass_action_rates(net, _rate_constants(net, k), x)[0]
 
 
 def equilibrium_residual(
     net: Network, k: Mapping[str, Real], x: Mapping[str, Real]
 ) -> Real:
     """max_i |f_i| / max(1, gross production of species i); 0 at equilibria."""
-    f, gross = _mass_action_rates(net, k, x)
+    return _residual(net, _rate_constants(net, k), x)
+
+
+def _residual(net: Network, constants: Sequence[Real], x: Mapping[str, Real]) -> Real:
+    """``equilibrium_residual`` with ``constants`` from ``_rate_constants``."""
+    f, gross = _mass_action_rates(net, constants, x)
     return max(abs(f[name]) / max(1, gross[name]) for name in net.species)
 
 
@@ -271,8 +276,16 @@ def parametrization(
     for pname, value in free.items():
         _positive(value, f"free parameter {pname}")
     net = fixtures.load(name)
-    indexed = {int(rxn.label[1:]): c for rxn, c in zip(net.reactions, _rate_constants(net, k))}
-    point = fixture.evaluate(indexed, dict(free))
+    return _equilibrium(name, net, _rate_constants(net, k), free)
+
+
+def _equilibrium(
+    name: str, net: Network, constants: Sequence[Real], free: Mapping[str, Real]
+) -> dict[str, Real]:
+    """``parametrization`` with ``constants`` from ``_rate_constants`` and
+    ``free`` already checked; each concentration is still checked."""
+    indexed = {int(rxn.label[1:]): c for rxn, c in zip(net.reactions, constants)}
+    point = _PARAMETRIZATIONS[name].evaluate(indexed, dict(free))
     return {
         species: _positive(point[species], f"parametrized concentration of {species}")
         for species in net.species
@@ -298,16 +311,18 @@ def acr_scan(
 
     Free parameters are drawn log-uniformly from [1e-2, 1e2]; a species
     counts as constant when its relative spread across all samples stays
-    below 1e-9.
+    below 1e-9. The rate constants are checked once, before the first draw.
     """
     if sample_count < 2:
         raise ValueError("sample_count must be at least 2")
     fixture = _fixture(name)
+    net = fixtures.load(name)
+    constants = _rate_constants(net, k)
     rng = random.Random(seed)
     values: dict[str, list[float]] = {}
     for _ in range(sample_count):
         free = {pname: 10.0 ** rng.uniform(-2.0, 2.0) for pname in fixture.free_names}
-        point = parametrization(name, k, free)
+        point = _equilibrium(name, net, constants, free)
         for species, value in point.items():
             values.setdefault(species, []).append(value)
     report = {}

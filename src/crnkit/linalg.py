@@ -2,13 +2,16 @@
 
 Everything downstream that makes a structural claim (ranks, deficiencies,
 decompositions, concordance verdicts) goes through this module, so every
-result here is exact — no floating point, no tolerances. The two hot kernels,
-`rref` and `lp_feasible`, pivot fraction-free on an integer matrix that
-carries one shared denominator (Bareiss elimination), and convert to
-`fractions.Fraction` only when they return. Entries may be integers,
-Fractions or floats; a float is read at its exact binary value. Matrices
-are plain lists of lists; sizes in this package are small (tens of
-rows/columns), so clarity wins over vectorization.
+result here is exact — no floating point, no tolerances. Both kernels work
+on integer matrices and convert to ``fractions.Fraction`` only when they
+return. ``_eliminate``, behind ``rref``, ``rank`` and the nullspaces, is
+Gauss-Jordan elimination that keeps each row primitive (coprime integers);
+it leaves a row with a zero in the pivot column as it is. ``lp_feasible``
+alone keeps its simplex tableau fraction-free with one shared denominator
+(Bareiss elimination, ``_pivot``).
+Entries may be integers, Fractions or floats; a float is read at its exact
+binary value. Matrices are plain lists of lists; sizes in this package are
+small (tens of rows/columns), so clarity wins over vectorization.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ def _integer_rows(rows: Sequence[Sequence[Scalar]]) -> list[Sequence[int]]:
 
 
 def _pivot(rows: list[Sequence[int]], r: int, col: int, denom: int) -> None:
-    """One fraction-free Gauss-Jordan step on ``rows[r][col]`` (Bareiss).
+    """One fraction-free Gauss-Jordan step on ``rows[r][col]`` (Bareiss), the
+    LP's tableau step.
 
     ``rows`` holds ``denom`` times the current tableau. Afterwards it holds
     ``rows[r][col]`` times the tableau pivoted on that entry: ``rows[r]`` is
@@ -58,30 +62,48 @@ def _pivot(rows: list[Sequence[int]], r: int, col: int, denom: int) -> None:
             rows[i] = [p * a // denom for a in row]
 
 
-def _eliminate(rows: Sequence[Sequence[Scalar]]) -> tuple[list[Sequence[int]], list[int], int]:
-    """Fraction-free Gauss-Jordan elimination of ``rows``.
+def _primitive(vector: Sequence[int]) -> list[int]:
+    """``vector`` divided by the gcd of its entries, so they are coprime."""
+    common = gcd(*vector)
+    return [v // common for v in vector] if common > 1 else list(vector)
 
-    Returns ``(R, pivots, denom)``: ``R / denom`` is the reduced row echelon
-    form, with ``R`` integer and ``denom`` nonzero but of either sign, and
-    ``pivots`` lists the pivot column of each nonzero row, in order.
+
+def _eliminate(rows: Sequence[Sequence[Scalar]]) -> tuple[list[Sequence[int]], list[int]]:
+    """Gauss-Jordan elimination of ``rows`` over the integers, each row kept primitive.
+
+    Returns ``(R, pivots)``: ``pivots`` lists the pivot column of each
+    nonzero row, in order, and row ``k < len(pivots)`` of ``R`` is row ``k``
+    of the reduced row echelon form scaled to coprime integers, positive at
+    its pivot; the rows after those are zero. A step changes only the rows
+    with a nonzero entry in the pivot column: each becomes
+    ``p*row - f*pivot_row``, divided by its gcd. A row scaled by a positive
+    number keeps its signs and its zeros, so the pivot stays positive.
     """
     mat = _integer_rows(rows)
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
     pivots: list[int] = []
-    denom = 1
     for col in range(ncols):
-        row = len(pivots)
-        if row == nrows:
+        r = len(pivots)
+        if r == nrows:
             break
-        pivot_row = next((i for i in range(row, nrows) if mat[i][col]), None)
-        if pivot_row is None:
+        for found in range(r, nrows):
+            if mat[found][col]:
+                break
+        else:
             continue
-        mat[row], mat[pivot_row] = mat[pivot_row], mat[row]
-        _pivot(mat, row, col, denom)
-        denom = mat[row][col]
+        pivot_row = _primitive(mat[found])
+        if pivot_row[col] < 0:
+            pivot_row = [-a for a in pivot_row]
+        mat[found] = mat[r]
+        mat[r] = pivot_row
+        p = pivot_row[col]
+        for i, row in enumerate(mat):
+            f = row[col]
+            if f and i != r:
+                mat[i] = _primitive([p * a - f * b for a, b in zip(row, pivot_row)])
         pivots.append(col)
-    return mat, pivots, denom
+    return mat, pivots
 
 
 def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Matrix, list[int]]:
@@ -91,9 +113,11 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Matrix, list[int]]:
         ``(R, pivots)`` where ``R`` is the RREF and ``pivots`` lists the pivot
         column of each nonzero row, in order.
     """
-    mat, pivots, denom = _eliminate(rows)
+    mat, pivots = _eliminate(rows)
+    scales = [mat[k][col] for k, col in enumerate(pivots)] + [1] * (len(mat) - len(pivots))
     zero = Fraction(0)  # an RREF is mostly zeros; share one instead of building each
-    return [[Fraction(x, denom) if x else zero for x in values] for values in mat], pivots
+    reduced = [[Fraction(x, p) if x else zero for x in values] for values, p in zip(mat, scales)]
+    return reduced, pivots
 
 
 def rank(rows: Sequence[Sequence[Scalar]]) -> int:
@@ -101,25 +125,29 @@ def rank(rows: Sequence[Sequence[Scalar]]) -> int:
     return len(_eliminate(rows)[1])
 
 
-def _scaled_nullspace(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], int]:
-    """``(V, denom)`` with ``V / denom`` the rows of ``nullspace_basis(rows)``.
+def _nullspace(rows: Sequence[Sequence[Scalar]]) -> list[tuple[int, list[int]]]:
+    """``(f, v)`` for each vector of ``nullspace_basis(rows)``: ``f`` is its
+    free column and ``v`` the vector scaled to coprime integers, ``v[f] > 0``.
 
-    Read off the integer elimination: free column ``f`` gives the integer
-    vector ``denom * e_f - sum_k R[k][f] * e_(pivots[k])``.
+    Free column ``f`` gives ``e_f - sum_k (R[k][f] / R[k][pivots[k]]) e_(pivots[k])``
+    for the primitive rows ``R``, here times the lcm of the pivots it divides by.
     """
     if not rows:
-        return [], 1
-    mat, pivots, denom = _eliminate(rows)
-    ncols = len(rows[0])
-    free = [c for c in range(ncols) if c not in pivots]
+        return []
+    mat, pivots = _eliminate(rows)
+    pivot_rows = [(mat[k], col) for k, col in enumerate(pivots)]
     basis = []
-    for f in free:
-        vec = [0] * ncols
-        vec[f] = denom
-        for k, p in enumerate(pivots):
-            vec[p] = -mat[k][f]
-        basis.append(vec)
-    return basis, denom
+    for f in range(len(rows[0])):
+        if f in pivots:
+            continue
+        scale = lcm(*(row[col] for row, col in pivot_rows if row[f]))
+        vec = [0] * len(rows[0])
+        vec[f] = scale
+        for row, col in pivot_rows:
+            if row[f]:
+                vec[col] = -row[f] * (scale // row[col])
+        basis.append((f, _primitive(vec)))
+    return basis
 
 
 def nullspace_basis(rows: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
@@ -129,24 +157,12 @@ def nullspace_basis(rows: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
     in its free coordinate and zeros in every other free coordinate, which
     makes the basis unique for a given column order.
     """
-    basis, denom = _scaled_nullspace(rows)
-    return [[Fraction(x, denom) for x in vec] for vec in basis]
-
-
-def _primitive(vector: Sequence[int], denom: int) -> list[int]:
-    """``vector / denom`` scaled by a positive rational to coprime integers,
-    without building a Fraction: ``vector`` divided by its gcd, carrying
-    ``denom``'s sign."""
-    common = gcd(*vector)
-    if denom < 0:
-        common = -common
-    return [v // common for v in vector] if common not in (0, 1) else list(vector)
+    return [[Fraction(x, vec[f]) for x in vec] for f, vec in _nullspace(rows)]
 
 
 def _integer_nullspace(rows: Sequence[Sequence[Scalar]]) -> list[list[int]]:
     """``nullspace_basis(rows)`` with each vector scaled to coprime integers."""
-    basis, denom = _scaled_nullspace(rows)
-    return [_primitive(vec, denom) for vec in basis]
+    return [vec for _, vec in _nullspace(rows)]
 
 
 def lp_feasible(

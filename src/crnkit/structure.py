@@ -16,7 +16,7 @@ outside itself.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
-from typing import Iterable, Literal, Sequence
+from typing import Iterable, Literal
 
 from .core import Network, _complexes, reaction_vectors
 from .linalg import rank
@@ -94,10 +94,20 @@ def _components(count: int, edges: Iterable[tuple[int, int]]) -> list[list[int]]
     return list(components.values())
 
 
-def _row_components(rows: Iterable[Sequence[int]], count: int) -> list[list[int]]:
-    """``_components`` of the graph joining the nonzero coordinates of each row."""
-    supports = [[j for j, entry in enumerate(row) if entry] for row in rows]
-    return _components(count, ((s[0], j) for s in supports for j in s[1:]))
+def _row_components(supports: Iterable[int], count: int) -> list[list[int]]:
+    """``_components`` of the graph joining the coordinates of each row.
+
+    Each of ``supports`` is the bit mask of one row's nonzero coordinates.
+    """
+    edges = []
+    for support in supports:
+        first = (support & -support).bit_length() - 1
+        support &= support - 1
+        while support:
+            low = support & -support
+            edges.append((first, low.bit_length() - 1))
+            support ^= low
+    return _components(count, edges)
 
 
 def linkage_partitions(

@@ -2,16 +2,34 @@
 
 ``rref`` and ``lp_feasible`` are the original ``fractions.Fraction``
 versions: every entry is a Fraction and every pivot divides. The library's
-kernels pivot on integers with a shared denominator instead; they must
-return exactly what these return, down to the chosen basic point, since the
-concordance search and the golden files depend on which witness comes back
-(``test_linalg.py``).
+kernels pivot on integers instead; they must return exactly what these
+return, down to the chosen basic point, since the concordance search and
+the golden files depend on which witness comes back (``test_linalg.py``).
 
 ``nullspace_basis`` is the original canonical nullspace, read off the
 ``Fraction`` RREF. The library reads it off the integer elimination, and
 the witness search reads its LP rows (row basis and left nullspace) there
 as coprime integer vectors; both must give what this gives, after
 ``scale_to_integers`` for the search (``test_linalg.py``).
+
+``eliminate`` is the library's former ``_eliminate``, moved here verbatim:
+Gauss-Jordan elimination by Bareiss steps (``linalg._pivot``, still the
+LP's tableau step) over one shared denominator, which rescales every row at
+every pivot. ``bareiss_rref``, ``bareiss_nullspace``, ``primitive`` and
+``bareiss_integer_nullspace`` are the library's former readings of it. The
+library's elimination keeps each row primitive and leaves a row with a zero
+in the pivot column alone; ``rref``, ``rank``, ``nullspace_basis`` and
+``_integer_nullspace`` must return what these return, repr for repr
+(``test_linalg.py``).
+
+``search_rows`` is the witness search's former set-up: reaction vectors
+read by ``coefficient_reaction_vectors`` (one ``Complex.coefficient`` scan
+per species), the row basis off ``eliminate``, and the left nullspace of
+every reaction's vector. ``row_blocks`` is its former block split, which
+scans each row for its nonzero coordinates. The library reads the vectors
+by species index, takes the left nullspace of the pivot reactions only, and
+splits the rows by the support masks of their row certificates; the rows,
+row certificates and blocks must be equal (``test_concord.py``).
 
 ``RowReducer``, ``solve_unique`` and ``scale_to_integers`` are the library's
 former span, solve and scaling helpers, moved here unchanged when nothing in
@@ -72,6 +90,7 @@ LPs instead and skips every LP a pooled certificate refutes; it must return
 the same verdict, witness and ``search_nodes`` with no more solves, and
 every pattern a certificate refutes must re-solve infeasible with this
 module's ``signed_point`` (``test_concord.py``, ``test_acceptance.py``).
+It takes its LP rows from ``search_rows``.
 
 ``signed_point`` takes a per-coordinate sign list (``1``, ``-1``, ``0`` or
 ``None``) and returns a bare point or None, with the Farkas vector of
@@ -117,6 +136,7 @@ from crnkit.concord import (
     ConcordanceVerdict,
     M3crReport,
     SignWitness,
+    _Block,
     _BudgetExhausted,
     _Certificate,
     _masked,
@@ -129,7 +149,8 @@ from crnkit.concord import (
 )
 from crnkit.core import Network, Reaction, _complexes, reaction_vectors, subnetwork
 from crnkit.decomp import Decomposition
-from crnkit.linalg import _eliminate, _integer_nullspace, _primitive
+from crnkit.linalg import _integer_rows, _pivot
+from crnkit.structure import _components
 from crnkit.transform import KineticSystem
 
 Scalar = int | Fraction
@@ -189,6 +210,70 @@ def nullspace_basis(rows: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
             vec[p] = -reduced[k][f]
         basis.append(vec)
     return basis
+
+
+def eliminate(rows: Sequence[Sequence[Scalar]]) -> tuple[list[Sequence[int]], list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of ``rows``.
+
+    Returns ``(R, pivots, denom)``: ``R / denom`` is the reduced row echelon
+    form, with ``R`` integer and ``denom`` nonzero but of either sign, and
+    ``pivots`` lists the pivot column of each nonzero row, in order.
+    """
+    mat = _integer_rows(rows)
+    nrows = len(mat)
+    ncols = len(mat[0]) if nrows else 0
+    pivots: list[int] = []
+    denom = 1
+    for col in range(ncols):
+        row = len(pivots)
+        if row == nrows:
+            break
+        pivot_row = next((i for i in range(row, nrows) if mat[i][col]), None)
+        if pivot_row is None:
+            continue
+        mat[row], mat[pivot_row] = mat[pivot_row], mat[row]
+        _pivot(mat, row, col, denom)
+        denom = mat[row][col]
+        pivots.append(col)
+    return mat, pivots, denom
+
+
+def bareiss_rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Matrix, list[int]]:
+    """``rref`` read off ``eliminate``, as the library read it."""
+    mat, pivots, denom = eliminate(rows)
+    zero = Fraction(0)
+    return [[Fraction(x, denom) if x else zero for x in values] for values in mat], pivots
+
+
+def bareiss_nullspace(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], int]:
+    """``(V, denom)`` with ``V / denom`` the canonical nullspace basis, read off
+    ``eliminate``: free column ``f`` gives ``denom * e_f - sum_k R[k][f] * e_(pivots[k])``."""
+    if not rows:
+        return [], 1
+    mat, pivots, denom = eliminate(rows)
+    ncols = len(rows[0])
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        vec = [0] * ncols
+        vec[f] = denom
+        for k, p in enumerate(pivots):
+            vec[p] = -mat[k][f]
+        basis.append(vec)
+    return basis, denom
+
+
+def primitive(vector: Sequence[int], denom: int) -> list[int]:
+    """``vector / denom`` scaled by a positive rational to coprime integers."""
+    common = gcd(*vector)
+    if denom < 0:
+        common = -common
+    return [v // common for v in vector] if common not in (0, 1) else list(vector)
+
+
+def bareiss_integer_nullspace(rows: Sequence[Sequence[Scalar]]) -> list[list[int]]:
+    """The canonical nullspace basis scaled to coprime integers, via ``eliminate``."""
+    basis, denom = bareiss_nullspace(rows)
+    return [primitive(vec, denom) for vec in basis]
 
 
 def lp_feasible(
@@ -758,7 +843,7 @@ def off_support_sigma(
     if not pinned:
         # no left-null constraints and no reactant species at all
         return [Fraction(1)] + [Fraction(0)] * (species_count - 1)
-    basis = _integer_nullspace(pinned)
+    basis = bareiss_integer_nullspace(pinned)
     if not basis:
         return None
     return [Fraction(v) for v in basis[0]]
@@ -772,12 +857,9 @@ class PoolSearch:
         self.node_budget = node_budget
         self.nodes = 0
         self.solves = 0
-        columns = reaction_vectors(net)
-        self.reaction_count = len(columns)
+        self.reaction_count = len(net.reactions)
         self.species_count = len(net.species)
-        reduced, pivots, denom = _eliminate(list(zip(*columns)))
-        self.n_rows = [_primitive(reduced[k], denom) for k in range(len(pivots))]
-        self.left_null = _integer_nullspace(columns)
+        self.n_rows, self.left_null = search_rows(net)
         index = {name: i for i, name in enumerate(net.species)}
         self.supports = [
             sum(1 << index[name] for name, _ in rxn.reactant) for rxn in net.reactions
@@ -903,6 +985,41 @@ class PoolSearch:
         if witness is not None:
             return ConcordanceVerdict("Discordant", witness, self.nodes)
         return ConcordanceVerdict("Concordant", None, self.nodes)
+
+
+def coefficient_reaction_vectors(net: Network) -> list[list[int]]:
+    """``reaction_vectors`` by one ``Complex.coefficient`` scan per species."""
+    return [
+        [rxn.product.coefficient(name) - rxn.reactant.coefficient(name) for name in net.species]
+        for rxn in net.reactions
+    ]
+
+
+def search_rows(net: Network) -> tuple[list[list[int]], list[list[int]]]:
+    """The LP rows of the witness search: coprime integer rows of the RREF of
+    N, and the left nullspace of all of N's columns, both off ``eliminate``."""
+    columns = coefficient_reaction_vectors(net)
+    reduced, pivots, denom = eliminate(list(zip(*columns)))
+    return (
+        [primitive(reduced[k], denom) for k in range(len(pivots))],
+        bareiss_integer_nullspace(columns),
+    )
+
+
+def row_blocks(rows: list[list[int]], count: int) -> list[_Block]:
+    """The independent blocks of ``rows``, split by scanning each row."""
+    supports = [[j for j, entry in enumerate(row) if entry] for row in rows]
+    components = _components(count, ((s[0], j) for s in supports for j in s[1:]))
+    block_of = {j: b for b, coords in enumerate(components) for j in coords}
+    block_rows: list[list[list[int]]] = [[] for _ in components]
+    for row in rows:
+        first = next((j for j, entry in enumerate(row) if entry), None)
+        if first is not None:
+            block_rows[block_of[first]].append(row)
+    return [
+        (coords, sum(1 << j for j in coords), [[row[j] for j in coords] for row in lines], {})
+        for coords, lines in zip(components, block_rows)
+    ]
 
 
 class WholeSide(_Side):

@@ -148,6 +148,24 @@ def test_concordance_verifies_its_witness_once(mode, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_equilibria_checks_each_rate_map_once(capsys, monkeypatch):
+    # one check per residual draw, for its point and its residual, and one
+    # for the robustness scan's map
+    from crnkit import kinetics
+
+    calls = []
+    check = kinetics._rate_constants
+
+    def counting(net, k):
+        calls.append(None)
+        return check(net, k)
+
+    monkeypatch.setattr(kinetics, "_rate_constants", counting)
+    code, _, _ = run(capsys, "equilibria", "schmitz", "--samples", "6", "--seed", "7")
+    assert code == 0
+    assert len(calls) == 6 + 1
+
+
 def test_equilibria_json_summarizes_scan_and_residuals(capsys):
     code, out, _ = run(capsys, "equilibria", "fal", "--samples", "50", "--seed", "7", "--json")
     payload = json.loads(out)["payload"]

@@ -32,6 +32,7 @@ from crnkit.concord import (
 from crnkit.core import (
     common_reactions,
     parse_network,
+    reaction_vectors,
     subnetwork,
     subnetwork_by_labels,
 )
@@ -791,6 +792,51 @@ def test_alpha_blocks_are_the_fid_blocks(name):
     net = fixtures.load(name)
     search = _WitnessSearch(net, DEFAULT_NODE_BUDGET)
     assert [tuple(coords) for coords, *_ in search.alpha.blocks] == list(fid(net).blocks)
+
+
+def _assert_set_up_as_before(net):
+    # the search's rows, row certificates and blocks are those of the set-up
+    # that eliminated with a shared denominator, took the left nullspace of
+    # every reaction and split each row by scanning it
+    assert reaction_vectors(net) == oracles.coefficient_reaction_vectors(net)
+    search = _WitnessSearch(net, DEFAULT_NODE_BUDGET)
+    for side, rows in zip((search.alpha, search.sigma), oracles.search_rows(net)):
+        assert side.rows == rows
+        assert side.row_certs == _row_certificates(rows)
+        assert side.blocks == oracles.row_blocks(rows, side.count)
+
+
+@settings(max_examples=200, deadline=None)
+@given(networks(max_species=5, max_reactions=7))
+def test_search_set_up_matches_the_old_one(net):
+    _assert_set_up_as_before(net)
+
+
+@pytest.mark.parametrize("name", fixtures.NAMES)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_search_set_up_matches_the_old_one_on_fixture_subsets(name, data):
+    net = fixtures.load(name)
+    keep = data.draw(
+        st.lists(st.integers(0, len(net.reactions) - 1), min_size=1, unique=True), label="keep"
+    )
+    _assert_set_up_as_before(subnetwork(net, keep))
+
+
+def test_sides_with_a_zero_row_or_no_rows():
+    zero = _masked([Fraction(0)])
+    side = _Side([[0]], 1)
+    assert side.row_certs == [(0, 0), (0, 0)]
+    assert side.blocks == oracles.row_blocks([[0]], 1) == [([0], 1, [], {})]
+    assert side.point((1, 0, 0), zero) == _masked([Fraction(1)])
+    assert side.point((0, 1, 0), zero) == _masked([Fraction(-1)])
+    empty = _Side([], 3)
+    assert empty.row_certs == []
+    assert empty.blocks == oracles.row_blocks([], 3) == [
+        ([0], 1, [], {}), ([1], 2, [], {}), ([2], 4, [], {})
+    ]
+    point = empty.point((0b001, 0b100, 0b010), _masked([Fraction(0)] * 3))
+    assert point == _masked([Fraction(1), Fraction(0), Fraction(-1)])
 
 
 def test_species_in_no_left_null_row_are_signed_without_an_lp(monkeypatch):

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from netgen import networks
 
-from crnkit import fixtures
+from crnkit import fixtures, kinetics
 from crnkit.core import parse_network
 from crnkit.decomp import fid
 from crnkit.kinetics import (
@@ -271,3 +271,39 @@ def test_scan_reports_every_species_and_is_seeded():
     }
     with pytest.raises(ValueError, match="at least 2"):
         acr_scan("schmitz", k, sample_count=1)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [{"R1": -1.0}, {"R1": math.inf}, {"R99": 1.0}],
+    ids=["negative", "infinite", "unknown"],
+)
+def test_scan_refuses_a_bad_rate_map_before_any_draw(monkeypatch, change):
+    k = {**{rxn.label: 1.0 for rxn in SCHMITZ.reactions}, **change}
+    with pytest.raises(ValueError) as want:
+        parametrization("schmitz", k, {"sigma1": 1.0, "tau2": 1.0})
+    draws = []
+
+    class CountingRandom(random.Random):
+        def uniform(self, a, b):
+            draws.append((a, b))
+            return super().uniform(a, b)
+
+    monkeypatch.setattr(kinetics.random, "Random", CountingRandom)
+    with pytest.raises(ValueError) as got:
+        acr_scan("schmitz", k, sample_count=10)
+    assert str(got.value) == str(want.value)
+    assert draws == []
+
+
+def test_scan_checks_its_rate_map_once(monkeypatch):
+    calls = []
+    check = kinetics._rate_constants
+
+    def counting(net, k):
+        calls.append(None)
+        return check(net, k)
+
+    monkeypatch.setattr(kinetics, "_rate_constants", counting)
+    acr_scan("fal", {rxn.label: 1.0 for rxn in FAL.reactions}, sample_count=20)
+    assert len(calls) == 1

@@ -3,11 +3,15 @@
 The LP feasibility routine is checked against a self-contained brute-force
 oracle (enumeration of candidate basic solutions with a local Gaussian solve),
 so the two implementations share no code beyond Fraction itself. Both
-fraction-free kernels are also checked for identical output against the
-Fraction kernels they replaced, kept in ``oracles.py``, and ``rank``, which
-counts pivots without building the reduced matrix, against the oracle's
-pivot count. ``RowReducer``, ``solve_unique`` and ``scale_to_integers``
-live in ``oracles.py`` now; their unit tests stay here.
+integer kernels are also checked for identical output against the Fraction
+kernels they replaced, kept in ``oracles.py``, and ``rank``, which counts
+pivots without building the reduced matrix, against the oracle's pivot
+count. The row-primitive elimination behind ``rref``, ``rank`` and the
+nullspaces is checked once more against the shared-denominator (Bareiss)
+elimination it replaced, ``oracles.eliminate``: on integer, ``Fraction``
+and float matrices with repeated and zero rows, all four must return what
+the old kernel gave, repr for repr. ``RowReducer``, ``solve_unique`` and
+``scale_to_integers`` live in ``oracles.py`` now; their unit tests stay here.
 """
 
 from __future__ import annotations
@@ -164,6 +168,13 @@ def test_lp_feasible_rejects_mismatched_shapes():
 def test_rref_rejects_a_ragged_matrix():
     with pytest.raises(ValueError):
         rref([[1, 2], [3]])
+
+
+@pytest.mark.parametrize("kernel", [rref, rank, nullspace_basis, _integer_nullspace])
+def test_eliminating_kernels_reject_a_ragged_matrix(kernel):
+    for ragged in ([[1, 2], [3]], [[Fraction(1, 2)], [1, 0]], [[0.5, 1], [2]]):
+        with pytest.raises(ValueError):
+            kernel(ragged)
 
 
 def test_lp_feasible_requires_pivoting():
@@ -334,12 +345,20 @@ def test_nullspace_matches_fraction_oracle(mat):
 @settings(max_examples=300)
 @given(matrices(max_rows=5, max_cols=6, entries=rational_entries))
 def test_primitive_rows_match_the_scaled_fraction_rref(mat):
-    # the witness search's row basis: coprime integer rows of the RREF
-    reduced, pivots, denom = _eliminate(mat)
+    # the witness search's row basis: the elimination's rows are the RREF's,
+    # scaled to coprime integers, and the rows after them are zero
+    reduced, pivots = _eliminate(mat)
     want, want_pivots = oracles.rref(mat)
-    assert [_primitive(reduced[k], denom) for k in range(len(pivots))] == [
-        scale_to_integers(want[k]) for k in range(len(want_pivots))
-    ]
+    assert pivots == want_pivots
+    assert reduced[: len(pivots)] == [scale_to_integers(want[k]) for k in range(len(pivots))]
+    assert not any(any(row) for row in reduced[len(pivots):])
+
+
+def test_primitive_divides_by_the_gcd():
+    assert _primitive([4, -6, 0]) == [2, -3, 0]
+    assert _primitive([-1, 2]) == [-1, 2]
+    assert _primitive([0, 0]) == [0, 0]
+    assert _primitive([]) == []
 
 
 # --- Farkas vectors of infeasible systems ------------------------------------
@@ -417,3 +436,58 @@ def test_lp_feasible_breaks_a_ratio_tie_like_the_oracle():
     b_eq = [0, 1, 0]
     _assert_identical(lp_feasible(a_eq, b_eq), oracles.lp_feasible(a_eq, b_eq))
     assert lp_feasible(a_eq, b_eq) == [1, 0, 1, 1]
+
+
+# --- the row-primitive elimination against the Bareiss one -------------------
+
+
+@st.composite
+def edge_matrices(draw, entries):
+    """Up to 5 rows of 1-6 columns, the empty matrix included, with a row
+    often repeated or scaled, a zero row put in, or every entry zero."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=5))
+    if rows and draw(st.booleans()):
+        k = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        scale = draw(st.sampled_from((1, -1, 2)))
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), [scale * x for x in rows[k]])
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), [0] * n)
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        rows = [[0] * n for _ in rows]
+    return rows
+
+
+def _assert_matches_bareiss(mat):
+    _assert_identical(rref(mat), oracles.bareiss_rref(mat))
+    assert rank(mat) == len(oracles.eliminate(mat)[1])
+    basis, denom = oracles.bareiss_nullspace(mat)
+    _assert_identical(nullspace_basis(mat), [[Fraction(x, denom) for x in vec] for vec in basis])
+    _assert_identical(_integer_nullspace(mat), oracles.bareiss_integer_nullspace(mat))
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [[], [[0]], [[0, 0], [0, 0]], [[5]], [[0], [2], [-4]], [[2, 4, 6], [1, 2, 3]],
+     [[0, 0, 3], [0, 0, 0], [0, 2, 1]], [[-2, 4], [-2, 4], [0, 0]]],
+)
+def test_elimination_matches_bareiss_on_edge_cases(mat):
+    _assert_matches_bareiss(mat)
+
+
+@settings(max_examples=300)
+@given(edge_matrices(small_entries))
+def test_elimination_matches_bareiss_on_integers(mat):
+    _assert_matches_bareiss(mat)
+
+
+@settings(max_examples=300)
+@given(edge_matrices(rational_entries))
+def test_elimination_matches_bareiss_on_rationals(mat):
+    _assert_matches_bareiss(mat)
+
+
+@settings(max_examples=200)
+@given(edge_matrices(float_entries))
+def test_elimination_matches_bareiss_on_floats(mat):
+    _assert_matches_bareiss(mat)
