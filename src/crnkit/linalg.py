@@ -114,7 +114,7 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Matrix, list[int]]:
         column of each nonzero row, in order.
     """
     mat, pivots = _eliminate(rows)
-    scales = [mat[k][col] for k, col in enumerate(pivots)] + [1] * (len(mat) - len(pivots))
+    scales = [row[col] for row, col in zip(mat, pivots)] + [1] * (len(mat) - len(pivots))
     zero = Fraction(0)  # an RREF is mostly zeros; share one instead of building each
     reduced = [[Fraction(x, p) if x else zero for x in values] for values, p in zip(mat, scales)]
     return reduced, pivots
@@ -135,13 +135,14 @@ def _nullspace(rows: Sequence[Sequence[Scalar]]) -> list[tuple[int, list[int]]]:
     if not rows:
         return []
     mat, pivots = _eliminate(rows)
-    pivot_rows = [(mat[k], col) for k, col in enumerate(pivots)]
+    ncols = len(rows[0])
+    pivot_rows = list(zip(mat, pivots))
     basis = []
-    for f in range(len(rows[0])):
+    for f in range(ncols):
         if f in pivots:
             continue
         scale = lcm(*(row[col] for row, col in pivot_rows if row[f]))
-        vec = [0] * len(rows[0])
+        vec = [0] * ncols
         vec[f] = scale
         for row, col in pivot_rows:
             if row[f]:
