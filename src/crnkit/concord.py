@@ -74,7 +74,7 @@ certificates; only the number of LPs falls.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -261,11 +261,17 @@ def _row_certificates(rows: list[list[int]]) -> list[_Certificate]:
     """The masks of every row ``w`` of an LP and of ``-w``.
 
     Both lie in the row space, so they refute patterns exactly as a Farkas
-    certificate does, with no LP solved to find them.
+    certificate does, with no LP solved to find them. The rows are integers,
+    so their signs are read by comparison, not off ``Fraction`` numerators.
     """
     certs = []
     for row in rows:
-        _, wpos, wneg = _masked(row)
+        wpos = wneg = 0
+        for j, entry in enumerate(row):
+            if entry > 0:
+                wpos |= 1 << j
+            elif entry < 0:
+                wneg |= 1 << j
         certs += [(wpos, wneg), (wneg, wpos)]
     return certs
 
@@ -400,11 +406,17 @@ class _WitnessSearch:
             _integer_nullspace([columns[r] for r in pivots]), self.species_count
         )
         index = {name: i for i, name in enumerate(net.species)}
-        self.supports = [
-            sum(1 << index[name] for name, _ in rxn.reactant) for rxn in net.reactions
-        ]
-        shared = Counter(index[name] for rxn in net.reactions for name, _ in rxn.reactant)
-        self.order = sorted(shared, key=lambda i: (-shared[i], i))
+        self.supports = []
+        shared = [0] * self.species_count  # the reactions each species is a reactant of
+        for rxn in net.reactions:
+            support = 0
+            for name, _ in rxn.reactant:
+                support |= 1 << index[name]
+                shared[index[name]] += 1
+            self.supports.append(support)
+        self.order = sorted(
+            (i for i in range(self.species_count) if shared[i]), key=lambda i: (-shared[i], i)
+        )
         self.zero_alpha = _masked([_ZERO] * self.reaction_count)
 
     def _signature(self, masks: _Masks) -> _Masks:
