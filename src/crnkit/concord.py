@@ -25,13 +25,18 @@ reduced row echelon form of N is the row basis, and its pivot columns,
 which span the image of N, give the basis of its left nullspace, as the
 nullspace of those reactions' vectors alone. A partial
 pattern is three species masks (the signs assigned +, - and 0), passed down
-the recursion as one immutable value, and each reactant support is a
-species mask, so the alpha-signs a pattern forces follow from subset tests.
+the recursion as one immutable value. The alpha-signs it forces take three
+mask operations per node: the masks of the reactions with a reactant
+signed + and with one signed - go down the recursion too, and a reaction
+is decided once the species still to be signed hold none of its reactants.
 The masks of a pattern go down to the LP as they are, and the LP answers
 with a masked point or a certificate: every feasible point the search keeps
 (pooled, or carried down the tree) is stored with the bitmasks of its
 positive and negative coordinates (the rest are zero), so whether it fits a
-pattern is three mask tests too.
+pattern is three mask tests too. A point is kept as its blocks' parts
+(below), each integer numerators over one positive denominator; the
+search builds ``Fraction``s in one place only, ``_assemble``, when it
+returns a witness or a cone certificate.
 
 Each side splits its rows once into independent blocks: the connected
 components of the graph that joins the coordinates sharing a row, from
@@ -51,9 +56,10 @@ Most blocks of the finest independent decomposition have rank 1, so most
 block LPs have one row, and Bland's rule settles such an LP in its first
 pivot: the artificial variable starts basic, the first column that can
 carry the right-hand side enters, and then no reduced cost is negative.
-``_first_pivot`` answers it in closed form with that pivot's point, or with
-the row itself as the Farkas certificate when no column can enter. Only
-blocks of two or more rows reach ``lp_feasible``.
+``_first_pivot`` answers it in closed form with that pivot's point, scaled
+by the pivot entry's absolute value to stay integer, or with the row
+itself as the Farkas certificate when no column can enter. Only blocks of
+two or more rows reach ``lp_feasible``.
 
 An infeasible LP leaves a Farkas certificate instead: ``lp_feasible`` hands
 back its phase-1 duals ``y``, and ``w = -yᵀ rows`` is an integer vector of
@@ -78,6 +84,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from math import lcm
 from typing import Iterable, Literal, Sequence
 
 from .core import Network, Reaction, reaction_vectors, subnetwork
@@ -128,10 +135,14 @@ class M3crReport:
     search_nodes: int
 
 
-_ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
-# A point with the bitmasks of its positive and negative coordinates; the
-# rest are zero.
-_Masked = tuple[list[Fraction], int, int]
+_ZERO = Fraction(0)
+# A block's point: its coordinates, the integer numerators of its entries over
+# one positive denominator, and the bitmasks of its positive and negative
+# coordinates.
+_Part = tuple[Sequence[int], list[int], int, int, int]
+# A side's point: the parts of its blocks that are not zero, and the bitmasks
+# of its positive and negative coordinates; every other coordinate is zero.
+_Masked = tuple[list[_Part], int, int]
 # Bitmasks of the coordinates wanted positive, negative and zero.
 _Masks = tuple[int, int, int]
 # The masks (wpos, wneg) of an integer vector w of an LP's row space that
@@ -139,45 +150,54 @@ _Masks = tuple[int, int, int]
 _Certificate = tuple[int, int]
 
 
-def _masked(point: list[Fraction], coords: Sequence[int] = ()) -> _Masked:
-    """``point`` with the masks of its signs; entry k is coordinate ``coords[k]``.
-
-    ``coords`` defaults to ``range(len(point))``.
-    """
+def _sign_masks(coords: Iterable[int], values: Iterable[int]) -> tuple[int, int]:
+    """The masks of the coordinates ``coords`` whose entry of ``values`` is > 0 and < 0."""
     pos = neg = 0
-    for j, value in zip(coords or range(len(point)), point):
-        sign = value.numerator  # the sign of a Fraction or an int is its numerator's
-        if sign > 0:
+    for j, value in zip(coords, values):
+        if value > 0:
             pos |= 1 << j
-        elif sign < 0:
+        elif value < 0:
             neg |= 1 << j
-    return point, pos, neg
+    return pos, neg
+
+
+def _assemble(parts: Iterable[_Part], count: int) -> tuple[Fraction, ...]:
+    """The exact vector over ``count`` coordinates of the block ``parts``, 0 elsewhere.
+
+    The search's only ``Fraction``s are built here, when a witness or a cone
+    certificate is returned.
+    """
+    vector = [_ZERO] * count
+    for coords, nums, denom, _, _ in parts:
+        for j, num in zip(coords, nums):
+            vector[j] = Fraction(num, denom)
+    return tuple(vector)
 
 
 def _signed_point(
     rows: Sequence[Sequence[int]], coords: Sequence[int], masks: _Masks
-) -> _Masked | _Certificate:
-    """Exact feasible point of {rows . x = 0} over the coordinates ``coords``, masked.
+) -> _Part | _Certificate:
+    """Exact feasible point of {rows . x = 0} over the coordinates ``coords``.
 
     Entry k of each row, and of the point, belongs to coordinate ``coords[k]``;
-    the masks are over coordinates. ``masks`` is ``(plus, minus, zero)``:
-    x_j >= 1 where ``plus`` has bit j, x_j <= -1 where ``minus`` has it, x_j = 0
-    where ``zero`` has it, and x_j unconstrained elsewhere. A pattern that
-    wants no sign has b = 0, so its point is 0 with no LP, and one row is
-    answered by ``_first_pivot`` with no LP either. When there is no
-    such point, returns a certificate ``(wpos, wneg)``: the masks of the
-    positive and negative coordinates of ``w = -yᵀ rows`` for the Farkas
-    vector ``y`` of the LP, an integer vector of the row space that is
-    checked with ``_refuted`` to refute ``masks`` before it is returned.
+    the masks are over coordinates, and lie within ``coords``. ``masks`` is
+    ``(plus, minus, zero)``: x_j >= 1 where ``plus`` has bit j, x_j <= -1
+    where ``minus`` has it, x_j = 0 where ``zero`` has it, and x_j
+    unconstrained elsewhere. A pattern that wants no sign has b = 0, so its
+    point is 0 with no LP, and one row is answered by ``_first_pivot`` with
+    no LP either. The point comes back as a ``_Part``, integers over one
+    denominator. When there is no such point, returns a certificate
+    ``(wpos, wneg)``: the masks of the positive and negative coordinates of
+    ``w = -yᵀ rows`` for the Farkas vector ``y`` of the LP, an integer vector
+    of the row space that is checked with ``_refuted`` to refute ``masks``
+    before it is returned.
     """
     plus, minus, zero = masks
-    point = [
-        _ONE if plus >> j & 1 else _MINUS_ONE if minus >> j & 1 else _ZERO for j in coords
-    ]
+    signs = [1 if plus >> j & 1 else -1 if minus >> j & 1 else 0 for j in coords]
     if not rows or not plus | minus | zero:
-        return _masked(point, coords)
+        return coords, signs, 1, plus, minus
     if len(rows) == 1:
-        w = _first_pivot(rows[0], coords, masks, point)
+        answer = _first_pivot(rows[0], coords, masks, signs)
     else:
         variables: list[tuple[int, int]] = []  # (entry, direction)
         for k, j in enumerate(coords):
@@ -194,50 +214,51 @@ def _signed_point(
         solution = lp_feasible(a_eq, b_eq, farkas=farkas)
         if solution is None:
             w = [-sum(y * row[k] for y, row in zip(farkas, rows)) for k in range(len(coords))]
+            answer = _sign_masks(coords, w)
         else:
-            w = None
+            # a list, not a generator: a tuple built from a generator is resized,
+            # and CPython's tuple free lists then hoard it, pinning memory
+            denom = lcm(*[value.denominator for value in solution])
+            nums = [sign * denom for sign in signs]
             for (k, direction), value in zip(variables, solution):
-                if value:
-                    point[k] = point[k] + value if direction == 1 else point[k] - value
-    if w is None:
-        return _masked(point, coords)
-    _, wpos, wneg = _masked(w, coords)
-    if not _refuted([(wpos, wneg)], masks):
+                nums[k] += direction * value.numerator * (denom // value.denominator)
+            answer = (coords, nums, denom, *_sign_masks(coords, nums))
+    if len(answer) == 2 and not _refuted([answer], masks):
         raise RuntimeError("the phase-1 duals do not refute the sign pattern")
-    return wpos, wneg
+    return answer
 
 
 def _first_pivot(
-    row: Sequence[int], coords: Sequence[int], masks: _Masks, point: list[Fraction]
-) -> list[int] | None:
+    row: Sequence[int], coords: Sequence[int], masks: _Masks, signs: list[int]
+) -> _Part | _Certificate:
     """``_signed_point``'s LP for the one row ``row``, in closed form.
 
-    Moves ``point`` onto the row and returns None, or returns ``w = -yᵀ row``
-    for the Farkas vector ``y`` when the LP is infeasible. The LP is
-    ``a . u = b`` with ``b = -row . point``, and its artificial variable
-    starts basic. Bland's rule enters the first column with ``s * a > 0``,
-    ``s`` the sign of b, at ``b / a``; after that pivot no reduced cost is
-    negative. Either column of entry k moves it by ``b / row[k]``. With
-    ``b = 0`` the point already fits; with no column to enter, ``y = [s]``.
+    Returns the point ``signs`` (+-1 or 0) moved onto the row, or the
+    certificate of ``w = -yᵀ row`` for the Farkas vector ``y`` when the LP is
+    infeasible. The LP is ``a . u = b`` with ``b = -row . signs``, and its
+    artificial variable starts basic. Bland's rule enters the first column
+    with ``s * a > 0``, ``s`` the sign of b, at ``b / a``; after that pivot
+    no reduced cost is negative. Either column of entry k moves it by
+    ``b / row[k]``, so the point is scaled by ``|row[k]|``. With ``b = 0``
+    the point already fits; with no column to enter, ``y = [s]``.
     """
     plus, minus, zero = masks
     b = 0
-    for entry, j in zip(row, coords):
-        if plus >> j & 1:
-            b -= entry
-        elif minus >> j & 1:
-            b += entry
+    for entry, sign in zip(row, signs):
+        b -= entry * sign
     if not b:
-        return None
+        return coords, signs, 1, plus, minus
     s = 1 if b > 0 else -1
     for k, (entry, j) in enumerate(zip(row, coords)):
         # s * entry > 0 enters the + column, which x_j lacks when wanted - or 0;
         # s * entry < 0 enters the - column, which it lacks when wanted + or 0
         blocked = minus if s * entry > 0 else plus
         if entry and not (blocked | zero) >> j & 1:
-            point[k] += Fraction(b, entry)
-            return None
-    return [-s * entry for entry in row]
+            denom = abs(entry)
+            nums = [sign * denom for sign in signs]
+            nums[k] += b if entry > 0 else -b
+            return coords, nums, denom, *_sign_masks(coords, nums)
+    return _sign_masks(coords, [-s * entry for entry in row])
 
 
 def _refuted(certs: Iterable[_Certificate], masks: _Masks) -> bool:
@@ -266,19 +287,14 @@ def _row_certificates(rows: list[list[int]]) -> list[_Certificate]:
     """
     certs = []
     for row in rows:
-        wpos = wneg = 0
-        for j, entry in enumerate(row):
-            if entry > 0:
-                wpos |= 1 << j
-            elif entry < 0:
-                wneg |= 1 << j
+        wpos, wneg = _sign_masks(range(len(row)), row)
         certs += [(wpos, wneg), (wneg, wpos)]
     return certs
 
 
 # An independent block of an LP: its coordinates, their mask, its rows over
 # those coordinates, and the answers of ``_signed_point`` by sub-pattern.
-_Block = tuple[list[int], int, list[list[int]], dict[_Masks, _Masked | _Certificate]]
+_Block = tuple[list[int], int, list[list[int]], dict[_Masks, _Part | _Certificate]]
 
 
 def _blocks(rows: list[list[int]], supports: list[int], count: int) -> list[_Block]:
@@ -306,10 +322,12 @@ class _Side:
     """The LPs of one side of the search: {rows . x = 0} over ``count`` coordinates.
 
     ``point`` takes the masks of a sign pattern and answers with a masked
-    point or None. It keeps the newest 64 feasible points and the newest 64
-    certificates of its LPs, plus the certificates of its own rows, which are
-    never evicted. It splits its rows into independent ``blocks`` once, and
-    solves the LP of a pattern block by block, each block's sub-pattern once.
+    point or None: the integer parts of its nonzero blocks and its sign
+    masks, which ``_assemble`` turns into a vector. It keeps the newest 64
+    feasible points and the newest 64 certificates of its LPs, plus the
+    certificates of its own rows, which are never evicted. It splits its
+    rows into independent ``blocks`` once, and solves the LP of a pattern
+    block by block, each block's sub-pattern once.
     """
 
     __slots__ = ("rows", "count", "pool", "certs", "row_certs", "blocks")
@@ -352,24 +370,28 @@ class _Side:
         Bland's rule each block pivots as it would alone: the point is the
         blocks' points side by side, and the LP is infeasible when a block
         is. The first infeasible block's certificate is zero off the block,
-        so it refutes ``masks``.
+        so it refutes ``masks``. A block whose sub-pattern wants no sign has
+        the point 0 and is skipped; the point is the list of the nonzero
+        blocks' integer parts with their masks, and no vector is built.
         """
         plus, minus, zero = masks
-        point = [_ZERO] * self.count
+        wanted = plus | minus | zero
+        parts = []
         pos = neg = 0
         for coords, mask, rows, solved in self.blocks:
+            if not wanted & mask:
+                continue
             sub = (plus & mask, minus & mask, zero & mask)
             answer = solved.get(sub)
             if answer is None:
                 answer = solved[sub] = _signed_point(rows, coords, sub)
             if len(answer) == 2:  # a certificate
                 return answer
-            values, block_pos, block_neg = answer
-            for j, value in zip(coords, values):
-                point[j] = value
-            pos |= block_pos
-            neg |= block_neg
-        return point, pos, neg
+            if answer[3] | answer[4]:
+                parts.append(answer)
+                pos |= answer[3]
+                neg |= answer[4]
+        return parts, pos, neg
 
 
 class _BudgetExhausted(Exception):
@@ -381,9 +403,10 @@ class _WitnessSearch:
 
     A partial sigma pattern is one immutable value, the species masks
     ``(plus, minus, zero)`` of the signs assigned so far, passed down the
-    recursion. Each reaction's reactant support is a species mask too, so
-    the reactions it forces (pure +, pure -, all zero) follow from three
-    subset tests per reaction.
+    recursion. ``reactant_of`` holds the mask of the reactions each species
+    is a reactant of, and ``after[d]`` the reactions with a reactant among
+    the species ``order[d:]``, so the reactions a pattern forces (pure +,
+    pure -, all zero) follow from three mask operations (``_descend``).
 
     Each side, ``alpha`` over reactions with the rows of N and ``sigma``
     over species with a basis of its left nullspace, is a ``_Side``: it
@@ -406,32 +429,21 @@ class _WitnessSearch:
             _integer_nullspace([columns[r] for r in pivots]), self.species_count
         )
         index = {name: i for i, name in enumerate(net.species)}
-        self.supports = []
-        shared = [0] * self.species_count  # the reactions each species is a reactant of
-        for rxn in net.reactions:
-            support = 0
+        # the mask of the reactions each species is a reactant of
+        self.reactant_of = [0] * self.species_count
+        for r, rxn in enumerate(net.reactions):
             for name, _ in rxn.reactant:
-                support |= 1 << index[name]
-                shared[index[name]] += 1
-            self.supports.append(support)
+                self.reactant_of[index[name]] |= 1 << r
         self.order = sorted(
-            (i for i in range(self.species_count) if shared[i]), key=lambda i: (-shared[i], i)
+            (i for i in range(self.species_count) if self.reactant_of[i]),
+            key=lambda i: (-self.reactant_of[i].bit_count(), i),
         )
-        self.zero_alpha = _masked([_ZERO] * self.reaction_count)
-
-    def _signature(self, masks: _Masks) -> _Masks:
-        """Reaction masks of the supports ``masks`` makes pure +, pure - and all zero."""
-        plus, minus, zero = masks
-        plus_zero, minus_zero = plus | zero, minus | zero
-        forced_plus = forced_minus = forced_zero = 0
-        for r, support in enumerate(self.supports):
-            if support & zero == support:
-                forced_zero |= 1 << r
-            elif support & plus_zero == support:
-                forced_plus |= 1 << r
-            elif support & minus_zero == support:
-                forced_minus |= 1 << r
-        return forced_plus, forced_minus, forced_zero
+        # after[d]: the reactions with a reactant among order[d:], unsigned at depth d
+        self.after = [0] * (len(self.order) + 1)
+        for d in reversed(range(len(self.order))):
+            self.after[d] = self.after[d + 1] | self.reactant_of[self.order[d]]
+        self.all_reactions = (1 << self.reaction_count) - 1
+        self.zero_alpha: _Masked = ([], 0, 0)
 
     # -- search --------------------------------------------------------------
 
@@ -453,19 +465,19 @@ class _WitnessSearch:
         return [Fraction(v) for v in basis[0]]
 
     def _viable(
-        self, masks: _Masks, alpha: _Masked, sigma: _Masked
+        self, masks: _Masks, forced: _Masks, alpha: _Masked, sigma: _Masked
     ) -> tuple[_Masked, _Masked] | None:
         """Sign-feasibility of the partial pattern ``masks``.
 
-        ``alpha``/``sigma`` are the feasible points carried from the parent
-        node; both constraint cones are closed under positive scaling, so a
-        carried point whose signs still conform proves feasibility without
-        another LP. Returns conforming points for the children, or None when
-        either side is exactly infeasible.
+        ``forced`` holds the reaction masks of the supports ``masks`` makes
+        pure +, pure - and all zero. ``alpha``/``sigma`` are the feasible
+        points carried from the parent node; both constraint cones are closed
+        under positive scaling, so a carried point whose signs still conform
+        proves feasibility without another LP. Returns conforming points for
+        the children, or None when either side is exactly infeasible.
         """
-        signature = self._signature(masks)
-        if signature[0] or signature[1]:
-            alpha = self.alpha.point(signature, alpha)
+        if forced[0] or forced[1]:
+            alpha = self.alpha.point(forced, alpha)
             if alpha is None:
                 return None
         else:
@@ -476,8 +488,10 @@ class _WitnessSearch:
         return alpha, sigma
 
     def _descend(
-        self, depth: int, masks: _Masks, alpha: _Masked, sigma: _Masked
+        self, depth: int, masks: _Masks, touched: tuple[int, int], alpha: _Masked, sigma: _Masked
     ) -> SignWitness | None:
+        """Search below ``masks``; ``touched`` holds the masks of the reactions
+        with a reactant signed + and with one signed -."""
         self.nodes += 1
         if self.nodes > self.node_budget:
             raise _BudgetExhausted
@@ -485,15 +499,25 @@ class _WitnessSearch:
         if depth == len(self.order):
             if not plus | minus:
                 return None
-            return SignWitness(tuple(alpha[0]), tuple(sigma[0]))
-        bit = 1 << self.order[depth]
-        children = [(plus | bit, minus, zero), (plus, minus | bit, zero), (plus, minus, zero | bit)]
+            return SignWitness(
+                _assemble(alpha[0], self.reaction_count), _assemble(sigma[0], self.species_count)
+            )
+        species = self.order[depth]
+        bit, reactions = 1 << species, self.reactant_of[species]
+        touched_plus, touched_minus = touched
+        children = [
+            ((plus | bit, minus, zero), touched_plus | reactions, touched_minus),
+            ((plus, minus | bit, zero), touched_plus, touched_minus | reactions),
+            ((plus, minus, zero | bit), touched_plus, touched_minus),
+        ]
         if not plus | minus:
             del children[1]  # the first nonzero sign is pinned to +
-        for child in children:
-            carried = self._viable(child, alpha, sigma)
+        after = self.after[depth + 1]
+        for child, p, m in children:
+            forced = (p & ~(m | after), m & ~(p | after), self.all_reactions & ~(p | m | after))
+            carried = self._viable(child, forced, alpha, sigma)
             if carried is not None:
-                witness = self._descend(depth + 1, child, *carried)
+                witness = self._descend(depth + 1, child, (p, m), *carried)
                 if witness is not None:
                     return witness
         return None
@@ -501,14 +525,10 @@ class _WitnessSearch:
     def run(self) -> ConcordanceVerdict:
         free_sigma = self._off_support_sigma()
         if free_sigma is not None:
-            witness = SignWitness(
-                tuple(Fraction(0) for _ in range(self.reaction_count)),
-                tuple(free_sigma),
-            )
+            witness = SignWitness((_ZERO,) * self.reaction_count, tuple(free_sigma))
             return ConcordanceVerdict("Discordant", witness, self.nodes)
-        zero_sigma = _masked([_ZERO] * self.species_count)
         try:
-            witness = self._descend(0, (0, 0, 0), self.zero_alpha, zero_sigma)
+            witness = self._descend(0, (0, 0, 0), (0, 0), self.zero_alpha, ([], 0, 0))
         except _BudgetExhausted:
             return ConcordanceVerdict("Unknown", None, self.nodes)
         if witness is not None:
@@ -569,7 +589,7 @@ def _positive_point(rows: Sequence[Sequence[int]], count: int) -> ConeCertificat
     point = _signed_point(rows, range(count), ((1 << count) - 1, 0, 0))
     if len(point) == 2:  # a certificate
         return ConeCertificate(False, None)
-    return ConeCertificate(True, tuple(point[0]) or None)
+    return ConeCertificate(True, _assemble([point], count) or None)
 
 
 def is_positive_dependent(net: Network) -> ConeCertificate:

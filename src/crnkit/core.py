@@ -373,15 +373,24 @@ def serialize_network(net: Network) -> str:
 
 
 def subnetwork(net: Network, reaction_indices: Iterable[int]) -> Network:
-    """The subnetwork on the selected reactions (network reaction order kept)."""
+    """The subnetwork on the selected reactions (network reaction order kept).
+
+    Reactions of one network are distinct and their labels unique, so the
+    subnetwork skips ``Network.__init__``'s checks and only orders its species.
+    """
     indices = list(reaction_indices)
     if len(set(indices)) != len(indices):
         raise ValueError("reaction indices must be distinct")
     for i in indices:
         if not 0 <= i < len(net.reactions):
             raise IndexError(f"reaction index {i} out of range")
-    chosen = [net.reactions[i] for i in sorted(indices)]
-    return Network(chosen)
+    if not indices:
+        raise ValueError("a network needs at least one reaction")
+    chosen = tuple([net.reactions[i] for i in sorted(indices)])
+    sub = object.__new__(Network)
+    object.__setattr__(sub, "_species", _first_appearance(chosen))
+    object.__setattr__(sub, "_reactions", chosen)
+    return sub
 
 
 def subnetwork_by_labels(net: Network, labels: Iterable[str]) -> Network:

@@ -57,9 +57,11 @@ tests them against a pattern with one ``_conforms``; the answers must agree
 
 ``signature`` is the search's original reaction classification, which kept
 per-reaction counts of the reactant species assigned +, - and not yet
-assigned. The search now holds a partial sign pattern as three species
-masks and classifies each reaction by subset tests of its reactant-support
-mask; the reaction masks must agree (``test_concord.py``).
+assigned. The search later classified each reaction by subset tests of its
+reactant-support mask (``PoolSearch._signature`` still does); it now forms
+the three reaction masks with three mask operations, from the reactions
+touched by + and by - and those with a reactant still unsigned. The masks
+must agree at every node of a search (``test_concord.py``).
 
 ``fid`` is the original finest independent decomposition, which picks the
 basis with a ``RowReducer`` and solves for each dependent reaction apart
@@ -91,6 +93,13 @@ the same verdict, witness and ``search_nodes`` with no more solves, and
 every pattern a certificate refutes must re-solve infeasible with this
 module's ``signed_point`` (``test_concord.py``, ``test_acceptance.py``).
 It takes its LP rows from ``search_rows``.
+
+``masked`` is the search's former point: a ``Fraction`` list with the
+masks of its signs, read off the numerators. ``PoolSearch`` keeps its
+points so. The library keeps a point as integer block parts over one
+denominator and builds ``Fraction``s only in ``concord._assemble``; the
+tests read its points through that helper and compare them with
+``masked`` of the oracle's point, repr for repr (``test_concord.py``).
 
 ``signed_point`` takes a per-coordinate sign list (``1``, ``-1``, ``0`` or
 ``None``) and returns a bare point or None, with the Farkas vector of
@@ -139,7 +148,6 @@ from crnkit.concord import (
     _Block,
     _BudgetExhausted,
     _Certificate,
-    _masked,
     _Masked,
     _Masks,
     _reaction_indices,
@@ -769,6 +777,23 @@ def m3cr(
 
 
 _ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
+# A Fraction point with the bitmasks of its positive and negative coordinates.
+FractionPoint = tuple[list[Fraction], int, int]
+
+
+def masked(point: list[Fraction], coords: Sequence[int] = ()) -> FractionPoint:
+    """``point`` with the masks of its signs; entry k is coordinate ``coords[k]``.
+
+    ``coords`` defaults to ``range(len(point))``.
+    """
+    pos = neg = 0
+    for j, value in zip(coords or range(len(point)), point):
+        sign = value.numerator  # the sign of a Fraction or an int is its numerator's
+        if sign > 0:
+            pos |= 1 << j
+        elif sign < 0:
+            neg |= 1 << j
+    return point, pos, neg
 
 
 def _signs(count: int, masks: _Masks) -> list[int | None]:
@@ -780,7 +805,7 @@ def _signs(count: int, masks: _Masks) -> list[int | None]:
     ]
 
 
-def _pool(pool: list, item: _Masked | _Certificate) -> None:
+def _pool(pool: list, item: FractionPoint | _Certificate) -> None:
     """Append ``item``, keeping the 64 most recent."""
     pool.append(item)
     if len(pool) > 64:
@@ -866,11 +891,11 @@ class PoolSearch:
         ]
         shared = Counter(index[name] for rxn in net.reactions for name, _ in rxn.reactant)
         self.order = sorted(shared, key=lambda i: (-shared[i], i))
-        self.alpha_cache: dict[_Masks, _Masked | None] = {}
+        self.alpha_cache: dict[_Masks, FractionPoint | None] = {}
         self.alpha_infeasible: list[_Masks] = []
-        self.alpha_pool: list[_Masked] = []
-        self.sigma_pool: list[_Masked] = []
-        self.zero_alpha = _masked([_ZERO] * self.reaction_count)
+        self.alpha_pool: list[FractionPoint] = []
+        self.sigma_pool: list[FractionPoint] = []
+        self.zero_alpha = masked([_ZERO] * self.reaction_count)
 
     def _signature(self, masks: _Masks) -> _Masks:
         plus, minus, zero = masks
@@ -886,13 +911,13 @@ class PoolSearch:
         return forced_plus, forced_minus, forced_zero
 
     @staticmethod
-    def _conforms(point: _Masked, masks: _Masks) -> bool:
+    def _conforms(point: FractionPoint, masks: _Masks) -> bool:
         _, pos, neg = point
         want_pos, want_neg, want_zero = masks
         return (want_pos & pos == want_pos and want_neg & neg == want_neg
                 and not want_zero & (pos | neg))
 
-    def _alpha_point(self, signature: _Masks) -> _Masked | None:
+    def _alpha_point(self, signature: _Masks) -> FractionPoint | None:
         for pooled in self.alpha_pool:
             if self._conforms(pooled, signature):
                 return pooled
@@ -906,7 +931,7 @@ class PoolSearch:
                 return None
         self.solves += 1
         solved = signed_point(self.n_rows, _signs(self.reaction_count, signature))
-        point = None if solved is None else _masked(solved)
+        point = None if solved is None else masked(solved)
         self.alpha_cache[signature] = point
         if point is None:
             self.alpha_infeasible.append(signature)
@@ -914,7 +939,7 @@ class PoolSearch:
             _pool(self.alpha_pool, point)
         return point
 
-    def _sigma_point(self, masks: _Masks) -> _Masked | None:
+    def _sigma_point(self, masks: _Masks) -> FractionPoint | None:
         for pooled in self.sigma_pool:
             if self._conforms(pooled, masks):
                 return pooled
@@ -922,7 +947,7 @@ class PoolSearch:
         solved = signed_point(self.left_null, _signs(self.species_count, masks))
         if solved is None:
             return None
-        point = _masked(solved)
+        point = masked(solved)
         _pool(self.sigma_pool, point)
         return point
 
@@ -930,8 +955,8 @@ class PoolSearch:
         return off_support_sigma(self.left_null, self.order, self.species_count)
 
     def _viable(
-        self, masks: _Masks, alpha: _Masked, sigma: _Masked
-    ) -> tuple[_Masked, _Masked] | None:
+        self, masks: _Masks, alpha: FractionPoint, sigma: FractionPoint
+    ) -> tuple[FractionPoint, FractionPoint] | None:
         signature = self._signature(masks)
         if signature[0] or signature[1]:
             if not self._conforms(alpha, signature):
@@ -947,7 +972,7 @@ class PoolSearch:
         return alpha, sigma
 
     def _descend(
-        self, depth: int, masks: _Masks, alpha: _Masked, sigma: _Masked
+        self, depth: int, masks: _Masks, alpha: FractionPoint, sigma: FractionPoint
     ) -> SignWitness | None:
         self.nodes += 1
         if self.nodes > self.node_budget:
@@ -977,7 +1002,7 @@ class PoolSearch:
                 tuple(free_sigma),
             )
             return ConcordanceVerdict("Discordant", witness, self.nodes)
-        zero_sigma = _masked([_ZERO] * self.species_count)
+        zero_sigma = masked([_ZERO] * self.species_count)
         try:
             witness = self._descend(0, (0, 0, 0), self.zero_alpha, zero_sigma)
         except _BudgetExhausted:
@@ -1028,4 +1053,7 @@ class WholeSide(_Side):
     __slots__ = ()
 
     def _solve(self, masks: _Masks) -> _Masked | _Certificate:
-        return _signed_point(self.rows, range(self.count), masks)
+        answer = _signed_point(self.rows, range(self.count), masks)
+        if len(answer) == 2:  # a certificate
+            return answer
+        return [answer], answer[3], answer[4]

@@ -17,7 +17,7 @@ from crnkit import concord
 from crnkit.concord import (
     DEFAULT_NODE_BUDGET,
     SignWitness,
-    _masked,
+    _assemble,
     _refuted,
     _row_certificates,
     _Side,
@@ -467,8 +467,21 @@ def _masks(sign):
 def _conforms(point, masks):
     # a side answers with the carried point exactly when it conforms; one
     # with no rows and nothing pooled answers with a new point otherwise
-    carried = _masked(point)
+    carried = oracles.masked(point)
     return _Side([], len(point)).point(masks, carried) is carried
+
+
+def _read(point, count):
+    """A side's point ``(parts, pos, neg)`` read through the one assembly, as
+    the repr of its Fraction list and its masks."""
+    parts, pos, neg = point
+    return repr(list(_assemble(parts, count))), pos, neg
+
+
+def _shown(point):
+    """The oracle's masked Fraction list as ``_read`` shows a side's point."""
+    values, pos, neg = point
+    return repr(values), pos, neg
 
 
 @settings(max_examples=100, deadline=None)
@@ -491,15 +504,27 @@ def test_sign_masks_agree_with_per_entry_conformance(net, data):
         )
 
 
-@settings(max_examples=200, deadline=None)
-@given(networks(max_species=5, max_reactions=7), st.data())
-def test_reaction_classes_from_support_masks_match_the_counters(net, data):
-    search = _WitnessSearch(net, DEFAULT_NODE_BUDGET)
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(networks(max_species=5, max_reactions=7), st.sampled_from((3, 12, DEFAULT_NODE_BUDGET)))
+def test_forced_reaction_masks_match_the_counters_at_every_node(net, node_budget):
+    # the masks the search forms from the reactions touched by + and by - and
+    # those with a reactant still unsigned, against the per-reaction counters
+    # of the pattern, at every child the search weighs
+    search = _WitnessSearch(net, node_budget)
     index = {name: i for i, name in enumerate(net.species)}
     supports = [tuple(index[name] for name, _ in rxn.reactant) for rxn in net.reactions]
-    for _ in range(5):
-        sign = _sign_list(data, len(net.species))
-        assert search._signature(_masks(sign)) == oracles.signature(supports, sign)
+    viable = search._viable
+    seen = []
+
+    def checking(masks, forced, alpha, sigma):
+        sign = oracles._signs(search.species_count, masks)
+        assert forced == oracles.signature(supports, sign)
+        seen.append(masks)
+        return viable(masks, forced, alpha, sigma)
+
+    search._viable = checking
+    verdict = search.run()
+    assert len(seen) >= verdict.search_nodes - 1
 
 
 @given(networks(max_species=5, max_reactions=7))
@@ -553,6 +578,53 @@ def test_lp_solves_per_search(net, solves, monkeypatch):
     monkeypatch.setattr(concord, "lp_feasible", counting)
     assert check_concordance(net).status == "Discordant"
     assert len(calls) == solves
+
+
+@pytest.mark.parametrize(
+    "run, solves, nodes",
+    [
+        (lambda: check_concordance(AUGMENTED), 10, 16),
+        (lambda: check_concordance(REDUCED), 10, 16),
+        (lambda: m3cr(REDUCED, common_reactions(REDUCED, MACLEAN)), 11, 316),
+    ],
+    ids=["schmitz-augmented", "schmitz-reduced", "m3cr-reduced-vs-maclean"],
+)
+def test_lp_solves_on_timed_benchmark_ops(run, solves, nodes, monkeypatch):
+    calls = []
+
+    def counting(a_eq, b_eq, **kwargs):
+        calls.append(None)
+        return lp_feasible(a_eq, b_eq, **kwargs)
+
+    monkeypatch.setattr(concord, "lp_feasible", counting)
+    assert run().search_nodes == nodes
+    assert len(calls) == solves
+
+
+def test_a_search_with_no_lp_builds_no_fraction(monkeypatch):
+    # the search keeps its points as integers over one denominator and
+    # builds Fractions only for a returned witness
+    net = subnetwork_by_labels(
+        AUGMENTED, [r.label for r in AUGMENTED.reactions if r.label not in ("R10", "R11")]
+    )
+    made, calls = [], []
+
+    def fraction(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    def counting(a_eq, b_eq, **kwargs):
+        calls.append(None)
+        return lp_feasible(a_eq, b_eq, **kwargs)
+
+    monkeypatch.setattr(concord, "Fraction", fraction)
+    monkeypatch.setattr(concord, "lp_feasible", counting)
+    verdict = check_concordance(net)
+    assert (verdict.status, verdict.search_nodes, len(calls)) == ("Concordant", 23, 0)
+    assert made == []
+    # a Discordant search builds them, in the witness
+    witness = check_concordance(SCHMITZ).witness
+    assert len(made) >= sum(1 for v in witness.alpha + witness.sigma if v)
 
 
 def test_m3cr_searches_each_reaction_set_once(monkeypatch):
@@ -636,12 +708,11 @@ def test_signed_point_from_masks_matches_the_sign_list_oracle(count, data):
     masks = _masks(_sign_list(data, count))
     solved = _signed_point(rows, range(count), masks)
     want = oracles.signed_point(rows, oracles._signs(count, masks))
-    assert (len(solved) == 3) == (want is not None)
+    assert (len(solved) == 5) == (want is not None)
     if want is None:
         assert _refuted([solved], masks)
     else:
-        assert repr(solved[0]) == repr(want)
-        assert solved == _masked(want)
+        assert _read(([solved], *solved[3:]), count) == _shown(oracles.masked(want))
 
 
 def test_one_row_closed_form_matches_the_lp_on_every_small_row():
@@ -666,10 +737,11 @@ def test_one_row_closed_form_matches_the_lp_on_every_small_row():
                 kinds.add("no columns")
             if want is None:
                 w = [-farkas[0] * entry for entry in row]
-                assert solved == _masked(w, coords)[1:3]
+                assert solved == oracles.masked(w, coords)[1:3]
             else:
-                assert repr(solved[0]) == repr(want)
-                assert solved == _masked(want, coords)
+                assert solved[0] == coords
+                assert repr(list(_assemble([solved], 2 * count)[1::2])) == repr(want)
+                assert solved[3:] == oracles.masked(want, coords)[1:]
     assert kinds == {"b = 0", "no columns", "feasible", "infeasible"}
 
 
@@ -729,7 +801,7 @@ def test_every_pattern_a_row_certificate_refutes_is_infeasible(net, data):
     signs[signed] = 1 if wpos >> signed & 1 else -1
     masks = _masks(signs)
     assert _refuted(side.row_certs, masks)
-    assert side.point(masks, _masked([Fraction(0)] * side.count)) is None
+    assert side.point(masks, ([], 0, 0)) is None
     assert oracles.signed_point(side.rows, signs) is None
 
 
@@ -769,8 +841,7 @@ def test_block_solve_matches_the_whole_lp(system, data):
         if want is None:
             assert _refuted([solved], masks)
         else:
-            assert repr(solved[0]) == repr(want)
-            assert solved == _masked(want)
+            assert _read(solved, count) == _shown(oracles.masked(want))
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -824,19 +895,19 @@ def test_search_set_up_matches_the_old_one_on_fixture_subsets(name, data):
 
 
 def test_sides_with_a_zero_row_or_no_rows():
-    zero = _masked([Fraction(0)])
+    zero = ([], 0, 0)
     side = _Side([[0]], 1)
     assert side.row_certs == [(0, 0), (0, 0)]
     assert side.blocks == oracles.row_blocks([[0]], 1) == [([0], 1, [], {})]
-    assert side.point((1, 0, 0), zero) == _masked([Fraction(1)])
-    assert side.point((0, 1, 0), zero) == _masked([Fraction(-1)])
+    assert _read(side.point((1, 0, 0), zero), 1) == _shown(oracles.masked([Fraction(1)]))
+    assert _read(side.point((0, 1, 0), zero), 1) == _shown(oracles.masked([Fraction(-1)]))
     empty = _Side([], 3)
     assert empty.row_certs == []
     assert empty.blocks == oracles.row_blocks([], 3) == [
         ([0], 1, [], {}), ([1], 2, [], {}), ([2], 4, [], {})
     ]
-    point = empty.point((0b001, 0b100, 0b010), _masked([Fraction(0)] * 3))
-    assert point == _masked([Fraction(1), Fraction(0), Fraction(-1)])
+    point = empty.point((0b001, 0b100, 0b010), zero)
+    assert _read(point, 3) == _shown(oracles.masked([Fraction(1), Fraction(0), Fraction(-1)]))
 
 
 def test_species_in_no_left_null_row_are_signed_without_an_lp(monkeypatch):
@@ -851,10 +922,11 @@ def test_species_in_no_left_null_row_are_signed_without_an_lp(monkeypatch):
 
     monkeypatch.setattr(concord, "lp_feasible", counting)
     masks = (1 << loose[0], 1 << loose[1], 1 << loose[2])
-    point, pos, neg = search.sigma.point(masks, _masked([Fraction(0)] * search.species_count))
+    parts, pos, neg = search.sigma.point(masks, ([], 0, 0))
     assert not calls
     assert (pos, neg) == masks[:2]
-    assert point == [1 if j == loose[0] else -1 if j == loose[1] else 0 for j in range(len(point))]
+    point = _assemble(parts, search.species_count)
+    assert point == tuple(1 if j == loose[0] else -1 if j == loose[1] else 0 for j in range(len(point)))
 
 
 def _assert_off_support_sigma_matches_the_elimination(net):

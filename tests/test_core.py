@@ -5,7 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crnkit import fixtures
 from crnkit.core import (
@@ -289,6 +290,39 @@ def test_subnetwork_identity_and_errors():
         subnetwork(net, [0, 0])
     with pytest.raises(IndexError):
         subnetwork(net, [99])
+
+
+@pytest.mark.parametrize("name", fixtures.NAMES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_subnetwork_is_the_network_of_the_kept_reactions(name, data):
+    # built without Network.__init__, it must be what __init__ builds
+    net = fixtures.load(name)
+    count = len(net.reactions)
+    keep = data.draw(st.lists(st.integers(0, count - 1), min_size=1, unique=True), label="keep")
+    for chosen in (keep, range(count)):
+        sub = subnetwork(net, chosen)
+        want = Network([net.reactions[i] for i in sorted(chosen)])
+        assert (sub.species, sub.reactions, sub.labels) == (
+            want.species, want.reactions, want.labels
+        )
+        assert sub == want and hash(sub) == hash(want) and repr(sub) == repr(want)
+
+
+def test_subnetwork_errors_keep_their_messages():
+    net = fixtures.load("schmitz")
+    with pytest.raises(ValueError) as empty:
+        Network([])
+    for indices, error, message in (
+        ([], ValueError, str(empty.value)),
+        ([0, 0], ValueError, "reaction indices must be distinct"),
+        ([3, 1, 3], ValueError, "reaction indices must be distinct"),
+        ([99], IndexError, "reaction index 99 out of range"),
+        ([0, -1], IndexError, "reaction index -1 out of range"),
+    ):
+        with pytest.raises(error) as raised:
+            subnetwork(net, indices)
+        assert str(raised.value) == message
 
 
 def test_subnetwork_restricts_species():
