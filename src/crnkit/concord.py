@@ -30,13 +30,13 @@ mask operations per node: the masks of the reactions with a reactant
 signed + and with one signed - go down the recursion too, and a reaction
 is decided once the species still to be signed hold none of its reactants.
 The masks of a pattern go down to the LP as they are, and the LP answers
-with a masked point or a certificate: every feasible point the search keeps
-(pooled, or carried down the tree) is stored with the bitmasks of its
-positive and negative coordinates (the rest are zero), so whether it fits a
-pattern is three mask tests too. A point is kept as its blocks' parts
-(below), each integer numerators over one positive denominator; the
-search builds ``Fraction``s in one place only, ``_assemble``, when it
-returns a witness or a cone certificate.
+with a masked point or a certificate: the feasible point carried down the
+tree is stored with the bitmasks of its positive and negative coordinates
+(the rest are zero), so whether it fits a child's pattern is three mask
+tests too. A point is kept as its blocks' parts (below), each integer
+numerators over one positive denominator; the search builds ``Fraction``s
+in one place only, ``_assemble``, when it returns a witness or a cone
+certificate.
 
 Each side splits its rows once into independent blocks: the connected
 components of the graph that joins the coordinates sharing a row, from
@@ -46,11 +46,11 @@ The alpha rows are the reduced row echelon form of N, as in ``decomp.fid``,
 so the blocks are those of the finest independent decomposition. On the
 sigma side they are the groups of species that share conservation laws,
 and a species in no conservation law takes its sign with no LP. An LP is
-solved block by block, once per block sub-pattern in a search; a block
-whose sub-pattern wants no sign has the point 0. In a block-diagonal
-tableau a pivot touches only its own block's rows and reduced costs, so
-under Bland's rule each block pivots as it would alone, and the point is
-that of the whole LP.
+solved block by block, once per block sub-pattern in a search (these are
+the only points a side keeps); a block whose sub-pattern wants no sign has
+the point 0. In a block-diagonal tableau a pivot touches only its own
+block's rows and reduced costs, so under Bland's rule each block pivots as
+it would alone, and the point is that of the whole LP.
 
 Most blocks of the finest independent decomposition have rank 1, so most
 block LPs have one row, and Bland's rule settles such an LP in its first
@@ -70,7 +70,7 @@ of the cone fits such a pattern, nor any pattern that refines it, since
 ``(wpos, wneg)`` of such a ``w`` refute a pattern: it accepts each fresh
 certificate against its own pattern, and the search keeps the newest 64
 per side and answers a pattern a pooled certificate refutes without an LP,
-just as a conforming pooled point answers a feasible one. Each row ``w``
+just as a conforming carried point answers a feasible one. Each row ``w``
 of an LP, and ``-w``, lies in the row space too, so the masks of every row
 and its negation are kept as certificates from the start and never
 evicted; they refute most infeasible patterns before any LP is solved.
@@ -83,7 +83,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import lcm
 from typing import Iterable, Literal, Sequence
 
@@ -324,18 +323,17 @@ class _Side:
     ``point`` takes the masks of a sign pattern and answers with a masked
     point or None: the integer parts of its nonzero blocks and its sign
     masks, which ``_assemble`` turns into a vector. It keeps the newest 64
-    feasible points and the newest 64 certificates of its LPs, plus the
-    certificates of its own rows, which are never evicted. It splits its
-    rows into independent ``blocks`` once, and solves the LP of a pattern
-    block by block, each block's sub-pattern once.
+    certificates of its LPs, plus the certificates of its own rows, which
+    are never evicted. It splits its rows into independent ``blocks`` once,
+    and solves the LP of a pattern block by block, each block's sub-pattern
+    once, so its blocks' answers are its only store of points.
     """
 
-    __slots__ = ("rows", "count", "pool", "certs", "row_certs", "blocks")
+    __slots__ = ("rows", "count", "certs", "row_certs", "blocks")
 
     def __init__(self, rows: list[list[int]], count: int) -> None:
         self.rows = rows
         self.count = count
-        self.pool: deque[_Masked] = deque(maxlen=64)
         self.certs: deque[_Certificate] = deque(maxlen=64)
         self.row_certs = _row_certificates(rows)
         # each row's certificate (wpos, wneg) comes first, so its support is wpos | wneg
@@ -344,23 +342,21 @@ class _Side:
     def point(self, masks: _Masks, carried: _Masked) -> _Masked | None:
         """A point with the signs ``masks`` wants, or None.
 
-        The first of the ``carried`` point and the pooled points that
-        conforms answers, then a row or pooled certificate that refutes;
-        only then is the LP solved, and its point or certificate pooled.
+        The ``carried`` point answers if it conforms, then a row or pooled
+        certificate that refutes; only then is the LP solved, block by block,
+        and its certificate pooled.
         """
         want_pos, want_neg, want_zero = masks
-        for pooled in chain((carried,), self.pool):
-            _, pos, neg = pooled
-            if (want_pos & pos == want_pos and want_neg & neg == want_neg
-                    and not want_zero & (pos | neg)):
-                return pooled
+        _, pos, neg = carried
+        if (want_pos & pos == want_pos and want_neg & neg == want_neg
+                and not want_zero & (pos | neg)):
+            return carried
         if _refuted(self.row_certs, masks) or _refuted(self.certs, masks):
             return None
         solved = self._solve(masks)
         if len(solved) == 2:  # a certificate
             self.certs.append(solved)
             return None
-        self.pool.append(solved)
         return solved
 
     def _solve(self, masks: _Masks) -> _Masked | _Certificate:
@@ -411,8 +407,8 @@ class _WitnessSearch:
     Each side, ``alpha`` over reactions with the rows of N and ``sigma``
     over species with a basis of its left nullspace, is a ``_Side``: it
     answers a pattern from the point carried down from the parent node, its
-    pooled points, its row certificates and its pooled certificates before
-    it solves an LP, block by block.
+    row certificates and its pooled certificates before it solves an LP,
+    block by block.
     """
 
     def __init__(self, net: Network, node_budget: int) -> None:

@@ -36,7 +36,8 @@ def _integer_rows(rows: Sequence[Sequence[Scalar]]) -> list[Sequence[int]]:
     if all(type(x) is int for row in rows for x in row):
         return list(rows)
     rows = [[x if type(x) is int else Fraction(x) for x in row] for row in rows]
-    denom = lcm(*(x.denominator for row in rows for x in row))
+    # a list: CPython's tuple free lists hoard the resized tuple of a generator
+    denom = lcm(*[x.denominator for row in rows for x in row])
     return [[x.numerator * (denom // x.denominator) for x in row] for row in rows]
 
 
@@ -141,7 +142,8 @@ def _nullspace(rows: Sequence[Sequence[Scalar]]) -> list[tuple[int, list[int]]]:
     for f in range(ncols):
         if f in pivots:
             continue
-        scale = lcm(*(row[col] for row, col in pivot_rows if row[f]))
+        # a list: CPython's tuple free lists hoard the resized tuple of a generator
+        scale = lcm(*[row[col] for row, col in pivot_rows if row[f]])
         vec = [0] * ncols
         vec[f] = scale
         for row, col in pivot_rows:

@@ -58,10 +58,10 @@ tests them against a pattern with one ``_conforms``; the answers must agree
 ``signature`` is the search's original reaction classification, which kept
 per-reaction counts of the reactant species assigned +, - and not yet
 assigned. The search later classified each reaction by subset tests of its
-reactant-support mask (``PoolSearch._signature`` still does); it now forms
-the three reaction masks with three mask operations, from the reactions
-touched by + and by - and those with a reactant still unsigned. The masks
-must agree at every node of a search (``test_concord.py``).
+reactant-support mask (``CertificateFreeSearch._signature`` still does); it
+now forms the three reaction masks with three mask operations, from the
+reactions touched by + and by - and those with a reactant still unsigned.
+The masks must agree at every node of a search (``test_concord.py``).
 
 ``fid`` is the original finest independent decomposition, which picks the
 basis with a ``RowReducer`` and solves for each dependent reaction apart
@@ -83,44 +83,45 @@ for every reaction set it meets. The library's ``m3cr`` searches each
 reaction set once per call; its report must be equal, ``search_nodes``
 included (``test_concord.py``).
 
-``PoolSearch`` is the witness search before infeasible LPs left Farkas
-certificates behind: it answers a sign pattern from its point pools, an
-alpha cache keyed by the forced reaction signs, or the list of infeasible
-alpha patterns a pattern refines, and otherwise solves an LP; it counts its
-solves. The library's search pools the certificates of its infeasible
-LPs instead and skips every LP a pooled certificate refutes; it must return
-the same verdict, witness and ``search_nodes`` with no more solves, and
-every pattern a certificate refutes must re-solve infeasible with this
-module's ``signed_point`` (``test_concord.py``, ``test_acceptance.py``).
-It takes its LP rows from ``search_rows``.
+``CertificateFreeSearch`` is the witness search before infeasible LPs left
+Farkas certificates behind: it answers a sign pattern from the point
+carried down from the parent node, an alpha cache keyed by the forced
+reaction signs, or the list of infeasible alpha patterns a pattern refines,
+and otherwise solves an LP; it counts its solves. Like the library's, it
+keeps no pool of earlier points, so a pattern the carried point does not
+fit gets the point of its own LP (the library's from its blocks' answers,
+which are that LP's point). The library's search pools the certificates of
+its infeasible LPs instead and skips every LP a pooled certificate refutes;
+it must return the same verdict, witness and ``search_nodes`` with no more
+solves, and every pattern a certificate refutes must re-solve infeasible
+with this module's ``signed_point`` (``test_concord.py``,
+``test_acceptance.py``). It takes its LP rows from ``search_rows``.
 
 ``masked`` is the search's former point: a ``Fraction`` list with the
-masks of its signs, read off the numerators. ``PoolSearch`` keeps its
-points so. The library keeps a point as integer block parts over one
-denominator and builds ``Fraction``s only in ``concord._assemble``; the
-tests read its points through that helper and compare them with
-``masked`` of the oracle's point, repr for repr (``test_concord.py``).
+masks of its signs, read off the numerators. ``CertificateFreeSearch``
+keeps its points so. The library keeps a point as integer block parts over
+one denominator and builds ``Fraction``s only in ``concord._assemble``; the
+tests read its points through that helper and compare them with ``masked``
+of the oracle's point, repr for repr (``test_concord.py``).
 
 ``signed_point`` takes a per-coordinate sign list (``1``, ``-1``, ``0`` or
 ``None``) and returns a bare point or None, with the Farkas vector of
-``lp_feasible`` on request. ``_signs`` and ``_pool`` are its sign-list
-adapters, moved here unchanged from the library when its search came to
-describe a pattern by masks all the way down to the LP:
-``_signs`` turns the masks ``(plus, minus, zero)`` into a sign list, and
-``_pool`` appends to a list that keeps the 64 most recent items. The
-library's ``_signed_point`` builds the same LP straight from the masks and
-returns the masked point or a certificate; it must agree with
-``signed_point`` on feasibility and on the point (``test_concord.py``). It
-answers a one-row LP in closed form, without ``lp_feasible``; on every
-integer row of 1-3 entries in -2..2 and every sign wish it must return the
-oracle's point, or the masks of ``-yᵀ row`` for the oracle's Farkas vector
-``y`` (``test_concord.py``).
+``lp_feasible`` on request. ``_signs`` is its sign-list adapter, moved
+here unchanged from the library when its search came to describe a pattern
+by masks all the way down to the LP: it turns the masks
+``(plus, minus, zero)`` into a sign list. The library's ``_signed_point``
+builds the same LP straight from the masks and returns the masked point or
+a certificate; it must agree with ``signed_point`` on feasibility and on
+the point (``test_concord.py``). It answers a one-row LP in closed form,
+without ``lp_feasible``; on every integer row of 1-3 entries in -2..2 and
+every sign wish it must return the oracle's point, or the masks of
+``-yᵀ row`` for the oracle's Farkas vector ``y`` (``test_concord.py``).
 
 ``off_support_sigma`` is the search's original first step, which looks for
 a sigma that vanishes on every reactant species by one elimination, even
 when every species is a reactant and only 0 can. The library's returns None
 at once then; both must give the same vector, or None (``test_concord.py``).
-``PoolSearch`` uses it too.
+``CertificateFreeSearch`` uses it too.
 
 ``WholeSide`` is the search's ``_Side`` as it was before it split its LP
 along the independent blocks of its rows: it solves each pattern as one LP
@@ -805,13 +806,6 @@ def _signs(count: int, masks: _Masks) -> list[int | None]:
     ]
 
 
-def _pool(pool: list, item: FractionPoint | _Certificate) -> None:
-    """Append ``item``, keeping the 64 most recent."""
-    pool.append(item)
-    if len(pool) > 64:
-        del pool[0]
-
-
 def signed_point(
     rows: Sequence[Sequence[int]],
     signs: Sequence[int | None],
@@ -874,8 +868,8 @@ def off_support_sigma(
     return [Fraction(v) for v in basis[0]]
 
 
-class PoolSearch:
-    """The sign search with point pools, an alpha cache and infeasible-alpha
+class CertificateFreeSearch:
+    """The sign search with carried points, an alpha cache and infeasible-alpha
     subsumption, and no certificates; ``solves`` counts its LPs."""
 
     def __init__(self, net: Network, node_budget: int) -> None:
@@ -893,8 +887,6 @@ class PoolSearch:
         self.order = sorted(shared, key=lambda i: (-shared[i], i))
         self.alpha_cache: dict[_Masks, FractionPoint | None] = {}
         self.alpha_infeasible: list[_Masks] = []
-        self.alpha_pool: list[FractionPoint] = []
-        self.sigma_pool: list[FractionPoint] = []
         self.zero_alpha = masked([_ZERO] * self.reaction_count)
 
     def _signature(self, masks: _Masks) -> _Masks:
@@ -918,9 +910,6 @@ class PoolSearch:
                 and not want_zero & (pos | neg))
 
     def _alpha_point(self, signature: _Masks) -> FractionPoint | None:
-        for pooled in self.alpha_pool:
-            if self._conforms(pooled, signature):
-                return pooled
         cached = self.alpha_cache.get(signature)
         if cached is not None or signature in self.alpha_cache:
             return cached
@@ -935,21 +924,12 @@ class PoolSearch:
         self.alpha_cache[signature] = point
         if point is None:
             self.alpha_infeasible.append(signature)
-        else:
-            _pool(self.alpha_pool, point)
         return point
 
     def _sigma_point(self, masks: _Masks) -> FractionPoint | None:
-        for pooled in self.sigma_pool:
-            if self._conforms(pooled, masks):
-                return pooled
         self.solves += 1
         solved = signed_point(self.left_null, _signs(self.species_count, masks))
-        if solved is None:
-            return None
-        point = masked(solved)
-        _pool(self.sigma_pool, point)
-        return point
+        return None if solved is None else masked(solved)
 
     def _off_support_sigma(self) -> list[Fraction] | None:
         return off_support_sigma(self.left_null, self.order, self.species_count)

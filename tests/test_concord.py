@@ -466,7 +466,7 @@ def _masks(sign):
 
 def _conforms(point, masks):
     # a side answers with the carried point exactly when it conforms; one
-    # with no rows and nothing pooled answers with a new point otherwise
+    # with no rows answers with a new point otherwise
     carried = oracles.masked(point)
     return _Side([], len(point)).point(masks, carried) is carried
 
@@ -756,12 +756,43 @@ def test_certificates_change_nothing_but_the_solve_count(net, node_budget):
 
     with patch.object(concord, "lp_feasible", counting):
         verdict = check_concordance(net, node_budget)
-    oracle = oracles.PoolSearch(net, node_budget)
+    oracle = oracles.CertificateFreeSearch(net, node_budget)
     want = oracle.run()
     assert (verdict.status, repr(verdict.witness), verdict.search_nodes) == (
         want.status, repr(want.witness), want.search_nodes
     )
     assert len(calls) <= oracle.solves
+    if verdict.status == "Discordant":
+        assert verify_witness(net, verdict.witness)
+
+
+def test_a_pattern_the_carried_point_misses_gets_its_own_lp_point():
+    # the search keeps no pool of earlier points: where the carried alpha does
+    # not fit a pattern, that pattern's own LP answers, here with -R5 - R6,
+    # although an earlier point, 2 R1 - 2 R2 - R5 - R6 + R7, fits it too
+    net = parse_network(
+        """
+        X0 + 2 X1 -> X6 @R1
+        2 X0 + 2 X1 -> 0 @R2
+        0 -> 2 X0 + 2 X1 @R3
+        2 X0 + 2 X7 -> 2 X3 @R4
+        X7 + X5 -> 2 X6 + X5 @R5
+        2 X6 + X5 -> X7 + X5 @R6
+        2 X0 + 2 X6 -> 0 @R7
+        """
+    )
+    assert net.species == ("X0", "X1", "X6", "X7", "X3", "X5")
+    verdict = check_concordance(net)
+    assert (verdict.status, verdict.search_nodes) == ("Discordant", 8)
+    assert verdict.witness == SignWitness(
+        tuple(map(Fraction, (0, 0, 0, 0, -1, -1, 0))),
+        tuple(map(Fraction, (1, -1, -1, -1, 5, 0))),
+    )
+    assert verify_witness(net, verdict.witness)
+    want = oracles.CertificateFreeSearch(net, DEFAULT_NODE_BUDGET).run()
+    assert (verdict.status, repr(verdict.witness), verdict.search_nodes) == (
+        want.status, repr(want.witness), want.search_nodes
+    )
 
 
 def test_row_certificates_are_the_masks_of_each_row_and_its_negation():
