@@ -59,7 +59,10 @@ carry the right-hand side enters, and then no reduced cost is negative.
 ``_first_pivot`` answers it in closed form with that pivot's point, scaled
 by the pivot entry's absolute value to stay integer, or with the row
 itself as the Farkas certificate when no column can enter. Only blocks of
-two or more rows reach ``lp_feasible``.
+two or more rows reach ``lp_feasible``, which takes their integer rows and
+returns its point as integer numerators over its tableau's positive
+denominator; the block's part is read straight off them, with no
+``Fraction`` and no ``lcm``.
 
 An infeasible LP leaves a Farkas certificate instead: ``lp_feasible`` hands
 back its phase-1 duals ``y``, and ``w = -yᵀ rows`` is an integer vector of
@@ -83,7 +86,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import Iterable, Literal, Sequence
 
 from .core import Network, Reaction, reaction_vectors, subnetwork
@@ -185,11 +187,12 @@ def _signed_point(
     unconstrained elsewhere. A pattern that wants no sign has b = 0, so its
     point is 0 with no LP, and one row is answered by ``_first_pivot`` with
     no LP either. The point comes back as a ``_Part``, integers over one
-    denominator. When there is no such point, returns a certificate
-    ``(wpos, wneg)``: the masks of the positive and negative coordinates of
-    ``w = -yᵀ rows`` for the Farkas vector ``y`` of the LP, an integer vector
-    of the row space that is checked with ``_refuted`` to refute ``masks``
-    before it is returned.
+    denominator: that of the pivot, or of ``lp_feasible``'s tableau, whose
+    numerators ``u`` are added to the signs as they are. When there is no
+    such point, returns a certificate ``(wpos, wneg)``: the masks of the
+    positive and negative coordinates of ``w = -yᵀ rows`` for the Farkas
+    vector ``y`` of the LP, an integer vector of the row space that is
+    checked with ``_refuted`` to refute ``masks`` before it is returned.
     """
     plus, minus, zero = masks
     signs = [1 if plus >> j & 1 else -1 if minus >> j & 1 else 0 for j in coords]
@@ -215,12 +218,10 @@ def _signed_point(
             w = [-sum(y * row[k] for y, row in zip(farkas, rows)) for k in range(len(coords))]
             answer = _sign_masks(coords, w)
         else:
-            # a list, not a generator: a tuple built from a generator is resized,
-            # and CPython's tuple free lists then hoard it, pinning memory
-            denom = lcm(*[value.denominator for value in solution])
+            u, denom = solution
             nums = [sign * denom for sign in signs]
-            for (k, direction), value in zip(variables, solution):
-                nums[k] += direction * value.numerator * (denom // value.denominator)
+            for (k, direction), value in zip(variables, u):
+                nums[k] += direction * value
             answer = (coords, nums, denom, *_sign_masks(coords, nums))
     if len(answer) == 2 and not _refuted([answer], masks):
         raise RuntimeError("the phase-1 duals do not refute the sign pattern")

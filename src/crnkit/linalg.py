@@ -2,16 +2,17 @@
 
 Everything downstream that makes a structural claim (ranks, deficiencies,
 decompositions, concordance verdicts) goes through this module, so every
-result here is exact — no floating point, no tolerances. Both kernels work
-on integer matrices and convert to ``fractions.Fraction`` only when they
-return. ``_eliminate``, behind ``rref``, ``rank`` and the nullspaces, is
-Gauss-Jordan elimination that keeps each row primitive (coprime integers);
-it leaves a row with a zero in the pivot column as it is. ``lp_feasible``
-alone keeps its simplex tableau fraction-free with one shared denominator
-(Bareiss elimination, ``_pivot``).
-Entries may be integers, Fractions or floats; a float is read at its exact
-binary value. Matrices are plain lists of lists; sizes in this package are
-small (tens of rows/columns), so clarity wins over vectorization.
+result here is exact — no floating point, no tolerances. Both kernels take
+integer matrices and return integers. ``_eliminate``, behind ``rref``,
+``rank`` and the nullspaces, is Gauss-Jordan elimination that keeps each row
+primitive (coprime integers); it leaves a row with a zero in the pivot
+column as it is. ``lp_feasible`` keeps its simplex tableau fraction-free
+over one shared denominator (Bareiss elimination, ``_pivot``) and returns
+its point as integers over it. ``rref``, ``rank`` and ``nullspace_basis``
+also take Fractions and floats (a float at its exact binary value); the
+first and last return ``fractions.Fraction``s. Matrices are plain lists of
+lists; sizes in this package are small (tens of rows/columns), so clarity
+wins over vectorization.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ def _integer_rows(rows: Sequence[Sequence[Scalar]]) -> list[Sequence[int]]:
     Fraction; the kernels below only ever replace rows, never write into one.
     Any other entry (a float too) is taken at its exact value, ``Fraction(x)``.
     """
-    if rows and any(len(row) != len(rows[0]) for row in rows):
-        raise ValueError("ragged matrix")
     if all(type(x) is int for row in rows for x in row):
         return list(rows)
     rows = [[x if type(x) is int else Fraction(x) for x in row] for row in rows]
@@ -49,7 +48,7 @@ def _pivot(rows: list[Sequence[int]], r: int, col: int, denom: int) -> None:
     ``rows[r][col]`` times the tableau pivoted on that entry: ``rows[r]`` is
     unchanged, and every other row becomes ``(p*row - f*pivot_row) / denom``.
     Each entry is then a minor of the starting integer matrix, so the
-    division is exact.
+    division is exact. With ``p == denom == 1`` that is ``row - f*pivot_row``.
     """
     pivot_row = rows[r]
     p = pivot_row[col]
@@ -58,7 +57,10 @@ def _pivot(rows: list[Sequence[int]], r: int, col: int, denom: int) -> None:
             continue
         f = row[col]
         if f:
-            rows[i] = [(p * a - f * b) // denom for a, b in zip(row, pivot_row)]
+            if p == denom == 1:
+                rows[i] = [a - f * b for a, b in zip(row, pivot_row)]
+            else:
+                rows[i] = [(p * a - f * b) // denom for a, b in zip(row, pivot_row)]
         elif p != denom:
             rows[i] = [p * a // denom for a in row]
 
@@ -69,8 +71,8 @@ def _primitive(vector: Sequence[int]) -> list[int]:
     return [v // common for v in vector] if common > 1 else list(vector)
 
 
-def _eliminate(rows: Sequence[Sequence[Scalar]]) -> tuple[list[Sequence[int]], list[int]]:
-    """Gauss-Jordan elimination of ``rows`` over the integers, each row kept primitive.
+def _eliminate(rows: Sequence[Sequence[int]]) -> tuple[list[Sequence[int]], list[int]]:
+    """Gauss-Jordan elimination of the integer ``rows``, each row kept primitive.
 
     Returns ``(R, pivots)``: ``pivots`` lists the pivot column of each
     nonzero row, in order, and row ``k < len(pivots)`` of ``R`` is row ``k``
@@ -78,9 +80,13 @@ def _eliminate(rows: Sequence[Sequence[Scalar]]) -> tuple[list[Sequence[int]], l
     its pivot; the rows after those are zero. A step changes only the rows
     with a nonzero entry in the pivot column: each becomes
     ``p*row - f*pivot_row``, divided by its gcd. A row scaled by a positive
-    number keeps its signs and its zeros, so the pivot stays positive.
+    number keeps its signs and its zeros, so the pivot stays positive. A
+    pivot row whose pivot is 1 is primitive already, and its steps are
+    ``row - f*pivot_row``.
     """
-    mat = _integer_rows(rows)
+    if rows and any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError("ragged matrix")
+    mat = list(rows)
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
     pivots: list[int] = []
@@ -93,7 +99,7 @@ def _eliminate(rows: Sequence[Sequence[Scalar]]) -> tuple[list[Sequence[int]], l
                 break
         else:
             continue
-        pivot_row = _primitive(mat[found])
+        pivot_row = list(mat[found]) if mat[found][col] == 1 else _primitive(mat[found])
         if pivot_row[col] < 0:
             pivot_row = [-a for a in pivot_row]
         mat[found] = mat[r]
@@ -102,7 +108,10 @@ def _eliminate(rows: Sequence[Sequence[Scalar]]) -> tuple[list[Sequence[int]], l
         for i, row in enumerate(mat):
             f = row[col]
             if f and i != r:
-                mat[i] = _primitive([p * a - f * b for a, b in zip(row, pivot_row)])
+                if p == 1:
+                    mat[i] = _primitive([a - f * b for a, b in zip(row, pivot_row)])
+                else:
+                    mat[i] = _primitive([p * a - f * b for a, b in zip(row, pivot_row)])
         pivots.append(col)
     return mat, pivots
 
@@ -114,7 +123,7 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Matrix, list[int]]:
         ``(R, pivots)`` where ``R`` is the RREF and ``pivots`` lists the pivot
         column of each nonzero row, in order.
     """
-    mat, pivots = _eliminate(rows)
+    mat, pivots = _eliminate(_integer_rows(rows))
     scales = [row[col] for row, col in zip(mat, pivots)] + [1] * (len(mat) - len(pivots))
     zero = Fraction(0)  # an RREF is mostly zeros; share one instead of building each
     reduced = [[Fraction(x, p) if x else zero for x in values] for values, p in zip(mat, scales)]
@@ -123,12 +132,13 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Matrix, list[int]]:
 
 def rank(rows: Sequence[Sequence[Scalar]]) -> int:
     """Rank of a matrix (0 for an empty one)."""
-    return len(_eliminate(rows)[1])
+    return len(_eliminate(_integer_rows(rows))[1])
 
 
-def _nullspace(rows: Sequence[Sequence[Scalar]]) -> list[tuple[int, list[int]]]:
-    """``(f, v)`` for each vector of ``nullspace_basis(rows)``: ``f`` is its
-    free column and ``v`` the vector scaled to coprime integers, ``v[f] > 0``.
+def _nullspace(rows: Sequence[Sequence[int]]) -> list[tuple[int, list[int]]]:
+    """``(f, v)`` for each vector of ``nullspace_basis(rows)``, ``rows`` integer:
+    ``f`` is its free column and ``v`` the vector scaled to coprime integers,
+    ``v[f] > 0``.
 
     Free column ``f`` gives ``e_f - sum_k (R[k][f] / R[k][pivots[k]]) e_(pivots[k])``
     for the primitive rows ``R``, here times the lcm of the pivots it divides by.
@@ -160,25 +170,29 @@ def nullspace_basis(rows: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
     in its free coordinate and zeros in every other free coordinate, which
     makes the basis unique for a given column order.
     """
-    return [[Fraction(x, vec[f]) for x in vec] for f, vec in _nullspace(rows)]
+    return [[Fraction(x, vec[f]) for x in vec] for f, vec in _nullspace(_integer_rows(rows))]
 
 
-def _integer_nullspace(rows: Sequence[Sequence[Scalar]]) -> list[list[int]]:
-    """``nullspace_basis(rows)`` with each vector scaled to coprime integers."""
+def _integer_nullspace(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """``nullspace_basis(rows)`` of integer ``rows``, each vector scaled to coprime integers."""
     return [vec for _, vec in _nullspace(rows)]
 
 
 def lp_feasible(
-    a_eq: Sequence[Sequence[Scalar]],
-    b_eq: Sequence[Scalar],
+    a_eq: Sequence[Sequence[int]],
+    b_eq: Sequence[int],
     *,
     farkas: list[int] | None = None,
-) -> list[Fraction] | None:
+) -> tuple[list[int], int] | None:
     """Find ``u >= 0`` with ``A u = b``, or None if the system is infeasible.
 
     Phase-1 simplex with Bland's rule, so termination is guaranteed and
     verdicts are exact. Returns one feasible point (a basic one), not
-    anything optimal — callers only need feasibility witnesses.
+    anything optimal — callers only need feasibility witnesses — as
+    ``(u, denom)``: the point is ``u / denom``, integer numerators over the
+    tableau's positive denominator. ``A`` and ``b`` are integers; rational
+    ones are scaled by one common denominator, since scaling rows apart
+    would reweight the artificials in the phase-1 objective.
 
     When the system is infeasible and ``farkas`` is a list, the list is
     filled with an integer Farkas vector ``y``: ``yᵀA <= 0`` and ``yᵀb > 0``
@@ -194,18 +208,16 @@ def lp_feasible(
     if len(b_eq) != nrows:
         raise ValueError(f"b_eq has {len(b_eq)} entries for {nrows} rows of a_eq")
     if nrows == 0:
-        return []
-    # One common denominator for all of [A | b]: scaling rows apart would
-    # reweight the artificials in the phase-1 objective and change pivots.
-    rows = _integer_rows([[*row, rhs] for row, rhs in zip(a_eq, b_eq)])
-    ncols = len(rows[0]) - 1
+        return [], 1
+    ncols = len(a_eq[0])
     width = ncols + nrows
 
     # Tableau [A | I | b] with b >= 0; artificial variables start basic.
     tableau: list[Sequence[int]] = []
-    for i, row in enumerate(rows):
-        sign = -1 if row[-1] < 0 else 1
-        line = [sign * x for x in row[:-1]] + [0] * nrows + [sign * row[-1]]
+    for i, (row, rhs) in enumerate(zip(a_eq, b_eq)):
+        if len(row) != ncols:
+            raise ValueError("ragged matrix")
+        line = ([-x for x in row] if rhs < 0 else list(row)) + [0] * nrows + [abs(rhs)]
         line[ncols + i] = 1
         tableau.append(line)
     # Reduced costs for minimizing the sum of artificials (all basic costs 1),
@@ -220,8 +232,10 @@ def lp_feasible(
 
     while True:
         obj = tableau[nrows]
-        entering = next((j for j in range(width) if obj[j] < 0), None)
-        if entering is None:
+        for entering in range(width):
+            if obj[entering] < 0:
+                break
+        else:
             break
         # Ratio test, ties to the lowest basic index (Bland). Both a_ie and a_le
         # are positive, so b_i/a_ie < b_l/a_le is compared cross-multiplied.
@@ -251,11 +265,11 @@ def lp_feasible(
             # cost -piᵀA_j is >= 0 and piᵀb is the positive infeasibility; denom
             # times pi is integer and keeps those signs.
             farkas[:] = [
-                (denom - obj[ncols + i]) * (-1 if rows[i][-1] < 0 else 1) for i in range(nrows)
+                (denom - obj[ncols + i]) * (-1 if rhs < 0 else 1) for i, rhs in enumerate(b_eq)
             ]
         return None
-    solution = [Fraction(0)] * ncols
+    u = [0] * ncols
     for i, var in enumerate(basis):
         if var < ncols:
-            solution[var] = Fraction(tableau[i][-1], denom)
-    return solution
+            u[var] = tableau[i][-1]
+    return u, denom

@@ -6,6 +6,16 @@ kernels pivot on integers instead; they must return exactly what these
 return, down to the chosen basic point, since the concordance search and
 the golden files depend on which witness comes back (``test_linalg.py``).
 
+``fraction_lp`` is the adapter for tests that hand ``linalg.lp_feasible``
+Fractions or floats, or compare its point with Fractions: the library's
+kernel takes integer rows and returns ``(u, denom)``. The adapter scales
+``[A | b]`` by one common denominator with ``linalg._integer_rows``, which
+changes no pivot, passes ``farkas`` through and returns ``u / denom`` as
+``Fraction``s, the library's former output. ``signed_point`` (below) and
+the brute-force concordance oracle in ``test_concord.py`` call it too.
+``_eliminate`` and ``_integer_nullspace`` take integers as well; the tests
+hand them rational and float matrices through ``_integer_rows``.
+
 ``nullspace_basis`` is the original canonical nullspace, read off the
 ``Fraction`` RREF. The library reads it off the integer elimination, and
 the witness search reads its LP rows (row basis and left nullspace) there
@@ -777,6 +787,30 @@ def m3cr(
     )
 
 
+def fraction_lp(
+    a_eq: Sequence[Sequence[Scalar]],
+    b_eq: Sequence[Scalar],
+    *,
+    farkas: list[int] | None = None,
+) -> list[Fraction] | None:
+    """``linalg.lp_feasible`` for entries of any type, with a ``Fraction`` point.
+
+    ``[A | b]`` is scaled to integers by ``_integer_rows`` (one common
+    denominator, which changes no pivot), and ``(u, denom)`` is read back as
+    ``u / denom``; ``farkas`` is passed through.
+    """
+    if len(b_eq) != len(a_eq):
+        raise ValueError(f"b_eq has {len(b_eq)} entries for {len(a_eq)} rows of a_eq")
+    rows = _integer_rows([[*row, rhs] for row, rhs in zip(a_eq, b_eq)])
+    solution = linalg.lp_feasible(
+        [row[:-1] for row in rows], [row[-1] for row in rows], farkas=farkas
+    )
+    if solution is None:
+        return None
+    u, denom = solution
+    return [Fraction(x, denom) for x in u]
+
+
 _ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
 # A Fraction point with the bitmasks of its positive and negative coordinates.
 FractionPoint = tuple[list[Fraction], int, int]
@@ -841,7 +875,7 @@ def signed_point(
             elif s == -1:
                 offset -= row[j]
         b_eq.append(-offset)
-    solution = linalg.lp_feasible(a_eq, b_eq, farkas=farkas)
+    solution = fraction_lp(a_eq, b_eq, farkas=farkas)
     if solution is None:
         return None
     for (j, direction), value in zip(variables, solution):

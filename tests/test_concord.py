@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from crnkit import fixtures
-from crnkit import concord
+from crnkit import concord, linalg
 from crnkit.concord import (
     DEFAULT_NODE_BUDGET,
     SignWitness,
@@ -94,7 +94,7 @@ def _signed_solution(n_vars, eq_rows, pos_forms, neg_forms, zero_forms):
     for form in zero_forms:
         rows.append(split(form))
         rhs.append(Fraction(0))
-    point = lp_feasible(rows, rhs)
+    point = oracles.fraction_lp(rows, rhs)
     if point is None:
         return None
     x = [point[2 * i] - point[2 * i + 1] for i in range(n_vars)]
@@ -625,6 +625,32 @@ def test_a_search_with_no_lp_builds_no_fraction(monkeypatch):
     # a Discordant search builds them, in the witness
     witness = check_concordance(SCHMITZ).witness
     assert len(made) >= sum(1 for v in witness.alpha + witness.sigma if v)
+
+
+def test_the_lp_path_builds_no_fraction(monkeypatch):
+    # lp_feasible takes and returns integers, and _signed_point reads its
+    # point as numerators over the tableau's denominator, so a Concordant
+    # search, whose LPs leave only integer points and certificates, builds
+    # no Fraction in either module
+    net = subnetwork_by_labels(
+        FAL, [r.label for r in FAL.reactions if r.label not in ("R51", "R52")]
+    )
+    made, calls = [], []
+
+    def fraction(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    def counting(a_eq, b_eq, **kwargs):
+        calls.append(None)
+        return lp_feasible(a_eq, b_eq, **kwargs)
+
+    monkeypatch.setattr(concord, "Fraction", fraction)
+    monkeypatch.setattr(linalg, "Fraction", fraction)
+    monkeypatch.setattr(concord, "lp_feasible", counting)
+    verdict = check_concordance(net)
+    assert (verdict.status, verdict.search_nodes, len(calls)) == ("Concordant", 73, 52)
+    assert made == []
 
 
 def test_m3cr_searches_each_reaction_set_once(monkeypatch):

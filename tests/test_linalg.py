@@ -12,28 +12,38 @@ elimination it replaced, ``oracles.eliminate``: on integer, ``Fraction``
 and float matrices with repeated and zero rows, all four must return what
 the old kernel gave, repr for repr. ``RowReducer``, ``solve_unique`` and
 ``scale_to_integers`` live in ``oracles.py`` now; their unit tests stay here.
+Both kernels take and return integers, so the cases with Fractions or
+floats reach them through ``oracles.fraction_lp`` and ``_integer_rows``;
+the integer contracts themselves (the ``(u, denom)`` point, both branches
+of ``_pivot``, an elimination pivot other than 1) have their own tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crnkit import linalg
+from crnkit.core import parse_network, reaction_vectors
 from crnkit.linalg import (
     _eliminate,
     _integer_nullspace,
+    _integer_rows,
     _primitive,
     lp_feasible,
     nullspace_basis,
     rank,
     rref,
 )
-from oracles import RowReducer, scale_to_integers, solve_unique
+from oracles import RowReducer, fraction_lp, scale_to_integers, solve_unique
+
+DATA = Path(__file__).parent / "data"
 
 
 def _gauss_solve(columns: list[list[Fraction]], target: list[Fraction]) -> list[Fraction] | None:
@@ -145,13 +155,13 @@ def test_scale_to_integers():
 
 
 def test_lp_feasible_hand_cases():
-    point = lp_feasible([[1, 1]], [1])
+    point = fraction_lp([[1, 1]], [1])
     assert point is not None and sum(point) == 1 and all(x >= 0 for x in point)
-    assert lp_feasible([[1, 1]], [-1]) is None
-    assert lp_feasible([[1, -1]], [0]) is not None
-    assert lp_feasible([[1, 0], [0, 1]], [2, 3]) == [Fraction(2), Fraction(3)]
-    assert lp_feasible([[0, 0]], [0]) == [Fraction(0), Fraction(0)]
-    assert lp_feasible([], []) == []
+    assert fraction_lp([[1, 1]], [-1]) is None
+    assert fraction_lp([[1, -1]], [0]) is not None
+    assert fraction_lp([[1, 0], [0, 1]], [2, 3]) == [Fraction(2), Fraction(3)]
+    assert fraction_lp([[0, 0]], [0]) == [Fraction(0), Fraction(0)]
+    assert fraction_lp([], []) == []
 
 
 def test_lp_feasible_rejects_mismatched_shapes():
@@ -179,7 +189,7 @@ def test_eliminating_kernels_reject_a_ragged_matrix(kernel):
 
 def test_lp_feasible_requires_pivoting():
     # x - y = -2 with x, y >= 0 needs y in the basis, not just artificials.
-    point = lp_feasible([[1, -1]], [-2])
+    point = fraction_lp([[1, -1]], [-2])
     assert point is not None
     assert point[0] - point[1] == -2
     assert all(x >= 0 for x in point)
@@ -245,7 +255,7 @@ def test_row_reducer_matches_rank(mat):
 )
 def test_lp_feasible_agrees_with_brute_force(case):
     a_eq, b_eq = case
-    point = lp_feasible(a_eq, b_eq)
+    point = fraction_lp(a_eq, b_eq)
     assert (point is not None) == brute_force_feasible(a_eq, b_eq)
     if point is not None:
         assert all(x >= 0 for x in point)
@@ -309,13 +319,13 @@ def _assert_identical(got, want):
 @settings(max_examples=300)
 @given(lp_systems(small_entries))
 def test_lp_feasible_matches_fraction_oracle_on_integers(case):
-    _assert_identical(lp_feasible(*case), oracles.lp_feasible(*case))
+    _assert_identical(fraction_lp(*case), oracles.lp_feasible(*case))
 
 
 @settings(max_examples=300)
 @given(lp_systems(rational_entries))
 def test_lp_feasible_matches_fraction_oracle_on_rationals(case):
-    _assert_identical(lp_feasible(*case), oracles.lp_feasible(*case))
+    _assert_identical(fraction_lp(*case), oracles.lp_feasible(*case))
 
 
 @settings(max_examples=300)
@@ -339,7 +349,7 @@ def test_rref_matches_fraction_oracle_on_rationals(mat):
 def test_nullspace_matches_fraction_oracle(mat):
     want = oracles.nullspace_basis(mat)
     _assert_identical(nullspace_basis(mat), want)
-    assert _integer_nullspace(mat) == [scale_to_integers(vec) for vec in want]
+    assert _integer_nullspace(_integer_rows(mat)) == [scale_to_integers(vec) for vec in want]
 
 
 @settings(max_examples=300)
@@ -347,7 +357,7 @@ def test_nullspace_matches_fraction_oracle(mat):
 def test_primitive_rows_match_the_scaled_fraction_rref(mat):
     # the witness search's row basis: the elimination's rows are the RREF's,
     # scaled to coprime integers, and the rows after them are zero
-    reduced, pivots = _eliminate(mat)
+    reduced, pivots = _eliminate(_integer_rows(mat))
     want, want_pivots = oracles.rref(mat)
     assert pivots == want_pivots
     assert reduced[: len(pivots)] == [scale_to_integers(want[k]) for k in range(len(pivots))]
@@ -372,7 +382,7 @@ def _assert_farkas_output(a_eq, b_eq):
     """An infeasible system fills ``farkas`` with an exact Farkas vector; a
     feasible one leaves it empty. Either way the point is the oracle's."""
     farkas: list[int] = []
-    point = lp_feasible(a_eq, b_eq, farkas=farkas)
+    point = fraction_lp(a_eq, b_eq, farkas=farkas)
     _assert_identical(point, oracles.lp_feasible(a_eq, b_eq))
     if point is not None:
         assert farkas == []
@@ -410,11 +420,11 @@ def test_farkas_vector_hand_cases():
         ([[1, 1]], [-1], [-1]),
     ):
         farkas: list[int] = []
-        assert lp_feasible(a_eq, b_eq, farkas=farkas) is None
+        assert fraction_lp(a_eq, b_eq, farkas=farkas) is None
         assert farkas == want
         _assert_farkas_output(a_eq, b_eq)
     farkas = []
-    assert lp_feasible([[1, 1]], [1], farkas=farkas) == [1, 0]
+    assert fraction_lp([[1, 1]], [1], farkas=farkas) == [1, 0]
     assert farkas == []
 
 
@@ -424,8 +434,8 @@ def test_kernels_take_float_entries_at_their_exact_value():
         _assert_identical(rref(mat), want)
         assert rank(mat) == len(want[1])
     for a_eq, b_eq in (([[1.0]], [2]), ([[0.5, -1]], [0.25]), ([[1, 1]], [-0.5])):
-        _assert_identical(lp_feasible(a_eq, b_eq), oracles.lp_feasible(a_eq, b_eq))
-    assert lp_feasible([[1.0]], [2]) == [2]
+        _assert_identical(fraction_lp(a_eq, b_eq), oracles.lp_feasible(a_eq, b_eq))
+    assert fraction_lp([[1.0]], [2]) == [2]
 
 
 def test_lp_feasible_breaks_a_ratio_tie_like_the_oracle():
@@ -434,8 +444,91 @@ def test_lp_feasible_breaks_a_ratio_tie_like_the_oracle():
     # (0, 1/2, 1/2, 1/2), so this case pins Bland's tie-break.
     a_eq = [[0, 0, 1, -1], [0, 1, 0, 1], [-1, -1, 1, 0]]
     b_eq = [0, 1, 0]
-    _assert_identical(lp_feasible(a_eq, b_eq), oracles.lp_feasible(a_eq, b_eq))
-    assert lp_feasible(a_eq, b_eq) == [1, 0, 1, 1]
+    _assert_identical(fraction_lp(a_eq, b_eq), oracles.lp_feasible(a_eq, b_eq))
+    assert fraction_lp(a_eq, b_eq) == [1, 0, 1, 1]
+
+
+# --- the integer kernels' own contracts ---------------------------------------
+
+
+@settings(max_examples=300)
+@given(lp_systems(st.integers(-3, 3)))
+def test_integer_lp_point_is_the_fraction_oracles(case):
+    # entries in -3..3 give pivots other than 1, so both _pivot branches run
+    a_eq, b_eq = case
+    farkas: list[int] = []
+    solution = lp_feasible(a_eq, b_eq, farkas=farkas)
+    want = oracles.lp_feasible(a_eq, b_eq)
+    if want is None:
+        assert solution is None
+        for j in range(len(a_eq[0])):
+            assert sum(y * row[j] for y, row in zip(farkas, a_eq)) <= 0
+        assert sum(y * b for y, b in zip(farkas, b_eq)) > 0
+        return
+    u, denom = solution
+    assert denom > 0 and all(type(x) is int for x in u)
+    assert [Fraction(x, denom) for x in u] == want
+    assert farkas == []
+
+
+def _pivots_taken(monkeypatch):
+    """Record ``(p, denom)`` of every ``_pivot`` call."""
+    taken = []
+    pivot = linalg._pivot
+
+    def recording(rows, r, col, denom):
+        taken.append((rows[r][col], denom))
+        pivot(rows, r, col, denom)
+
+    monkeypatch.setattr(linalg, "_pivot", recording)
+    return taken
+
+
+def test_lp_with_unit_pivots_only(monkeypatch):
+    taken = _pivots_taken(monkeypatch)
+    # the second row is negated to make b >= 0; both pivots are 1 over denom 1
+    assert lp_feasible([[1, 1, 0], [0, -1, 1]], [2, -1]) == ([1, 1, 0], 1)
+    assert taken == [(1, 1), (1, 1)]
+    assert oracles.lp_feasible([[1, 1, 0], [0, -1, 1]], [2, -1]) == [1, 1, 0]
+
+
+def test_lp_with_a_pivot_of_two(monkeypatch):
+    taken = _pivots_taken(monkeypatch)
+    # a pivot of 2 leaves denom 2, and the next pivot, 1 over 2, is Bareiss too
+    assert lp_feasible([[2, 1], [1, 1]], [3, 2]) == ([1, 1], 1)
+    assert taken == [(2, 1), (1, 2)]
+    assert oracles.lp_feasible([[2, 1], [1, 1]], [3, 2]) == [1, 1]
+    taken.clear()
+    assert lp_feasible([[2, 1]], [3]) == ([3, 0], 2)
+    assert taken == [(2, 1)]
+    assert oracles.lp_feasible([[2, 1]], [3]) == [Fraction(3, 2), 0]
+
+
+def test_pivot_branches_agree_with_the_bareiss_formula():
+    # p == denom == 1: row - f*pivot_row; otherwise (p*row - f*pivot_row) / denom
+    rows = [[1, 2, 3], [4, 5, 6], [0, 7, 8]]
+    linalg._pivot(rows, 0, 0, 1)
+    assert rows == [[1, 2, 3], [0, -3, -6], [0, 7, 8]]
+    rows = [[2, 1, 3], [1, 1, 2], [0, 4, 6]]
+    linalg._pivot(rows, 0, 0, 1)
+    assert rows == [[2, 1, 3], [0, 1, 1], [0, 8, 12]]
+    rows = [[4, 2, 6], [2, 3, 4], [0, 2, 4]]
+    linalg._pivot(rows, 1, 1, 2)
+    assert rows == [[4, 0, 5], [2, 3, 4], [-2, 0, 2]]
+
+
+def test_eliminate_pivots_on_two_like_the_fraction_rref():
+    # toy-a's reaction vectors with 2 A -> B first: the first pivot is -2,
+    # made 2 by the sign flip, and the second is 1, whose step leaves the
+    # first row even, so _primitive halves it
+    net = parse_network((DATA / "toy-a.crn").read_text(encoding="utf-8"))
+    vectors = reaction_vectors(net)
+    rows = [list(row) for row in zip(vectors[3], *vectors[:3], vectors[4])]
+    reduced, pivots = _eliminate(rows)
+    want, want_pivots = oracles.rref(rows)
+    assert pivots == want_pivots == [0, 1]
+    assert reduced == [scale_to_integers(row) for row in want]
+    assert reduced == [[1, 0, 0, 1, -1], [0, 1, -1, 1, -1]]
 
 
 # --- the row-primitive elimination against the Bareiss one -------------------
@@ -463,7 +556,9 @@ def _assert_matches_bareiss(mat):
     assert rank(mat) == len(oracles.eliminate(mat)[1])
     basis, denom = oracles.bareiss_nullspace(mat)
     _assert_identical(nullspace_basis(mat), [[Fraction(x, denom) for x in vec] for vec in basis])
-    _assert_identical(_integer_nullspace(mat), oracles.bareiss_integer_nullspace(mat))
+    _assert_identical(
+        _integer_nullspace(_integer_rows(mat)), oracles.bareiss_integer_nullspace(mat)
+    )
 
 
 @pytest.mark.parametrize(
