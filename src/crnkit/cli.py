@@ -14,7 +14,6 @@ import argparse
 import os
 import sys
 from dataclasses import asdict, fields
-from functools import partial
 from pathlib import Path
 
 from . import fixtures
@@ -232,8 +231,17 @@ def cmd_compare(args: argparse.Namespace) -> int:
     elif args.mode == "core":
         _emit(args, _core_payload(net1, net2), _core_text)
     else:
-        sizes = (len(net1.reactions), len(net2.reactions))
-        _emit(args, _m3cr_payload(args, net1, net2), partial(_m3cr_text, parent_sizes=sizes))
+        from .concord import UnverifiedMandatorySet
+
+        try:
+            payload = _m3cr_payload(args, net1, net2)
+        except UnverifiedMandatorySet as exc:  # an Unknown verdict, not bad input
+            print(f"crnkit: error: {exc}", file=sys.stderr)
+            return 2
+        _emit(args, payload, _m3cr_text)
+        # maximality goes unverified only when a search ran out of budget
+        if not all(payload[parent]["maximalityVerified"] for parent in ("parent1", "parent2")):
+            return 2
     return 0
 
 
@@ -336,15 +344,17 @@ def _m3cr_payload(args: argparse.Namespace, net1: Network, net2: Network) -> dic
     }
 
 
-def _m3cr_text(args: argparse.Namespace, payload: dict, parent_sizes: tuple[int, int]) -> list[str]:
+def _m3cr_text(args: argparse.Namespace, payload: dict) -> list[str]:
     lines = [
         f"maximal concordant containers of the common reactions: "
         f"{args.network1} vs {args.network2}",
     ]
     lines += _listed("common reactions", payload["commonReactions"])
     parents = (args.network1, payload["parent1"]), (args.network2, payload["parent2"])
-    for (name, report), size in zip(parents, parent_sizes):
+    for name, report in parents:
         kept = len(report["containerReactions"])
+        # each reaction outside the container is in the discordance set
+        size = kept + len(report["discordanceSet"])
         lines.append(
             f"container inside {name}: keeps {kept} of {size} reactions"
             f" (maximality verified: {_yesno(report['maximalityVerified'])},"

@@ -60,9 +60,8 @@ carry the right-hand side enters, and then no reduced cost is negative.
 by the pivot entry's absolute value to stay integer, or with the row
 itself as the Farkas certificate when no column can enter. Only blocks of
 two or more rows reach ``lp_feasible``, which takes their integer rows and
-returns its point as integer numerators over its tableau's positive
-denominator; the block's part is read straight off them, with no
-``Fraction`` and no ``lcm``.
+returns its point as integer numerators over one positive denominator; the
+block's part is read straight off them, with no ``Fraction``.
 
 An infeasible LP leaves a Farkas certificate instead: ``lp_feasible`` hands
 back its phase-1 duals ``y``, and ``w = -yᵀ rows`` is an integer vector of
@@ -123,6 +122,10 @@ class ConeCertificate:
 
     def __bool__(self) -> bool:
         return self.holds
+
+
+class UnverifiedMandatorySet(ValueError):
+    """``m3cr``'s mandatory set was not shown concordant within the node budget."""
 
 
 @dataclass(frozen=True)
@@ -187,7 +190,7 @@ def _signed_point(
     unconstrained elsewhere. A pattern that wants no sign has b = 0, so its
     point is 0 with no LP, and one row is answered by ``_first_pivot`` with
     no LP either. The point comes back as a ``_Part``, integers over one
-    denominator: that of the pivot, or of ``lp_feasible``'s tableau, whose
+    denominator: that of the pivot, or of ``lp_feasible``'s point, whose
     numerators ``u`` are added to the signs as they are. When there is no
     such point, returns a certificate ``(wpos, wneg)``: the masks of the
     positive and negative coordinates of ``w = -yᵀ rows`` for the Farkas
@@ -586,7 +589,7 @@ def _positive_point(rows: Sequence[Sequence[int]], count: int) -> ConeCertificat
     point = _signed_point(rows, range(count), ((1 << count) - 1, 0, 0))
     if len(point) == 2:  # a certificate
         return ConeCertificate(False, None)
-    return ConeCertificate(True, _assemble([point], count) or None)
+    return ConeCertificate(True, _assemble([point], count))
 
 
 def is_positive_dependent(net: Network) -> ConeCertificate:
@@ -646,7 +649,7 @@ def m3cr(
     if base_verdict.status == "Discordant":
         raise ValueError("mandatory reaction set generates a discordant subnetwork")
     if base_verdict.status == "Unknown":
-        raise ValueError(
+        raise UnverifiedMandatorySet(
             "could not verify mandatory-set concordance within the node budget"
         )
     total_nodes = base_verdict.search_nodes

@@ -43,7 +43,7 @@ class Complex:
         for species, coeff in items.items():
             if not _SPECIES_TOKEN.fullmatch(species):
                 raise ValueError(f"invalid species name {species!r}")
-            if not isinstance(coeff, int) or coeff <= 0:
+            if isinstance(coeff, bool) or not isinstance(coeff, int) or coeff <= 0:
                 raise ValueError(f"coefficient of {species} must be a positive integer")
         object.__setattr__(self, "_terms", tuple(sorted(items.items())))
 

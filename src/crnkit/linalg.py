@@ -3,16 +3,17 @@
 Everything downstream that makes a structural claim (ranks, deficiencies,
 decompositions, concordance verdicts) goes through this module, so every
 result here is exact — no floating point, no tolerances. Both kernels take
-integer matrices and return integers. ``_eliminate``, behind ``rref``,
-``rank`` and the nullspaces, is Gauss-Jordan elimination that keeps each row
-primitive (coprime integers); it leaves a row with a zero in the pivot
-column as it is. ``lp_feasible`` keeps its simplex tableau fraction-free
-over one shared denominator (Bareiss elimination, ``_pivot``) and returns
-its point as integers over it. ``rref``, ``rank`` and ``nullspace_basis``
-also take Fractions and floats (a float at its exact binary value); the
-first and last return ``fractions.Fraction``s. Matrices are plain lists of
-lists; sizes in this package are small (tens of rows/columns), so clarity
-wins over vectorization.
+integer matrices, return integers and run one row step, ``_reduce``, which
+keeps each row a positive multiple of its true row: a step divides a row by
+its gcd after a pivot other than 1 and leaves a row with a zero in the
+pivot column as it is. ``_eliminate``, behind ``rref``, ``rank`` and the
+nullspaces, is Gauss-Jordan elimination that returns its rows primitive
+(coprime integers). ``lp_feasible`` is a phase-1 simplex on such a tableau
+and returns its point as integers over one denominator. ``rref``, ``rank``
+and ``nullspace_basis`` also take Fractions and floats (a float at its exact
+binary value); the first and last return ``fractions.Fraction``s. Matrices
+are plain lists of lists; sizes in this package are small (tens of
+rows/columns), so clarity wins over vectorization.
 """
 
 from __future__ import annotations
@@ -40,49 +41,41 @@ def _integer_rows(rows: Sequence[Sequence[Scalar]]) -> list[Sequence[int]]:
     return [[x.numerator * (denom // x.denominator) for x in row] for row in rows]
 
 
-def _pivot(rows: list[Sequence[int]], r: int, col: int, denom: int) -> None:
-    """One fraction-free Gauss-Jordan step on ``rows[r][col]`` (Bareiss), the
-    LP's tableau step.
-
-    ``rows`` holds ``denom`` times the current tableau. Afterwards it holds
-    ``rows[r][col]`` times the tableau pivoted on that entry: ``rows[r]`` is
-    unchanged, and every other row becomes ``(p*row - f*pivot_row) / denom``.
-    Each entry is then a minor of the starting integer matrix, so the
-    division is exact. With ``p == denom == 1`` that is ``row - f*pivot_row``.
-    """
-    pivot_row = rows[r]
-    p = pivot_row[col]
-    for i, row in enumerate(rows):
-        if i == r:
-            continue
-        f = row[col]
-        if f:
-            if p == denom == 1:
-                rows[i] = [a - f * b for a, b in zip(row, pivot_row)]
-            else:
-                rows[i] = [(p * a - f * b) // denom for a, b in zip(row, pivot_row)]
-        elif p != denom:
-            rows[i] = [p * a // denom for a in row]
-
-
 def _primitive(vector: Sequence[int]) -> list[int]:
     """``vector`` divided by the gcd of its entries, so they are coprime."""
     common = gcd(*vector)
     return [v // common for v in vector] if common > 1 else list(vector)
 
 
+def _reduce(rows: list[Sequence[int]], r: int, col: int) -> None:
+    """One Gauss-Jordan step on the pivot ``rows[r][col] > 0``, in both kernels.
+
+    Every other row with a nonzero entry ``f`` in column ``col`` becomes
+    ``row - f*pivot_row`` when the pivot is 1, and ``p*row - f*pivot_row``
+    divided by its gcd otherwise; the rest are left as they are. A row that
+    was a positive multiple of its true row stays one, and a positive
+    multiple keeps the signs, the zeros and the ratios within a row.
+    """
+    pivot_row = rows[r]
+    p = pivot_row[col]
+    for i, row in enumerate(rows):
+        f = row[col]
+        if f and i != r:
+            if p == 1:
+                rows[i] = [a - f * b for a, b in zip(row, pivot_row)]
+            else:
+                rows[i] = _primitive([p * a - f * b for a, b in zip(row, pivot_row)])
+
+
 def _eliminate(rows: Sequence[Sequence[int]]) -> tuple[list[Sequence[int]], list[int]]:
-    """Gauss-Jordan elimination of the integer ``rows``, each row kept primitive.
+    """Gauss-Jordan elimination of the integer ``rows`` by ``_reduce`` steps.
 
     Returns ``(R, pivots)``: ``pivots`` lists the pivot column of each
     nonzero row, in order, and row ``k < len(pivots)`` of ``R`` is row ``k``
     of the reduced row echelon form scaled to coprime integers, positive at
-    its pivot; the rows after those are zero. A step changes only the rows
-    with a nonzero entry in the pivot column: each becomes
-    ``p*row - f*pivot_row``, divided by its gcd. A row scaled by a positive
-    number keeps its signs and its zeros, so the pivot stays positive. A
-    pivot row whose pivot is 1 is primitive already, and its steps are
-    ``row - f*pivot_row``.
+    its pivot; the rows after those are zero. A pivot row is negated when
+    its pivot is negative, so every row stays a positive multiple of its row
+    of the reduced form, and the pivot rows are made primitive at the end.
     """
     if rows and any(len(row) != len(rows[0]) for row in rows):
         raise ValueError("ragged matrix")
@@ -99,20 +92,14 @@ def _eliminate(rows: Sequence[Sequence[int]]) -> tuple[list[Sequence[int]], list
                 break
         else:
             continue
-        pivot_row = list(mat[found]) if mat[found][col] == 1 else _primitive(mat[found])
+        pivot_row = mat[found]
         if pivot_row[col] < 0:
             pivot_row = [-a for a in pivot_row]
         mat[found] = mat[r]
         mat[r] = pivot_row
-        p = pivot_row[col]
-        for i, row in enumerate(mat):
-            f = row[col]
-            if f and i != r:
-                if p == 1:
-                    mat[i] = _primitive([a - f * b for a, b in zip(row, pivot_row)])
-                else:
-                    mat[i] = _primitive([p * a - f * b for a, b in zip(row, pivot_row)])
+        _reduce(mat, r, col)
         pivots.append(col)
+    mat[: len(pivots)] = [_primitive(row) for row in mat[: len(pivots)]]
     return mat, pivots
 
 
@@ -190,15 +177,15 @@ def lp_feasible(
     verdicts are exact. Returns one feasible point (a basic one), not
     anything optimal — callers only need feasibility witnesses — as
     ``(u, denom)``: the point is ``u / denom``, integer numerators over the
-    tableau's positive denominator. ``A`` and ``b`` are integers; rational
+    lcm of the basic pivot entries. ``A`` and ``b`` are integers; rational
     ones are scaled by one common denominator, since scaling rows apart
     would reweight the artificials in the phase-1 objective.
 
     When the system is infeasible and ``farkas`` is a list, the list is
-    filled with an integer Farkas vector ``y``: ``yᵀA <= 0`` and ``yᵀb > 0``
-    hold exactly for the caller's ``A`` and ``b``. It is read off the final
-    phase-1 duals, with the sign of each row the kernel negated to make
-    ``b_i >= 0`` put back. A feasible system leaves ``farkas`` as it was.
+    filled with a primitive integer Farkas vector ``y``: ``yᵀA <= 0`` and
+    ``yᵀb > 0`` hold exactly for the caller's ``A`` and ``b``. It is read off
+    the final phase-1 duals, with the sign of each row the kernel negated to
+    make ``b_i >= 0`` put back. A feasible system leaves ``farkas`` as it was.
 
     Raises:
         ValueError: if ``A`` is ragged or ``b`` does not have one entry per
@@ -212,23 +199,22 @@ def lp_feasible(
     ncols = len(a_eq[0])
     width = ncols + nrows
 
-    # Tableau [A | I | b] with b >= 0; artificial variables start basic.
+    # Tableau [A | I | 0 | b] with b >= 0; artificial variables start basic.
     tableau: list[Sequence[int]] = []
     for i, (row, rhs) in enumerate(zip(a_eq, b_eq)):
         if len(row) != ncols:
             raise ValueError("ragged matrix")
-        line = ([-x for x in row] if rhs < 0 else list(row)) + [0] * nrows + [abs(rhs)]
+        line = ([-x for x in row] if rhs < 0 else list(row)) + [0] * (nrows + 1) + [abs(rhs)]
         line[ncols + i] = 1
         tableau.append(line)
     # Reduced costs for minimizing the sum of artificials (all basic costs 1),
-    # kept as the last row so that every pivot updates them too.
+    # kept as the last row so that every pivot updates them too. Column
+    # ``width`` is zero with cost 1, so its reduced cost is 1 for good: the
+    # entry there is the positive scale of the row, and it never enters.
     obj = [-sum(column) for column in zip(*tableau)]
-    obj[ncols:width] = [0] * nrows
+    obj[ncols : width + 1] = [0] * nrows + [1]
     tableau.append(obj)
     basis = list(range(ncols, width))
-    # ``tableau`` holds denom times the true tableau; denom > 0 because every
-    # pivot is, so signs and ratios read the same off either.
-    denom = 1
 
     while True:
         obj = tableau[nrows]
@@ -252,24 +238,26 @@ def lp_feasible(
                     leaving = i
         if leaving is None:  # pragma: no cover - phase-1 objective is bounded
             raise RuntimeError("unbounded phase-1 LP")
-        _pivot(tableau, leaving, entering, denom)
-        denom = tableau[leaving][entering]
+        _reduce(tableau, leaving, entering)
         basis[leaving] = entering
 
     infeasibility = sum(tableau[i][-1] for i in range(nrows) if basis[i] >= ncols)
     if infeasibility != 0:
         if farkas is not None:
-            # y_i = s_i * (denom - obj[ncols + i]), s_i = -1 for a negated row.
-            # With duals pi of the negated rows, the true reduced cost under
-            # artificial i is 1 - pi_i. At the optimum every structural reduced
-            # cost -piᵀA_j is >= 0 and piᵀb is the positive infeasibility; denom
-            # times pi is integer and keeps those signs.
-            farkas[:] = [
-                (denom - obj[ncols + i]) * (-1 if rhs < 0 else 1) for i, rhs in enumerate(b_eq)
-            ]
+            # y_i = s_i * (obj[width] - obj[ncols + i]), s_i = -1 for a negated
+            # row. With duals pi of the negated rows, the true reduced cost
+            # under artificial i is 1 - pi_i. At the optimum every structural
+            # reduced cost -piᵀA_j is >= 0 and piᵀb is the positive
+            # infeasibility; obj[width] times pi is integer and keeps those signs.
+            scale = obj[width]
+            farkas[:] = _primitive(
+                [(scale - obj[ncols + i]) * (-1 if rhs < 0 else 1) for i, rhs in enumerate(b_eq)]
+            )
         return None
+    basic = [(i, var) for i, var in enumerate(basis) if var < ncols]
+    # a list: CPython's tuple free lists hoard the resized tuple of a generator
+    denom = lcm(*[tableau[i][var] for i, var in basic])
     u = [0] * ncols
-    for i, var in enumerate(basis):
-        if var < ncols:
-            u[var] = tableau[i][-1]
+    for i, var in basic:
+        u[var] = tableau[i][-1] * (denom // tableau[i][var])
     return u, denom

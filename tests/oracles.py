@@ -9,8 +9,8 @@ the golden files depend on which witness comes back (``test_linalg.py``).
 ``fraction_lp`` is the adapter for tests that hand ``linalg.lp_feasible``
 Fractions or floats, or compare its point with Fractions: the library's
 kernel takes integer rows and returns ``(u, denom)``. The adapter scales
-``[A | b]`` by one common denominator with ``linalg._integer_rows``, which
-changes no pivot, passes ``farkas`` through and returns ``u / denom`` as
+``[A | b]`` by one common denominator with ``integer_system``, which changes
+no pivot, passes ``farkas`` through and returns ``u / denom`` as
 ``Fraction``s, the library's former output. ``signed_point`` (below) and
 the brute-force concordance oracle in ``test_concord.py`` call it too.
 ``_eliminate`` and ``_integer_nullspace`` take integers as well; the tests
@@ -22,15 +22,20 @@ the witness search reads its LP rows (row basis and left nullspace) there
 as coprime integer vectors; both must give what this gives, after
 ``scale_to_integers`` for the search (``test_linalg.py``).
 
-``eliminate`` is the library's former ``_eliminate``, moved here verbatim:
-Gauss-Jordan elimination by Bareiss steps (``linalg._pivot``, still the
-LP's tableau step) over one shared denominator, which rescales every row at
-every pivot. ``bareiss_rref``, ``bareiss_nullspace``, ``primitive`` and
-``bareiss_integer_nullspace`` are the library's former readings of it. The
-library's elimination keeps each row primitive and leaves a row with a zero
-in the pivot column alone; ``rref``, ``rank``, ``nullspace_basis`` and
-``_integer_nullspace`` must return what these return, repr for repr
-(``test_linalg.py``).
+``bareiss_pivot`` is one fraction-free Gauss-Jordan step (Bareiss) over
+one shared denominator, which rescales every row at every pivot, and
+``eliminate`` is the library's former ``_eliminate`` built on it, both
+moved here verbatim. ``bareiss_rref``, ``bareiss_nullspace``, ``primitive``
+and ``bareiss_integer_nullspace`` are the library's former readings of
+``eliminate``; ``bareiss_lp`` is the library's former ``lp_feasible``,
+whose tableau kept that shared denominator. The library runs one step,
+``linalg._reduce``, in both kernels: it keeps each row a positive multiple
+of its true row, divides a row by its gcd after a pivot other than 1, and
+leaves a row with a zero in the pivot column alone. ``rref``, ``rank``,
+``nullspace_basis`` and ``_integer_nullspace`` must return what the
+elimination oracles return, repr for repr; ``lp_feasible`` must return
+``bareiss_lp``'s point, as Fractions, and the primitive form of its Farkas
+vector (``test_linalg.py``).
 
 ``search_rows`` is the witness search's former set-up: reaction vectors
 read by ``coefficient_reaction_vectors`` (one ``Complex.coefficient`` scan
@@ -168,7 +173,7 @@ from crnkit.concord import (
 )
 from crnkit.core import Network, Reaction, _complexes, reaction_vectors, subnetwork
 from crnkit.decomp import Decomposition
-from crnkit.linalg import _integer_rows, _pivot
+from crnkit.linalg import _integer_rows
 from crnkit.structure import _components
 from crnkit.transform import KineticSystem
 
@@ -231,6 +236,31 @@ def nullspace_basis(rows: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
     return basis
 
 
+def bareiss_pivot(rows: list[Sequence[int]], r: int, col: int, denom: int) -> None:
+    """One fraction-free Gauss-Jordan step on ``rows[r][col]`` (Bareiss), the
+    step of ``eliminate`` and ``bareiss_lp``.
+
+    ``rows`` holds ``denom`` times the current tableau. Afterwards it holds
+    ``rows[r][col]`` times the tableau pivoted on that entry: ``rows[r]`` is
+    unchanged, and every other row becomes ``(p*row - f*pivot_row) / denom``.
+    Each entry is then a minor of the starting integer matrix, so the
+    division is exact. With ``p == denom == 1`` that is ``row - f*pivot_row``.
+    """
+    pivot_row = rows[r]
+    p = pivot_row[col]
+    for i, row in enumerate(rows):
+        if i == r:
+            continue
+        f = row[col]
+        if f:
+            if p == denom == 1:
+                rows[i] = [a - f * b for a, b in zip(row, pivot_row)]
+            else:
+                rows[i] = [(p * a - f * b) // denom for a, b in zip(row, pivot_row)]
+        elif p != denom:
+            rows[i] = [p * a // denom for a in row]
+
+
 def eliminate(rows: Sequence[Sequence[Scalar]]) -> tuple[list[Sequence[int]], list[int], int]:
     """Fraction-free Gauss-Jordan elimination of ``rows``.
 
@@ -251,7 +281,7 @@ def eliminate(rows: Sequence[Sequence[Scalar]]) -> tuple[list[Sequence[int]], li
         if pivot_row is None:
             continue
         mat[row], mat[pivot_row] = mat[pivot_row], mat[row]
-        _pivot(mat, row, col, denom)
+        bareiss_pivot(mat, row, col, denom)
         denom = mat[row][col]
         pivots.append(col)
     return mat, pivots, denom
@@ -361,6 +391,103 @@ def lp_feasible(
         if var < ncols:
             solution[var] = tableau[i][-1]
     return solution
+
+
+def bareiss_lp(
+    a_eq: Sequence[Sequence[int]],
+    b_eq: Sequence[int],
+    *,
+    farkas: list[int] | None = None,
+) -> tuple[list[int], int] | None:
+    """Find ``u >= 0`` with ``A u = b``, or None if the system is infeasible.
+
+    Phase-1 simplex with Bland's rule, so termination is guaranteed and
+    verdicts are exact. Returns one feasible point (a basic one), not
+    anything optimal — callers only need feasibility witnesses — as
+    ``(u, denom)``: the point is ``u / denom``, integer numerators over the
+    tableau's positive denominator. ``A`` and ``b`` are integers; rational
+    ones are scaled by one common denominator, since scaling rows apart
+    would reweight the artificials in the phase-1 objective.
+
+    When the system is infeasible and ``farkas`` is a list, the list is
+    filled with an integer Farkas vector ``y``: ``yᵀA <= 0`` and ``yᵀb > 0``
+    hold exactly for the caller's ``A`` and ``b``. It is read off the final
+    phase-1 duals, with the sign of each row the kernel negated to make
+    ``b_i >= 0`` put back. A feasible system leaves ``farkas`` as it was.
+
+    Raises:
+        ValueError: if ``A`` is ragged or ``b`` does not have one entry per
+            row of ``A``.
+    """
+    nrows = len(a_eq)
+    if len(b_eq) != nrows:
+        raise ValueError(f"b_eq has {len(b_eq)} entries for {nrows} rows of a_eq")
+    if nrows == 0:
+        return [], 1
+    ncols = len(a_eq[0])
+    width = ncols + nrows
+
+    # Tableau [A | I | b] with b >= 0; artificial variables start basic.
+    tableau: list[Sequence[int]] = []
+    for i, (row, rhs) in enumerate(zip(a_eq, b_eq)):
+        if len(row) != ncols:
+            raise ValueError("ragged matrix")
+        line = ([-x for x in row] if rhs < 0 else list(row)) + [0] * nrows + [abs(rhs)]
+        line[ncols + i] = 1
+        tableau.append(line)
+    # Reduced costs for minimizing the sum of artificials (all basic costs 1),
+    # kept as the last row so that every pivot updates them too.
+    obj = [-sum(column) for column in zip(*tableau)]
+    obj[ncols:width] = [0] * nrows
+    tableau.append(obj)
+    basis = list(range(ncols, width))
+    # ``tableau`` holds denom times the true tableau; denom > 0 because every
+    # pivot is, so signs and ratios read the same off either.
+    denom = 1
+
+    while True:
+        obj = tableau[nrows]
+        for entering in range(width):
+            if obj[entering] < 0:
+                break
+        else:
+            break
+        # Ratio test, ties to the lowest basic index (Bland). Both a_ie and a_le
+        # are positive, so b_i/a_ie < b_l/a_le is compared cross-multiplied.
+        leaving = None
+        for i in range(nrows):
+            coef = tableau[i][entering]
+            if coef > 0:
+                if leaving is None:
+                    leaving = i
+                    continue
+                lhs = tableau[i][-1] * tableau[leaving][entering]
+                rhs = tableau[leaving][-1] * coef
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
+                    leaving = i
+        if leaving is None:  # pragma: no cover - phase-1 objective is bounded
+            raise RuntimeError("unbounded phase-1 LP")
+        bareiss_pivot(tableau, leaving, entering, denom)
+        denom = tableau[leaving][entering]
+        basis[leaving] = entering
+
+    infeasibility = sum(tableau[i][-1] for i in range(nrows) if basis[i] >= ncols)
+    if infeasibility != 0:
+        if farkas is not None:
+            # y_i = s_i * (denom - obj[ncols + i]), s_i = -1 for a negated row.
+            # With duals pi of the negated rows, the true reduced cost under
+            # artificial i is 1 - pi_i. At the optimum every structural reduced
+            # cost -piᵀA_j is >= 0 and piᵀb is the positive infeasibility; denom
+            # times pi is integer and keeps those signs.
+            farkas[:] = [
+                (denom - obj[ncols + i]) * (-1 if rhs < 0 else 1) for i, rhs in enumerate(b_eq)
+            ]
+        return None
+    u = [0] * ncols
+    for i, var in enumerate(basis):
+        if var < ncols:
+            u[var] = tableau[i][-1]
+    return u, denom
 
 
 def _reaction_rates(
@@ -787,6 +914,17 @@ def m3cr(
     )
 
 
+def integer_system(
+    a_eq: Sequence[Sequence[Scalar]], b_eq: Sequence[Scalar]
+) -> tuple[list[Sequence[int]], list[int]]:
+    """``(A, b)`` scaled to integers by ``_integer_rows`` over ``[A | b]``:
+    one common denominator, which changes no pivot."""
+    if len(b_eq) != len(a_eq):
+        raise ValueError(f"b_eq has {len(b_eq)} entries for {len(a_eq)} rows of a_eq")
+    rows = _integer_rows([[*row, rhs] for row, rhs in zip(a_eq, b_eq)])
+    return [row[:-1] for row in rows], [row[-1] for row in rows]
+
+
 def fraction_lp(
     a_eq: Sequence[Sequence[Scalar]],
     b_eq: Sequence[Scalar],
@@ -795,16 +933,10 @@ def fraction_lp(
 ) -> list[Fraction] | None:
     """``linalg.lp_feasible`` for entries of any type, with a ``Fraction`` point.
 
-    ``[A | b]`` is scaled to integers by ``_integer_rows`` (one common
-    denominator, which changes no pivot), and ``(u, denom)`` is read back as
-    ``u / denom``; ``farkas`` is passed through.
+    ``(A, b)`` goes in through ``integer_system``, and ``(u, denom)`` is read
+    back as ``u / denom``; ``farkas`` is passed through.
     """
-    if len(b_eq) != len(a_eq):
-        raise ValueError(f"b_eq has {len(b_eq)} entries for {len(a_eq)} rows of a_eq")
-    rows = _integer_rows([[*row, rhs] for row, rhs in zip(a_eq, b_eq)])
-    solution = linalg.lp_feasible(
-        [row[:-1] for row in rows], [row[-1] for row in rows], farkas=farkas
-    )
+    solution = linalg.lp_feasible(*integer_system(a_eq, b_eq), farkas=farkas)
     if solution is None:
         return None
     u, denom = solution

@@ -270,6 +270,30 @@ def test_discordant_mandatory_set_exits_1(capsys, tmp_path):
     assert "discordant" in err
 
 
+def test_m3cr_exits_2_when_maximality_goes_unverified(capsys):
+    # 30 nodes run out inside the container searches of both parents; the
+    # report still prints, and each parent's total counts all its reactions
+    argv = ("compare", "m3cr", "fixture:fal", "fixture:maclean", "--budget", "30")
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert "container inside fixture:fal: keeps 21 of 23 reactions (maximality verified: no," in out
+    assert "container inside fixture:maclean: keeps 19 of 31 reactions (maximality verified: no," in out
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 2
+    payload = json.loads(out)["payload"]
+    assert not payload["parent1"]["maximalityVerified"]
+    assert not payload["parent2"]["maximalityVerified"]
+
+
+@pytest.mark.parametrize("mode", [(), ("--json",)])
+def test_m3cr_exits_2_when_the_mandatory_set_goes_unverified(mode, capsys):
+    argv = ("compare", "m3cr", "fixture:fal", "fixture:maclean", "--budget", "1", *mode)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "crnkit: error: could not verify mandatory-set concordance within the node budget\n"
+
+
 def test_usage_errors_exit_1():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])

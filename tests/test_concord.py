@@ -17,6 +17,7 @@ from crnkit import concord, linalg
 from crnkit.concord import (
     DEFAULT_NODE_BUDGET,
     SignWitness,
+    UnverifiedMandatorySet,
     _assemble,
     _refuted,
     _row_certificates,
@@ -72,7 +73,6 @@ def _columns(net):
 def _signed_solution(n_vars, eq_rows, pos_forms, neg_forms, zero_forms):
     """A point of {x free : eq_rows x = 0, f x >= 1, g x <= -1, h x = 0}."""
     strict = len(pos_forms) + len(neg_forms)
-    width = 2 * n_vars + strict
 
     def split(form, slack_at=None, slack_sign=0):
         row = []
@@ -413,7 +413,6 @@ def test_fal_splits_into_two_independent_concordant_parts():
     rest = subnetwork(
         FAL, [i for i, r in enumerate(FAL.reactions) if r.label not in ("R51", "R52")]
     )
-    vectors = lambda net: [list(col) for col in zip(*_columns(net))]
     whole = rank([row for row in zip(*_columns(FAL))])
     assert whole == rank([row for row in zip(*_columns(rest))]) + rank(
         [row for row in zip(*_columns(pair))]
@@ -430,8 +429,10 @@ def test_discordant_mandatory_set_is_rejected():
 
 def test_unverifiable_mandatory_set_is_rejected():
     everything = [r.label for r in LEE.reactions]
-    with pytest.raises(ValueError, match="budget"):
+    with pytest.raises(ValueError, match="budget") as excinfo:
         m3cr(LEE, everything, node_budget=1)
+    # its own ValueError, so that the CLI can exit 2 on an exhausted budget
+    assert type(excinfo.value) is UnverifiedMandatorySet
 
 
 # --- the search's sign masks against the per-entry tests it replaced --------
@@ -629,7 +630,7 @@ def test_a_search_with_no_lp_builds_no_fraction(monkeypatch):
 
 def test_the_lp_path_builds_no_fraction(monkeypatch):
     # lp_feasible takes and returns integers, and _signed_point reads its
-    # point as numerators over the tableau's denominator, so a Concordant
+    # point as numerators over its denominator, so a Concordant
     # search, whose LPs leave only integer points and certificates, builds
     # no Fraction in either module
     net = subnetwork_by_labels(

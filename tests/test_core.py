@@ -124,6 +124,10 @@ def test_complex_validation():
         Complex({"X1": 0})
     with pytest.raises(ValueError):
         Complex({"1X": 1})
+    # a bool is an int to isinstance, and True would print as a coefficient of 1
+    for coeff in (True, False, 1.0, 2.5):
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            Complex({"X1": coeff})
     assert Complex().is_zero
     assert Complex({"X1": 1}).coefficient("X1") == 1
     assert Complex({"X1": 1}).coefficient("X2") == 0

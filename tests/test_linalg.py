@@ -6,16 +6,19 @@ so the two implementations share no code beyond Fraction itself. Both
 integer kernels are also checked for identical output against the Fraction
 kernels they replaced, kept in ``oracles.py``, and ``rank``, which counts
 pivots without building the reduced matrix, against the oracle's pivot
-count. The row-primitive elimination behind ``rref``, ``rank`` and the
-nullspaces is checked once more against the shared-denominator (Bareiss)
-elimination it replaced, ``oracles.eliminate``: on integer, ``Fraction``
-and float matrices with repeated and zero rows, all four must return what
-the old kernel gave, repr for repr. ``RowReducer``, ``solve_unique`` and
-``scale_to_integers`` live in ``oracles.py`` now; their unit tests stay here.
-Both kernels take and return integers, so the cases with Fractions or
-floats reach them through ``oracles.fraction_lp`` and ``_integer_rows``;
-the integer contracts themselves (the ``(u, denom)`` point, both branches
-of ``_pivot``, an elimination pivot other than 1) have their own tests.
+count. Both kernels run one row step, ``_reduce``, which keeps each row a
+positive multiple of its true row; each is checked once more against the
+shared-denominator (Bareiss) kernel it replaced. On integer, ``Fraction``
+and float matrices with repeated and zero rows, ``rref``, ``rank`` and the
+nullspaces must return what ``oracles.eliminate`` gave, repr for repr, and
+on integer and rational systems ``lp_feasible`` must return the point of
+``oracles.bareiss_lp`` and the primitive form of its Farkas vector.
+``RowReducer``, ``solve_unique`` and ``scale_to_integers`` live in
+``oracles.py`` now; their unit tests stay here. Both kernels take and
+return integers, so the cases with Fractions or floats reach them through
+``oracles.fraction_lp`` and ``_integer_rows``; the integer contracts
+themselves (the ``(u, denom)`` point, both branches of ``_reduce``, an
+elimination pivot other than 1) have their own tests.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from pathlib import Path
 
 import oracles
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crnkit import linalg
@@ -454,7 +457,7 @@ def test_lp_feasible_breaks_a_ratio_tie_like_the_oracle():
 @settings(max_examples=300)
 @given(lp_systems(st.integers(-3, 3)))
 def test_integer_lp_point_is_the_fraction_oracles(case):
-    # entries in -3..3 give pivots other than 1, so both _pivot branches run
+    # entries in -3..3 give pivots other than 1, so both _reduce branches run
     a_eq, b_eq = case
     farkas: list[int] = []
     solution = lp_feasible(a_eq, b_eq, farkas=farkas)
@@ -472,55 +475,92 @@ def test_integer_lp_point_is_the_fraction_oracles(case):
 
 
 def _pivots_taken(monkeypatch):
-    """Record ``(p, denom)`` of every ``_pivot`` call."""
+    """Record the pivot of every ``_reduce`` call."""
     taken = []
-    pivot = linalg._pivot
+    reduce = linalg._reduce
 
-    def recording(rows, r, col, denom):
-        taken.append((rows[r][col], denom))
-        pivot(rows, r, col, denom)
+    def recording(rows, r, col):
+        taken.append(rows[r][col])
+        reduce(rows, r, col)
 
-    monkeypatch.setattr(linalg, "_pivot", recording)
+    monkeypatch.setattr(linalg, "_reduce", recording)
     return taken
 
 
 def test_lp_with_unit_pivots_only(monkeypatch):
     taken = _pivots_taken(monkeypatch)
-    # the second row is negated to make b >= 0; both pivots are 1 over denom 1
+    # the second row is negated to make b >= 0; both pivots are 1, so no row
+    # is divided and both pivot rows keep their true scale
     assert lp_feasible([[1, 1, 0], [0, -1, 1]], [2, -1]) == ([1, 1, 0], 1)
-    assert taken == [(1, 1), (1, 1)]
+    assert taken == [1, 1]
     assert oracles.lp_feasible([[1, 1, 0], [0, -1, 1]], [2, -1]) == [1, 1, 0]
 
 
 def test_lp_with_a_pivot_of_two(monkeypatch):
     taken = _pivots_taken(monkeypatch)
-    # a pivot of 2 leaves denom 2, and the next pivot, 1 over 2, is Bareiss too
-    assert lp_feasible([[2, 1], [1, 1]], [3, 2]) == ([1, 1], 1)
-    assert taken == [(2, 1), (1, 2)]
+    # the pivot of 2 leaves its row at twice its true row, and the unit pivot
+    # after it keeps that scale, so the point comes over 2; Bareiss reads the
+    # same point over its last pivot, 1
+    assert lp_feasible([[2, 1], [1, 1]], [3, 2]) == ([2, 2], 2)
+    assert taken == [2, 1]
+    assert oracles.bareiss_lp([[2, 1], [1, 1]], [3, 2]) == ([1, 1], 1)
     assert oracles.lp_feasible([[2, 1], [1, 1]], [3, 2]) == [1, 1]
     taken.clear()
     assert lp_feasible([[2, 1]], [3]) == ([3, 0], 2)
-    assert taken == [(2, 1)]
+    assert taken == [2]
     assert oracles.lp_feasible([[2, 1]], [3]) == [Fraction(3, 2), 0]
 
 
 def test_pivot_branches_agree_with_the_bareiss_formula():
-    # p == denom == 1: row - f*pivot_row; otherwise (p*row - f*pivot_row) / denom
-    rows = [[1, 2, 3], [4, 5, 6], [0, 7, 8]]
-    linalg._pivot(rows, 0, 0, 1)
-    assert rows == [[1, 2, 3], [0, -3, -6], [0, 7, 8]]
-    rows = [[2, 1, 3], [1, 1, 2], [0, 4, 6]]
-    linalg._pivot(rows, 0, 0, 1)
-    assert rows == [[2, 1, 3], [0, 1, 1], [0, 8, 12]]
-    rows = [[4, 2, 6], [2, 3, 4], [0, 2, 4]]
-    linalg._pivot(rows, 1, 1, 2)
-    assert rows == [[4, 0, 5], [2, 3, 4], [-2, 0, 2]]
+    # pivot 1: row - f*pivot_row; otherwise p*row - f*pivot_row over its gcd,
+    # and a row with a zero in the pivot column is left alone. Every row is a
+    # positive multiple of the Bareiss step's, (p*row - f*pivot_row) / denom
+    # with the zero rows rescaled too, so their primitive forms are equal.
+    for rows, r, col, denom, want in (
+        ([[1, 2, 3], [4, 5, 6], [0, 7, 8]], 0, 0, 1, [[1, 2, 3], [0, -3, -6], [0, 7, 8]]),
+        ([[2, 1, 3], [1, 1, 2], [0, 4, 6]], 0, 0, 1, [[2, 1, 3], [0, 1, 1], [0, 4, 6]]),
+        ([[4, 2, 6], [2, 3, 4], [0, 2, 4]], 1, 1, 2, [[4, 0, 5], [2, 3, 4], [-1, 0, 1]]),
+    ):
+        bareiss = [list(row) for row in rows]
+        oracles.bareiss_pivot(bareiss, r, col, denom)
+        linalg._reduce(rows, r, col)
+        assert rows == want
+        assert [_primitive(row) for row in rows] == [_primitive(row) for row in bareiss]
+
+
+@settings(max_examples=300)
+@given(st.one_of(lp_systems(st.integers(-3, 3)), lp_systems(rational_entries)))
+@example(([[2, 1], [1, 1]], [3, 2]))  # a pivot of 2
+@example(([[1, 1], [2, 2]], [1, 2]))  # both rows tie in the ratio test
+@example(([[0, 0, 1, -1], [0, 1, 0, 1], [-1, -1, 1, 0]], [0, 1, 0]))  # a tie at ratio 0
+@example(([[2, 1], [4, 2]], [1, 3]))  # infeasible after a pivot of 2
+@example(  # infeasible, with final duals of common factor 4
+    (
+        [[3, 4, 5, 4, 1, 1], [-1, -1, 3, -1, 4, 1], [-3, -5, -5, -3, 1, 5], [-5, -2, -3, 3, -2, 5]],
+        [0, -5, 0, 0],
+    )
+)
+def test_lp_point_and_farkas_vector_are_the_bareiss_oracles(case):
+    # entries in -3..3 and rationals give pivots other than 1, and a row
+    # repeated at twice its scale makes the ratio test tie
+    a_eq, b_eq = oracles.integer_system(*case)
+    farkas: list[int] = []
+    want_farkas: list[int] = []
+    solution = lp_feasible(a_eq, b_eq, farkas=farkas)
+    want = oracles.bareiss_lp(a_eq, b_eq, farkas=want_farkas)
+    if want is None:
+        assert solution is None
+        assert farkas == _primitive(want_farkas)
+        return
+    (u, denom), (want_u, want_denom) = solution, want
+    assert [Fraction(x, denom) for x in u] == [Fraction(x, want_denom) for x in want_u]
+    assert farkas == []
 
 
 def test_eliminate_pivots_on_two_like_the_fraction_rref():
     # toy-a's reaction vectors with 2 A -> B first: the first pivot is -2,
     # made 2 by the sign flip, and the second is 1, whose step leaves the
-    # first row even, so _primitive halves it
+    # first row even, so the closing _primitive halves it
     net = parse_network((DATA / "toy-a.crn").read_text(encoding="utf-8"))
     vectors = reaction_vectors(net)
     rows = [list(row) for row in zip(vectors[3], *vectors[:3], vectors[4])]
