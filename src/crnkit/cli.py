@@ -17,7 +17,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import fixtures
-from .core import Network, common_reactions, parse_network
+from .core import CrnParseError, Network, common_reactions, parse_network
 from .kinetics import parametrization_names
 from .structure import (
     NetworkNumbers,
@@ -42,7 +42,10 @@ class _Parser(argparse.ArgumentParser):
 def _load(source: str) -> Network:
     if source.startswith("fixture:"):
         return fixtures.load(source[len("fixture:") :])
-    return parse_network(Path(source).read_text(encoding="utf-8"))
+    try:
+        return parse_network(Path(source).read_text(encoding="utf-8"))
+    except (CrnParseError, UnicodeDecodeError) as exc:
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def _budget(text: str) -> int:

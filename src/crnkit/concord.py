@@ -448,21 +448,19 @@ class _WitnessSearch:
     # -- search --------------------------------------------------------------
 
     def _off_support_sigma(self) -> list[Fraction] | None:
-        """A nonzero image vector vanishing on every reactant support."""
-        if len(self.order) == self.species_count:
-            return None  # every species is a reactant, pinned to 0
-        pinned = list(self.sigma.rows)
-        for i in self.order:
-            row = [0] * self.species_count
-            row[i] = 1
-            pinned.append(row)
-        if not pinned:
-            # no left-null constraints and no reactant species at all
-            return [Fraction(1)] + [Fraction(0)] * (self.species_count - 1)
-        basis = _integer_nullspace(pinned)
+        """A nonzero image vector vanishing on every reactant support, or None.
+
+        The first canonical nullspace vector of the sigma rows on the species
+        no reaction consumes: with a unit row per reactant added instead, each
+        reactant column is a pivot no other column reaches, so it is the same."""
+        free = [i for i in range(self.species_count) if not self.reactant_of[i]]
+        # with no left-null rows, every vector is an image vector
+        rows = [[row[i] for i in free] for row in self.sigma.rows] or [[0] * len(free)]
+        basis = _integer_nullspace(rows)
         if not basis:
             return None
-        return [Fraction(v) for v in basis[0]]
+        values = dict(zip(free, basis[0]))
+        return [Fraction(values.get(i, 0)) for i in range(self.species_count)]
 
     def _viable(
         self, masks: _Masks, forced: _Masks, alpha: _Masked, sigma: _Masked

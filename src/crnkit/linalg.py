@@ -183,9 +183,9 @@ def lp_feasible(
 
     When the system is infeasible and ``farkas`` is a list, the list is
     filled with a primitive integer Farkas vector ``y``: ``yᵀA <= 0`` and
-    ``yᵀb > 0`` hold exactly for the caller's ``A`` and ``b``. It is read off
-    the final phase-1 duals, with the sign of each row the kernel negated to
-    make ``b_i >= 0`` put back. A feasible system leaves ``farkas`` as it was.
+    ``yᵀb > 0`` hold exactly for the caller's ``A`` and ``b``: the phase-1
+    duals ``c_B B⁻¹``, with the sign of each row the kernel negated to make
+    ``b_i >= 0`` put back. A feasible system leaves ``farkas`` as it was.
 
     Raises:
         ValueError: if ``A`` is ragged or ``b`` does not have one entry per
@@ -199,20 +199,19 @@ def lp_feasible(
     ncols = len(a_eq[0])
     width = ncols + nrows
 
-    # Tableau [A | I | 0 | b] with b >= 0; artificial variables start basic.
+    # Tableau [A | I | b] with b >= 0; artificial variables start basic.
     tableau: list[Sequence[int]] = []
     for i, (row, rhs) in enumerate(zip(a_eq, b_eq)):
         if len(row) != ncols:
             raise ValueError("ragged matrix")
-        line = ([-x for x in row] if rhs < 0 else list(row)) + [0] * (nrows + 1) + [abs(rhs)]
+        line = ([-x for x in row] if rhs < 0 else list(row)) + [0] * nrows + [abs(rhs)]
         line[ncols + i] = 1
         tableau.append(line)
     # Reduced costs for minimizing the sum of artificials (all basic costs 1),
-    # kept as the last row so that every pivot updates them too. Column
-    # ``width`` is zero with cost 1, so its reduced cost is 1 for good: the
-    # entry there is the positive scale of the row, and it never enters.
+    # kept as the last row so that every pivot updates them too; it is some
+    # positive multiple of them, and Bland's rule reads only their signs.
     obj = [-sum(column) for column in zip(*tableau)]
-    obj[ncols : width + 1] = [0] * nrows + [1]
+    obj[ncols:width] = [0] * nrows
     tableau.append(obj)
     basis = list(range(ncols, width))
 
@@ -241,18 +240,16 @@ def lp_feasible(
         _reduce(tableau, leaving, entering)
         basis[leaving] = entering
 
-    infeasibility = sum(tableau[i][-1] for i in range(nrows) if basis[i] >= ncols)
-    if infeasibility != 0:
+    # Row r is p_r = row[basis[r]] > 0 times its row of B⁻¹[A | I | b], so
+    # the LP is infeasible exactly when a basic artificial's row has b != 0.
+    artificial = [(row, row[var]) for row, var in zip(tableau, basis) if var >= ncols]
+    if any(row[-1] for row, _ in artificial):
         if farkas is not None:
-            # y_i = s_i * (obj[width] - obj[ncols + i]), s_i = -1 for a negated
-            # row. With duals pi of the negated rows, the true reduced cost
-            # under artificial i is 1 - pi_i. At the optimum every structural
-            # reduced cost -piᵀA_j is >= 0 and piᵀb is the positive
-            # infeasibility; obj[width] times pi is integer and keeps those signs.
-            scale = obj[width]
-            farkas[:] = _primitive(
-                [(scale - obj[ncols + i]) * (-1 if rhs < 0 else 1) for i, rhs in enumerate(b_eq)]
-            )
+            # c_B B⁻¹ sums the I blocks of those rows, each over its p_r: its
+            # reduced costs -c_B B⁻¹ A_j are >= 0 and c_B B⁻¹ b > 0 at the optimum.
+            scale = lcm(*[p for _, p in artificial])
+            y = [sum(row[ncols + i] * (scale // p) for row, p in artificial) for i in range(nrows)]
+            farkas[:] = _primitive([-v if rhs < 0 else v for v, rhs in zip(y, b_eq)])
         return None
     basic = [(i, var) for i, var in enumerate(basis) if var < ncols]
     # a list: CPython's tuple free lists hoard the resized tuple of a generator

@@ -246,6 +246,23 @@ def test_input_errors_exit_1(capsys, tmp_path, monkeypatch):
     assert "share no species" in err
 
 
+def test_input_errors_name_the_input_that_failed(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "first.crn").write_text("0 -> X @R1\nX -> Y @R2\n", encoding="utf-8")
+    (tmp_path / "second.crn").write_text("X -> Y @R1\n-> Y\n", encoding="utf-8")
+    code, out, err = run(capsys, "compare", "csen", "first.crn", "second.crn")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("crnkit: error: second.crn: line 2: ")
+    assert err.count("\n") == 1
+
+    (tmp_path / "binary.crn").write_bytes(b"\xff\xfe X -> Y\n")
+    code, out, err = run(capsys, "analyze", "binary.crn")
+    assert code == 1
+    assert err.startswith("crnkit: error: binary.crn: 'utf-8' codec can't decode")
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("mode", [(), ("--json",)])
 def test_equilibria_lists_the_models_it_can_run(mode, capsys):
     # lee is a bundled fixture with no equilibrium parametrization

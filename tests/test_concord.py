@@ -874,7 +874,7 @@ def _block_diagonal(draw):
     count = sum(sizes) + draw(st.integers(0, 2))
     columns = draw(st.permutations(range(count)))
     rows = []
-    for b, size in enumerate(sizes):
+    for b in range(len(sizes)):
         block = columns[sum(sizes[:b]):sum(sizes[:b + 1])]
         for _ in range(draw(st.integers(1, 2))):
             row = [0] * count
@@ -996,6 +996,26 @@ def _assert_off_support_sigma_matches_the_elimination(net):
 @pytest.mark.parametrize("name", fixtures.NAMES)
 def test_off_support_sigma_matches_the_elimination_on_fixtures(name):
     _assert_off_support_sigma_matches_the_elimination(fixtures.load(name))
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        # every species is a reactant: nothing is off the supports
+        ("A -> B @R1\nB -> A @R2", None),
+        # the image is all of R^2, so no left-null rows; B is no reactant
+        ("A -> B @R1\n0 -> A @R2", [0, 1]),
+        # B alone is free and A + B is conserved: its column is independent
+        ("A -> B @R1", None),
+        # B and C are free and A + B + C is conserved: on B, C its row (1, 1) leaves C - B
+        ("A -> B @R1\nA -> C @R2", [0, -1, 1]),
+    ],
+)
+def test_off_support_sigma_hand_cases(text, want):
+    net = parse_network(text)
+    _assert_off_support_sigma_matches_the_elimination(net)
+    got = _WitnessSearch(net, DEFAULT_NODE_BUDGET)._off_support_sigma()
+    assert got == (None if want is None else [Fraction(v) for v in want])
 
 
 @settings(max_examples=200, deadline=None)

@@ -557,6 +557,49 @@ def test_lp_point_and_farkas_vector_are_the_bareiss_oracles(case):
     assert farkas == []
 
 
+def _steps_taken(monkeypatch):
+    """Record the tableau and pivot column of every ``_reduce`` call; the
+    tableau list is updated in place, so the last one ends as the final one."""
+    steps = []
+    reduce = linalg._reduce
+
+    def recording(rows, r, col):
+        steps.append((rows, col))
+        reduce(rows, r, col)
+
+    monkeypatch.setattr(linalg, "_reduce", recording)
+    return steps
+
+
+def _assert_farkas_is_the_bareiss_oracles(a_eq, b_eq, want):
+    farkas: list[int] = []
+    want_farkas: list[int] = []
+    assert lp_feasible(a_eq, b_eq, farkas=farkas) is None
+    assert oracles.bareiss_lp(a_eq, b_eq, farkas=want_farkas) is None
+    assert farkas == _primitive(want_farkas) == want
+
+
+def test_farkas_vector_sums_the_artificial_rows_over_their_pivots(monkeypatch):
+    # one pivot of 2 leaves two artificials basic: row 0 under artificial 0
+    # with pivot entry 2 and row 2 under artificial 2 with pivot entry 1, so
+    # y = 1 * (2, 1, 0) + 2 * (0, 0, 1) over their lcm 2
+    steps = _steps_taken(monkeypatch)
+    _assert_farkas_is_the_bareiss_oracles([[-1], [2], [0]], [3, 2, 3], [2, 1, 2])
+    assert [col for _, col in steps] == [0]
+    tableau = steps[-1][0]
+    assert tableau[:3] == [[0, 2, 1, 0, 8], [2, 0, 1, 0, 2], [0, 0, 0, 1, 3]]
+    assert all(len(row) == 1 + 3 + 1 for row in tableau)
+
+
+def test_farkas_vector_after_an_artificial_enters_again(monkeypatch):
+    a_eq = [[1, 0, -2, -2, -1], [0, -2, 1, 2, 3], [3, -3, 0, 2, 0], [2, 2, -1, 0, 1]]
+    b_eq = [-2, 4, -4, 4]
+    steps = _steps_taken(monkeypatch)
+    _assert_farkas_is_the_bareiss_oracles(a_eq, b_eq, [5, 2, -2, -1])
+    # artificial 2 (column 5 + 2) leaves the basis and comes back
+    assert [col for _, col in steps] == [1, 0, 2, 3, 4, 7]
+
+
 def test_eliminate_pivots_on_two_like_the_fraction_rref():
     # toy-a's reaction vectors with 2 A -> B first: the first pivot is -2,
     # made 2 by the sign flip, and the second is 1, whose step leaves the

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from crnkit import fixtures
 from crnkit.core import Complex, Network, Reaction, parse_network, reaction_vectors
 from crnkit.transform import (
-    CsenReport,
     KineticSystem,
     RatedReaction,
     core,
