@@ -44,8 +44,15 @@ def _load(source: str) -> Network:
         return fixtures.load(source[len("fixture:") :])
     try:
         return parse_network(Path(source).read_text(encoding="utf-8"))
-    except (CrnParseError, UnicodeDecodeError) as exc:
+    except CrnParseError as exc:
         raise ValueError(f"{source}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        # the line of the bad byte, as a parse error gives it, not its offset
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ValueError(
+            f"{source}: {exc.encoding!r} codec can't decode byte"
+            f" 0x{exc.object[exc.start]:02x} on line {line}: {exc.reason}"
+        ) from None
 
 
 def _budget(text: str) -> int:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from crnkit.core import Complex, Network, Reaction
 
-SPECIES_POOL = ("X1", "X2", "X3", "X4", "X5")
+SPECIES_POOL = ("X1", "X2", "X3", "X4", "X5", "X6")
 
 
 @st.composite

@@ -263,6 +263,18 @@ def test_input_errors_name_the_input_that_failed(capsys, tmp_path, monkeypatch):
     assert err.count("\n") == 1
 
 
+def test_a_file_that_is_not_utf8_is_reported_by_line(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.crn").write_bytes(b"X -> Y @R1\n\xff\xfe -> Z @R2\n")
+    code, out, err = run(capsys, "analyze", "bad.crn")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "crnkit: error: bad.crn: 'utf-8' codec can't decode byte 0xff on line 2:"
+        " invalid start byte\n"
+    )
+
+
 @pytest.mark.parametrize("mode", [(), ("--json",)])
 def test_equilibria_lists_the_models_it_can_run(mode, capsys):
     # lee is a bundled fixture with no equilibrium parametrization

@@ -31,6 +31,7 @@ from crnkit.concord import (
     verify_witness,
 )
 from crnkit.core import (
+    Network,
     common_reactions,
     parse_network,
     reaction_vectors,
@@ -655,16 +656,125 @@ def test_the_lp_path_builds_no_fraction(monkeypatch):
 
 
 def test_m3cr_searches_each_reaction_set_once(monkeypatch):
+    # every search of an m3cr call is built by its _Parent, one per reaction set
     seen = []
+    search = concord._Parent.search
 
-    def counting(net, node_budget=DEFAULT_NODE_BUDGET):
-        seen.append(frozenset(rxn.arrow for rxn in net.reactions))
-        return check_concordance(net, node_budget)
+    def counting(parent, key, node_budget):
+        seen.append(tuple(key))
+        return search(parent, key, node_budget)
 
-    monkeypatch.setattr(concord, "check_concordance", counting)
+    monkeypatch.setattr(concord._Parent, "search", counting)
     report = m3cr(AUGMENTED, common_reactions(AUGMENTED, MACLEAN))
     assert len(seen) == len(set(seen)) == 23
     assert report.search_nodes == 437
+
+
+def _network(name):
+    """A bundled fixture, or a network of ``tests/data``."""
+    path = DATA / f"{name}.crn"
+    if path.exists():
+        return parse_network(path.read_text(encoding="utf-8"))
+    return fixtures.load(name)
+
+
+M3CR_PAIRS = [
+    ("toy-a", "toy-b"),
+    ("toy-b", "toy-a"),
+    ("schmitz-reduced", "maclean"),
+    ("schmitz-augmented", "maclean"),
+]
+
+
+def _assert_search_as_from_the_subnetwork(parent, net, key):
+    # the search built from the parent's arrays is the one that
+    # check_concordance builds for the subnetwork
+    got = parent.search(key, DEFAULT_NODE_BUDGET)
+    want = _WitnessSearch(subnetwork(net, key), DEFAULT_NODE_BUDGET)
+    assert (got.reaction_count, got.species_count) == (want.reaction_count, want.species_count)
+    assert (got.alpha.rows, got.alpha.count) == (want.alpha.rows, want.alpha.count)
+    assert (got.sigma.rows, got.sigma.count) == (want.sigma.rows, want.sigma.count)
+    assert (got.order, got.reactant_of, got.after) == (want.order, want.reactant_of, want.after)
+
+
+@settings(max_examples=200, deadline=None)
+@given(networks(max_species=6, max_reactions=8), st.data())
+def test_search_from_the_parent_arrays_is_the_subnetwork_search(net, data):
+    # the parent's species in a drawn order, so that its indices and the
+    # set's first-appearance order differ
+    net = Network(net.reactions, data.draw(st.permutations(net.species)))
+    keys = st.lists(st.integers(0, len(net.reactions) - 1), min_size=1, unique=True)
+    parent = concord._Parent(net)
+    for _ in range(3):
+        _assert_search_as_from_the_subnetwork(parent, net, sorted(data.draw(keys)))
+
+
+@pytest.mark.parametrize("name, other", M3CR_PAIRS)
+def test_every_set_m3cr_searches_is_built_as_its_subnetwork_would_be(name, other, monkeypatch):
+    net = _network(name)
+    keys = []
+    search = concord._Parent.search
+
+    def recording(parent, key, node_budget):
+        keys.append(key)
+        return search(parent, key, node_budget)
+
+    monkeypatch.setattr(concord._Parent, "search", recording)
+    m3cr(net, common_reactions(net, _network(other)))
+    monkeypatch.undo()
+    assert keys
+    parent = concord._Parent(net)
+    for key in keys:
+        _assert_search_as_from_the_subnetwork(parent, net, key)
+
+
+@pytest.mark.parametrize("name, other", [*M3CR_PAIRS, ("fal", "maclean")])
+def test_m3cr_with_a_shared_store_is_the_construction_without_one(name, other):
+    # oracles.m3cr runs check_concordance on a fresh subnetwork for every set
+    net = _network(name)
+    shared = common_reactions(net, _network(other))
+    assert m3cr(net, shared) == oracles.m3cr(net, shared)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    networks(max_species=6, max_reactions=8),
+    st.data(),
+    st.sampled_from((3, 12, DEFAULT_NODE_BUDGET)),
+)
+def test_m3cr_with_a_shared_store_on_larger_networks(net, data, node_budget):
+    mandatory = data.draw(
+        st.lists(
+            st.sampled_from(net.reactions), min_size=1, max_size=3, unique_by=lambda r: r.arrow
+        )
+    )
+
+    def outcome(construct):
+        try:
+            return construct(net, mandatory, node_budget)
+        except ValueError as error:
+            return str(error)
+
+    assert outcome(m3cr) == outcome(oracles.m3cr)
+
+
+def test_the_block_store_is_reused_within_an_m3cr_call(monkeypatch):
+    # some search meets a block that an earlier search of the call solved
+    handed, solved_before = [], []
+    split = concord._blocks
+
+    def recording(rows, supports, count, store=None):
+        assert store is not None
+        blocks = split(rows, supports, count, store)
+        handed.extend(blocks)
+        solved_before.extend(block for block in blocks if block[3])
+        return blocks
+
+    monkeypatch.setattr(concord, "_blocks", recording)
+    report = m3cr(REDUCED, common_reactions(REDUCED, MACLEAN))
+    assert report.search_nodes == 316
+    assert solved_before
+    assert len({id(block) for block in handed}) < len(handed)
 
 
 # --- m3cr against the construction that searched every set afresh ----------
@@ -996,6 +1106,26 @@ def _assert_off_support_sigma_matches_the_elimination(net):
 @pytest.mark.parametrize("name", fixtures.NAMES)
 def test_off_support_sigma_matches_the_elimination_on_fixtures(name):
     _assert_off_support_sigma_matches_the_elimination(fixtures.load(name))
+
+
+def test_off_support_sigma_takes_no_nullspace_when_no_species_is_free(monkeypatch):
+    calls = []
+
+    def counting(rows):
+        calls.append(rows)
+        return linalg._integer_nullspace(rows)
+
+    # every species is a reactant
+    search = _WitnessSearch(parse_network("A -> B @R1\nB -> A @R2"), DEFAULT_NODE_BUDGET)
+    monkeypatch.setattr(concord, "_integer_nullspace", counting)
+    assert search._off_support_sigma() is None
+    assert calls == []
+    # B and C are no reactant, so their nullspace is taken
+    monkeypatch.undo()
+    search = _WitnessSearch(parse_network("A -> B @R1\nA -> C @R2"), DEFAULT_NODE_BUDGET)
+    monkeypatch.setattr(concord, "_integer_nullspace", counting)
+    assert search._off_support_sigma() == [Fraction(0), Fraction(-1), Fraction(1)]
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(
