@@ -17,7 +17,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import fixtures
-from .core import CrnParseError, Network, common_reactions, parse_network
+from .core import Network, common_reactions, parse_network
 from .kinetics import parametrization_names
 from .structure import (
     NetworkNumbers,
@@ -44,15 +44,15 @@ def _load(source: str) -> Network:
         return fixtures.load(source[len("fixture:") :])
     try:
         return parse_network(Path(source).read_text(encoding="utf-8"))
-    except CrnParseError as exc:
-        raise ValueError(f"{source}: {exc}") from None
-    except UnicodeDecodeError as exc:
+    except UnicodeDecodeError as exc:  # a ValueError too, so it comes first
         # the line of the bad byte, as a parse error gives it, not its offset
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise ValueError(
             f"{source}: {exc.encoding!r} codec can't decode byte"
             f" 0x{exc.object[exc.start]:02x} on line {line}: {exc.reason}"
         ) from None
+    except ValueError as exc:  # a parse error, or a file with no reaction
+        raise ValueError(f"{source}: {exc}") from None
 
 
 def _budget(text: str) -> int:

@@ -82,18 +82,20 @@ certificates; only the number of LPs falls.
 A side builds its row certificates and blocks the first time a pattern
 gets past the carried point, so a search that ends before that builds
 neither; in ``m3cr(toy-a, shared with toy-b)`` 9 of the 14 sides are never
-built. ``m3cr`` searches many reaction sets of one parent, and
-consecutive sets differ by one reaction, so one call sets up once
-(``_Parent``). A set's species, reaction vectors and reactant masks are
-the parent's cut to its reactions, with no subnetwork built, and its alpha
-rows are ``_eliminate`` of the parent's RREF rows cut to them: the set's
-row space is the parent's projected onto its reactions, and the primitive
-RREF depends only on the row space, so these are the rows the subnetwork
-gives. The call's searches take their blocks from one store keyed by a
-block's coordinates and rows. A block's answers depend on nothing else,
-so sharing them changes no verdict or node count, only how many LPs are
-solved. ``check_concordance`` keeps no store: each side already keeps its
-own blocks' answers, and keying the blocks cost its four smallest ops 1-4%.
+built. Every search is built by a ``_Parent``, which row-reduces its
+network once: ``check_concordance`` searches the network itself
+(``_Parent.whole``), on the parent's arrays as they are. ``m3cr``
+searches many reaction sets of one parent, and consecutive sets differ by
+one reaction, so one call sets up once. A set's species, reaction vectors
+and reactant masks are the parent's cut to its reactions, with no
+subnetwork built, and its alpha rows are ``_eliminate`` of the parent's
+RREF rows cut to them: the set's row space is the parent's projected onto
+its reactions, and the primitive RREF depends only on the row space, so
+these are the rows the subnetwork gives. A parent's searches take their
+blocks from one store keyed by a block's coordinates and rows. A block's
+answers depend on nothing else, so sharing them changes no verdict or
+node count, only how many LPs are solved; in ``check_concordance`` the
+store serves the two sides of its one search.
 """
 
 from __future__ import annotations
@@ -319,18 +321,16 @@ _Block = tuple[list[int], int, list[list[int]], dict[_Masks, _Part | _Certificat
 _Store = dict[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], _Block]
 
 
-def _blocks(
-    rows: list[list[int]], supports: list[int], count: int, store: _Store | None = None
-) -> list[_Block]:
+def _blocks(rows: list[list[int]], supports: list[int], count: int, store: _Store) -> list[_Block]:
     """The independent blocks of {rows . x = 0} over ``count`` coordinates.
 
     ``supports`` holds the mask of each row's nonzero coordinates. The blocks
     are the connected components of the graph that joins the coordinates of
     each row (``_row_components``), so every row lies in the block of its
     first nonzero coordinate and the LP is their direct sum. A coordinate in
-    no row is a block of its own, with no rows. With a ``store``, a block
-    that is already there under its coordinates and rows is returned with
-    the answers it holds, and a new one is added to it.
+    no row is a block of its own, with no rows. A block that is already in
+    ``store`` under its coordinates and rows is returned with the answers it
+    holds, and a new one is added to it.
     """
     components = _row_components(supports, count)
     block_of = {j: b for b, coords in enumerate(components) for j in coords}
@@ -341,10 +341,8 @@ def _blocks(
     blocks = []
     for coords, lines in zip(components, block_rows):
         cut = [[row[j] for j in coords] for row in lines]
-        block = (coords, sum(1 << j for j in coords), cut, {})
-        if store is not None:
-            block = store.setdefault((tuple(coords), tuple(map(tuple, cut))), block)
-        blocks.append(block)
+        key = (tuple(coords), tuple(map(tuple, cut)))
+        blocks.append(store.setdefault(key, (coords, sum(1 << j for j in coords), cut, {})))
     return blocks
 
 
@@ -354,41 +352,29 @@ class _Side:
     ``point`` takes the masks of a sign pattern and answers with a masked
     point or None: the integer parts of its nonzero blocks and its sign
     masks, which ``_assemble`` turns into a vector. It keeps the newest 64
-    certificates of its LPs, plus the certificates of its own rows, which
-    are never evicted. It splits its rows into independent ``blocks``, and
-    solves the LP of a pattern block by block, each block's sub-pattern
-    once, so its blocks' answers are its only store of points. The row
-    certificates and the blocks are built on first use, when a pattern first
-    gets past the carried point; blocks come from ``store`` when one is given.
+    certificates of its LPs, plus ``row_certs``, the certificates of its own
+    rows, which are never evicted. It splits its rows into independent
+    ``blocks``, taken from ``store``, and solves the LP of a pattern block by
+    block, each block's sub-pattern once, so its blocks' answers are its
+    only store of points. ``row_certs`` and ``blocks`` are None until
+    ``_build`` makes them, when a pattern first gets past the carried point.
     """
 
-    __slots__ = ("rows", "count", "store", "certs", "_row_certs", "_split")
+    __slots__ = ("rows", "count", "store", "certs", "row_certs", "blocks")
 
-    def __init__(self, rows: list[list[int]], count: int, store: _Store | None = None) -> None:
+    def __init__(self, rows: list[list[int]], count: int, store: _Store) -> None:
         self.rows = rows
         self.count = count
         self.store = store
         self.certs: deque[_Certificate] = deque(maxlen=64)
-        self._row_certs: list[_Certificate] | None = None
-        self._split: list[_Block] | None = None
+        self.row_certs: list[_Certificate] | None = None
+        self.blocks: list[_Block] | None = None
 
     def _build(self) -> None:
-        self._row_certs = _row_certificates(self.rows)
+        self.row_certs = _row_certificates(self.rows)
         # each row's certificate (wpos, wneg) comes first, so its support is wpos | wneg
-        supports = [wpos | wneg for wpos, wneg in self._row_certs[::2]]
-        self._split = _blocks(self.rows, supports, self.count, self.store)
-
-    @property
-    def row_certs(self) -> list[_Certificate]:
-        if self._row_certs is None:
-            self._build()
-        return self._row_certs  # type: ignore[return-value]
-
-    @property
-    def blocks(self) -> list[_Block]:
-        if self._split is None:
-            self._build()
-        return self._split  # type: ignore[return-value]
+        supports = [wpos | wneg for wpos, wneg in self.row_certs[::2]]
+        self.blocks = _blocks(self.rows, supports, self.count, self.store)
 
     def point(self, masks: _Masks, carried: _Masked) -> _Masked | None:
         """A point with the signs ``masks`` wants, or None.
@@ -402,9 +388,9 @@ class _Side:
         if (want_pos & pos == want_pos and want_neg & neg == want_neg
                 and not want_zero & (pos | neg)):
             return carried
-        if self._row_certs is None:  # the slot, not the property: this is the hot path
+        if self.row_certs is None:
             self._build()
-        if _refuted(self._row_certs, masks) or _refuted(self.certs, masks):
+        if _refuted(self.row_certs, masks) or _refuted(self.certs, masks):
             return None
         solved = self._solve(masks)
         if len(solved) == 2:  # a certificate
@@ -422,6 +408,7 @@ class _Side:
         so it refutes ``masks``. A block whose sub-pattern wants no sign has
         the point 0 and is skipped; the point is the list of the nonzero
         blocks' integer parts with their masks, and no vector is built.
+        Only ``point`` calls it, after ``_build``.
         """
         plus, minus, zero = masks
         wanted = plus | minus | zero
@@ -448,7 +435,7 @@ class _BudgetExhausted(Exception):
 
 
 class _WitnessSearch:
-    """The sign search of one network.
+    """The sign search of one network, built by ``_Parent``.
 
     A partial sigma pattern is one immutable value, the species masks
     ``(plus, minus, zero)`` of the signs assigned so far, passed down the
@@ -461,29 +448,17 @@ class _WitnessSearch:
     over species with a basis of its left nullspace, is a ``_Side``: it
     answers a pattern from the point carried down from the parent node, its
     row certificates and its pooled certificates before it solves an LP,
-    block by block. ``_Parent.search`` builds the same search for a reaction
-    set of a parent network, from the parent's arrays.
+    block by block, with its blocks taken from ``store``.
     """
 
-    def __init__(self, net: Network, node_budget: int) -> None:
-        columns = reaction_vectors(net)
-        index = {name: i for i, name in enumerate(net.species)}
-        reactant_of = [0] * len(index)
-        for r, rxn in enumerate(net.reactions):
-            for name, _ in rxn.reactant:
-                reactant_of[index[name]] |= 1 << r
-        # row-reduce once: the kernel only depends on the row space
-        reduced, pivots = _eliminate(list(zip(*columns)))
-        self._set_up(columns, reactant_of, reduced[: len(pivots)], pivots, node_budget, None)
-
-    def _set_up(
+    def __init__(
         self,
         columns: list[list[int]],
         reactant_of: list[int],
         alpha_rows: list[list[int]],
         pivots: list[int],
         node_budget: int,
-        store: _Store | None,
+        store: _Store,
     ) -> None:
         """The search over the reaction vectors ``columns``, with ``reactant_of``
         the mask of the reactions each species is a reactant of, and the
@@ -601,35 +576,55 @@ class _WitnessSearch:
 
 
 class _Parent:
-    """What the searches of one network's reaction sets share, built once.
+    """What the searches of one network and of its reaction sets share, built once.
 
-    ``search`` builds the ``_WitnessSearch`` of ``subnetwork(net, key)`` with
-    no subnetwork: the set's species are those its reactions name, in order
-    of first appearance, its reaction vectors are the parent's cut to them,
-    and its alpha rows are ``_eliminate`` of the parent's RREF rows cut to
-    the set's reactions. The set's row space is the parent's projected onto
-    those coordinates, and the primitive RREF depends only on the row space,
-    so they are the rows the subnetwork's own elimination gives. All its
-    searches take their blocks from one ``store``.
+    The network's reaction vectors, its primitive RREF rows and their pivot
+    columns, and one ``store`` from which all its searches take their blocks.
+    ``whole`` builds the search of the network itself, in its own species
+    order, from these arrays as they are. ``search`` builds that of
+    ``subnetwork(net, key)`` with no subnetwork: the set's species are those
+    its reactions name, in order of first appearance, its reaction vectors
+    are the parent's cut to them, and its alpha rows are ``_eliminate`` of
+    the parent's RREF rows cut to the set's reactions. The set's row space
+    is the parent's projected onto those coordinates, and the primitive RREF
+    depends only on the row space, so they are the rows the subnetwork's own
+    elimination gives. The species of each reaction, and its reactants,
+    which only ``search`` reads, are listed by its first call.
     """
 
-    __slots__ = ("columns", "species_of", "reactants", "rows", "store")
+    __slots__ = ("net", "columns", "rows", "pivots", "store", "species_of", "reactants")
 
     def __init__(self, net: Network) -> None:
-        index = {name: i for i, name in enumerate(net.species)}
+        self.net = net
         self.columns = reaction_vectors(net)
-        # each reaction's species in order of appearance, and its reactants
-        self.species_of = [
-            [index[name] for side in (rxn.reactant, rxn.product) for name, _ in side]
-            for rxn in net.reactions
-        ]
-        self.reactants = [[index[name] for name, _ in rxn.reactant] for rxn in net.reactions]
-        reduced, pivots = _eliminate(list(zip(*self.columns)))
-        self.rows = reduced[: len(pivots)]
+        reduced, self.pivots = _eliminate(list(zip(*self.columns)))
+        self.rows = reduced[: len(self.pivots)]
         self.store: _Store = {}
+        self.species_of: list[list[int]] | None = None
+        self.reactants: list[list[int]] | None = None
+
+    def whole(self, node_budget: int) -> _WitnessSearch:
+        """The search of the network itself."""
+        index = {name: i for i, name in enumerate(self.net.species)}
+        reactant_of = [0] * len(index)
+        for r, rxn in enumerate(self.net.reactions):
+            for name, _ in rxn.reactant:
+                reactant_of[index[name]] |= 1 << r
+        return _WitnessSearch(
+            self.columns, reactant_of, self.rows, self.pivots, node_budget, self.store
+        )
 
     def search(self, key: Sequence[int], node_budget: int) -> _WitnessSearch:
         """The search of the reactions ``key``, in increasing order."""
+        if self.species_of is None:
+            index = {name: i for i, name in enumerate(self.net.species)}
+            reactions = self.net.reactions
+            # each reaction's species in order of appearance, and its reactants
+            self.species_of = [
+                [index[name] for side in (rxn.reactant, rxn.product) for name, _ in side]
+                for rxn in reactions
+            ]
+            self.reactants = [[index[name] for name, _ in rxn.reactant] for rxn in reactions]
         local: dict[int, int] = {}
         for r in key:
             for i in self.species_of[r]:
@@ -640,10 +635,9 @@ class _Parent:
             for i in self.reactants[r]:
                 reactant_of[local[i]] |= 1 << k
         reduced, pivots = _eliminate([[row[r] for r in key] for row in self.rows])
-        search = _WitnessSearch.__new__(_WitnessSearch)
-        rows = reduced[: len(pivots)]
-        search._set_up(columns, reactant_of, rows, pivots, node_budget, self.store)
-        return search
+        return _WitnessSearch(
+            columns, reactant_of, reduced[: len(pivots)], pivots, node_budget, self.store
+        )
 
 
 def check_concordance(
@@ -651,7 +645,7 @@ def check_concordance(
 ) -> ConcordanceVerdict:
     """Decide concordance by complete search, within a node budget."""
     _check_budget(node_budget)
-    return _WitnessSearch(net, node_budget).run()
+    return _Parent(net).whole(node_budget).run()
 
 
 def _check_budget(node_budget: int) -> None:

@@ -338,6 +338,8 @@ def test_every_pattern_a_certificate_refutes_is_infeasible(factory, monkeypatch)
     point = _Side.point
 
     def recording(side, masks, carried):
+        if side.row_certs is None:
+            side._build()
         if _refuted(side.row_certs, masks) or _refuted(side.certs, masks):
             refuted.add((tuple(map(tuple, side.rows)), side.count, masks))
         return point(side, masks, carried)

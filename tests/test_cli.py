@@ -262,6 +262,15 @@ def test_input_errors_name_the_input_that_failed(capsys, tmp_path, monkeypatch):
     assert err.startswith("crnkit: error: binary.crn: 'utf-8' codec can't decode")
     assert err.count("\n") == 1
 
+    # a file with no reaction is an input error of that file too
+    (tmp_path / "empty.crn").write_bytes(b"")
+    (tmp_path / "comment.crn").write_text("# comment\n", encoding="utf-8")
+    for name in ("empty.crn", "comment.crn"):
+        code, out, err = run(capsys, "analyze", name)
+        assert code == 1
+        assert out == ""
+        assert err == f"crnkit: error: {name}: a network needs at least one reaction\n"
+
 
 def test_a_file_that_is_not_utf8_is_reported_by_line(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)

@@ -19,11 +19,11 @@ from crnkit.concord import (
     SignWitness,
     UnverifiedMandatorySet,
     _assemble,
+    _Parent,
     _refuted,
     _row_certificates,
     _Side,
     _signed_point,
-    _WitnessSearch,
     check_concordance,
     is_conservative,
     is_positive_dependent,
@@ -470,7 +470,7 @@ def _conforms(point, masks):
     # a side answers with the carried point exactly when it conforms; one
     # with no rows answers with a new point otherwise
     carried = oracles.masked(point)
-    return _Side([], len(point)).point(masks, carried) is carried
+    return _Side([], len(point), {}).point(masks, carried) is carried
 
 
 def _read(point, count):
@@ -512,7 +512,7 @@ def test_forced_reaction_masks_match_the_counters_at_every_node(net, node_budget
     # the masks the search forms from the reactions touched by + and by - and
     # those with a reactant still unsigned, against the per-reaction counters
     # of the pattern, at every child the search weighs
-    search = _WitnessSearch(net, node_budget)
+    search = _Parent(net).whole(node_budget)
     index = {name: i for i, name in enumerate(net.species)}
     supports = [tuple(index[name] for name, _ in rxn.reactant) for rxn in net.reactions]
     viable = search._viable
@@ -533,7 +533,7 @@ def test_forced_reaction_masks_match_the_counters_at_every_node(net, node_budget
 def test_search_rows_are_the_scaled_fraction_rows(net):
     # the LP rows the search reads off the integer elimination are those the
     # Fraction RREF and nullspace give after scale_to_integers
-    search = _WitnessSearch(net, DEFAULT_NODE_BUDGET)
+    search = _Parent(net).whole(DEFAULT_NODE_BUDGET)
     columns = [[int(x) for x in col] for col in _columns(net)]
     reduced, pivots = oracles.rref([list(row) for row in zip(*columns)])
     assert search.alpha.rows == [
@@ -690,7 +690,7 @@ def _assert_search_as_from_the_subnetwork(parent, net, key):
     # the search built from the parent's arrays is the one that
     # check_concordance builds for the subnetwork
     got = parent.search(key, DEFAULT_NODE_BUDGET)
-    want = _WitnessSearch(subnetwork(net, key), DEFAULT_NODE_BUDGET)
+    want = _Parent(subnetwork(net, key)).whole(DEFAULT_NODE_BUDGET)
     assert (got.reaction_count, got.species_count) == (want.reaction_count, want.species_count)
     assert (got.alpha.rows, got.alpha.count) == (want.alpha.rows, want.alpha.count)
     assert (got.sigma.rows, got.sigma.count) == (want.sigma.rows, want.sigma.count)
@@ -743,6 +743,8 @@ def test_m3cr_with_a_shared_store_is_the_construction_without_one(name, other):
     st.sampled_from((3, 12, DEFAULT_NODE_BUDGET)),
 )
 def test_m3cr_with_a_shared_store_on_larger_networks(net, data, node_budget):
+    # the species in a drawn order, unlike every reaction set's subnetwork
+    net = Network(net.reactions, data.draw(st.permutations(net.species)))
     mandatory = data.draw(
         st.lists(
             st.sampled_from(net.reactions), min_size=1, max_size=3, unique_by=lambda r: r.arrow
@@ -763,7 +765,7 @@ def test_the_block_store_is_reused_within_an_m3cr_call(monkeypatch):
     handed, solved_before = [], []
     split = concord._blocks
 
-    def recording(rows, supports, count, store=None):
+    def recording(rows, supports, count, store):
         assert store is not None
         blocks = split(rows, supports, count, store)
         handed.extend(blocks)
@@ -883,8 +885,14 @@ def test_one_row_closed_form_matches_the_lp_on_every_small_row():
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(networks(max_species=5, max_reactions=7), st.sampled_from((3, 12, DEFAULT_NODE_BUDGET)))
-def test_certificates_change_nothing_but_the_solve_count(net, node_budget):
+@given(
+    networks(max_species=5, max_reactions=7),
+    st.data(),
+    st.sampled_from((3, 12, DEFAULT_NODE_BUDGET)),
+)
+def test_certificates_change_nothing_but_the_solve_count(net, data, node_budget):
+    # the species in a drawn order, which check_concordance keeps
+    net = Network(net.reactions, data.draw(st.permutations(net.species)))
     calls = []
 
     def counting(a_eq, b_eq, **kwargs):
@@ -953,8 +961,9 @@ def test_every_pattern_a_row_certificate_refutes_is_infeasible(net, data):
     # a pattern is drawn to fit one row certificate (wanted + or 0 where it
     # is positive, - or 0 where it is negative, one of them signed, anything
     # elsewhere); the LP of the certificate-free oracle must find no point
-    search = _WitnessSearch(net, DEFAULT_NODE_BUDGET)
+    search = _Parent(net).whole(DEFAULT_NODE_BUDGET)
     side = data.draw(st.sampled_from([s for s in (search.alpha, search.sigma) if s.rows]))
+    side._build()
     wpos, wneg = data.draw(st.sampled_from(side.row_certs))
     signs = []
     for j in range(side.count):
@@ -999,7 +1008,8 @@ def _block_diagonal(draw):
 def test_block_solve_matches_the_whole_lp(system, data):
     # one side answers a run of patterns, so later ones meet cached blocks
     rows, count = system
-    side = _Side(rows, count)
+    side = _Side(rows, count, {})
+    side._build()
     for _ in range(6):
         signs = _sign_list(data, count)
         masks = _masks(signs)
@@ -1016,9 +1026,9 @@ def test_block_solve_matches_the_whole_lp(system, data):
 @given(networks(max_species=5, max_reactions=7), st.sampled_from((3, 12, DEFAULT_NODE_BUDGET)))
 def test_block_split_changes_nothing_but_the_solve_count(net, node_budget):
     # the same search with each side solving one whole LP per pattern
-    whole = _WitnessSearch(net, node_budget)
-    whole.alpha = oracles.WholeSide(whole.alpha.rows, whole.alpha.count)
-    whole.sigma = oracles.WholeSide(whole.sigma.rows, whole.sigma.count)
+    whole = _Parent(net).whole(node_budget)
+    whole.alpha = oracles.WholeSide(whole.alpha.rows, whole.alpha.count, {})
+    whole.sigma = oracles.WholeSide(whole.sigma.rows, whole.sigma.count, {})
     verdict, want = check_concordance(net, node_budget), whole.run()
     assert (verdict.status, repr(verdict.witness), verdict.search_nodes) == (
         want.status, repr(want.witness), want.search_nodes
@@ -1029,7 +1039,8 @@ def test_block_split_changes_nothing_but_the_solve_count(net, node_budget):
 def test_alpha_blocks_are_the_fid_blocks(name):
     # the rows of N split as the finest independent decomposition does
     net = fixtures.load(name)
-    search = _WitnessSearch(net, DEFAULT_NODE_BUDGET)
+    search = _Parent(net).whole(DEFAULT_NODE_BUDGET)
+    search.alpha._build()
     assert [tuple(coords) for coords, *_ in search.alpha.blocks] == list(fid(net).blocks)
 
 
@@ -1038,17 +1049,20 @@ def _assert_set_up_as_before(net):
     # that eliminated with a shared denominator, took the left nullspace of
     # every reaction and split each row by scanning it
     assert reaction_vectors(net) == oracles.coefficient_reaction_vectors(net)
-    search = _WitnessSearch(net, DEFAULT_NODE_BUDGET)
+    search = _Parent(net).whole(DEFAULT_NODE_BUDGET)
+    assert search.order == oracles.CertificateFreeSearch(net, DEFAULT_NODE_BUDGET).order
     for side, rows in zip((search.alpha, search.sigma), oracles.search_rows(net)):
         assert side.rows == rows
+        side._build()
         assert side.row_certs == _row_certificates(rows)
         assert side.blocks == oracles.row_blocks(rows, side.count)
 
 
 @settings(max_examples=200, deadline=None)
-@given(networks(max_species=5, max_reactions=7))
-def test_search_set_up_matches_the_old_one(net):
-    _assert_set_up_as_before(net)
+@given(networks(max_species=5, max_reactions=7), st.data())
+def test_search_set_up_matches_the_old_one(net, data):
+    # the species in a drawn order, which the whole-network search keeps
+    _assert_set_up_as_before(Network(net.reactions, data.draw(st.permutations(net.species))))
 
 
 @pytest.mark.parametrize("name", fixtures.NAMES)
@@ -1064,12 +1078,14 @@ def test_search_set_up_matches_the_old_one_on_fixture_subsets(name, data):
 
 def test_sides_with_a_zero_row_or_no_rows():
     zero = ([], 0, 0)
-    side = _Side([[0]], 1)
+    side = _Side([[0]], 1, {})
+    side._build()
     assert side.row_certs == [(0, 0), (0, 0)]
     assert side.blocks == oracles.row_blocks([[0]], 1) == [([0], 1, [], {})]
     assert _read(side.point((1, 0, 0), zero), 1) == _shown(oracles.masked([Fraction(1)]))
     assert _read(side.point((0, 1, 0), zero), 1) == _shown(oracles.masked([Fraction(-1)]))
-    empty = _Side([], 3)
+    empty = _Side([], 3, {})
+    empty._build()
     assert empty.row_certs == []
     assert empty.blocks == oracles.row_blocks([], 3) == [
         ([0], 1, [], {}), ([1], 2, [], {}), ([2], 4, [], {})
@@ -1079,7 +1095,8 @@ def test_sides_with_a_zero_row_or_no_rows():
 
 
 def test_species_in_no_left_null_row_are_signed_without_an_lp(monkeypatch):
-    search = _WitnessSearch(LEE, DEFAULT_NODE_BUDGET)
+    search = _Parent(LEE).whole(DEFAULT_NODE_BUDGET)
+    search.sigma._build()
     loose = [coords[0] for coords, _, rows, _ in search.sigma.blocks if not rows]
     assert len(loose) == 3
     calls = []
@@ -1098,7 +1115,7 @@ def test_species_in_no_left_null_row_are_signed_without_an_lp(monkeypatch):
 
 
 def _assert_off_support_sigma_matches_the_elimination(net):
-    search = _WitnessSearch(net, DEFAULT_NODE_BUDGET)
+    search = _Parent(net).whole(DEFAULT_NODE_BUDGET)
     want = oracles.off_support_sigma(search.sigma.rows, search.order, search.species_count)
     assert repr(search._off_support_sigma()) == repr(want)
 
@@ -1116,13 +1133,13 @@ def test_off_support_sigma_takes_no_nullspace_when_no_species_is_free(monkeypatc
         return linalg._integer_nullspace(rows)
 
     # every species is a reactant
-    search = _WitnessSearch(parse_network("A -> B @R1\nB -> A @R2"), DEFAULT_NODE_BUDGET)
+    search = _Parent(parse_network("A -> B @R1\nB -> A @R2")).whole(DEFAULT_NODE_BUDGET)
     monkeypatch.setattr(concord, "_integer_nullspace", counting)
     assert search._off_support_sigma() is None
     assert calls == []
     # B and C are no reactant, so their nullspace is taken
     monkeypatch.undo()
-    search = _WitnessSearch(parse_network("A -> B @R1\nA -> C @R2"), DEFAULT_NODE_BUDGET)
+    search = _Parent(parse_network("A -> B @R1\nA -> C @R2")).whole(DEFAULT_NODE_BUDGET)
     monkeypatch.setattr(concord, "_integer_nullspace", counting)
     assert search._off_support_sigma() == [Fraction(0), Fraction(-1), Fraction(1)]
     assert len(calls) == 1
@@ -1144,7 +1161,7 @@ def test_off_support_sigma_takes_no_nullspace_when_no_species_is_free(monkeypatc
 def test_off_support_sigma_hand_cases(text, want):
     net = parse_network(text)
     _assert_off_support_sigma_matches_the_elimination(net)
-    got = _WitnessSearch(net, DEFAULT_NODE_BUDGET)._off_support_sigma()
+    got = _Parent(net).whole(DEFAULT_NODE_BUDGET)._off_support_sigma()
     assert got == (None if want is None else [Fraction(v) for v in want])
 
 
