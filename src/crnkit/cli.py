@@ -43,7 +43,8 @@ def _load(source: str) -> Network:
     if source.startswith("fixture:"):
         return fixtures.load(source[len("fixture:") :])
     try:
-        return parse_network(Path(source).read_text(encoding="utf-8"))
+        # utf-8-sig drops a leading byte-order mark, which some editors write
+        return parse_network(Path(source).read_text(encoding="utf-8-sig"))
     except UnicodeDecodeError as exc:  # a ValueError too, so it comes first
         # the line of the bad byte, as a parse error gives it, not its offset
         line = exc.object.count(b"\n", 0, exc.start) + 1

@@ -79,7 +79,10 @@ evicted; they refute most infeasible patterns before any LP is solved.
 Verdicts, witnesses and node counts are those of the search without
 certificates; only the number of LPs falls.
 
-A side builds its row certificates and blocks the first time a pattern
+Every sign-pattern question goes to a ``_Side``, which answers one that
+wants no sign with the origin itself. ``is_positive_dependent`` and
+``is_conservative`` ask a side of their own, so they have the search's row
+certificates and block split. A side builds them the first time a pattern
 gets past the carried point, so a search that ends before that builds
 neither; in ``m3cr(toy-a, shared with toy-b)`` 9 of the 14 sides are never
 built. Every search is built by a ``_Parent``, which row-reduces its
@@ -164,7 +167,9 @@ _ZERO = Fraction(0)
 _Part = tuple[Sequence[int], list[int], int, int, int]
 # A side's point: the parts of its blocks that are not zero, and the bitmasks
 # of its positive and negative coordinates; every other coordinate is zero.
-_Masked = tuple[list[_Part], int, int]
+_Masked = tuple[Sequence[_Part], int, int]
+# The point of a pattern that wants no sign, on either side.
+_ORIGIN: _Masked = ((), 0, 0)
 # Bitmasks of the coordinates wanted positive, negative and zero.
 _Masks = tuple[int, int, int]
 # The masks (wpos, wneg) of an integer vector w of an LP's row space that
@@ -347,17 +352,20 @@ def _blocks(rows: list[list[int]], supports: list[int], count: int, store: _Stor
 
 
 class _Side:
-    """The LPs of one side of the search: {rows . x = 0} over ``count`` coordinates.
+    """The sign-pattern LPs of {rows . x = 0} over ``count`` coordinates.
 
-    ``point`` takes the masks of a sign pattern and answers with a masked
-    point or None: the integer parts of its nonzero blocks and its sign
-    masks, which ``_assemble`` turns into a vector. It keeps the newest 64
-    certificates of its LPs, plus ``row_certs``, the certificates of its own
-    rows, which are never evicted. It splits its rows into independent
-    ``blocks``, taken from ``store``, and solves the LP of a pattern block by
-    block, each block's sub-pattern once, so its blocks' answers are its
-    only store of points. ``row_certs`` and ``blocks`` are None until
-    ``_build`` makes them, when a pattern first gets past the carried point.
+    The search has one for alpha and one for sigma, and each cone
+    certificate asks one of its own. ``point`` takes the masks of a sign
+    pattern and answers with a masked point or None: the integer parts of
+    its nonzero blocks and its sign masks, which ``_assemble`` turns into a
+    vector; a pattern that wants no sign has the origin. A side keeps the
+    newest 64 certificates of its LPs, plus ``row_certs``, the certificates
+    of its own rows, which are never evicted. It splits its rows into
+    independent ``blocks``, taken from ``store``, and solves the LP of a
+    pattern block by block, each block's sub-pattern once, so its blocks'
+    answers are its only store of points. ``row_certs`` and ``blocks`` are
+    None until ``_build`` makes them, when a pattern first gets past the
+    carried point.
     """
 
     __slots__ = ("rows", "count", "store", "certs", "row_certs", "blocks")
@@ -379,11 +387,14 @@ class _Side:
     def point(self, masks: _Masks, carried: _Masked) -> _Masked | None:
         """A point with the signs ``masks`` wants, or None.
 
-        The ``carried`` point answers if it conforms, then a row or pooled
-        certificate that refutes; only then is the LP solved, block by block,
-        and its certificate pooled.
+        A pattern that wants no sign has the origin, whatever is carried.
+        Otherwise the ``carried`` point answers if it conforms, then a row or
+        pooled certificate that refutes; only then is the LP solved, block
+        by block, and its certificate pooled.
         """
         want_pos, want_neg, want_zero = masks
+        if not want_pos | want_neg:
+            return _ORIGIN
         _, pos, neg = carried
         if (want_pos & pos == want_pos and want_neg & neg == want_neg
                 and not want_zero & (pos | neg)):
@@ -482,7 +493,6 @@ class _WitnessSearch:
         for d in reversed(range(len(self.order))):
             self.after[d] = self.after[d + 1] | reactant_of[self.order[d]]
         self.all_reactions = (1 << self.reaction_count) - 1
-        self.zero_alpha: _Masked = ([], 0, 0)
 
     # -- search --------------------------------------------------------------
 
@@ -503,34 +513,14 @@ class _WitnessSearch:
         values = dict(zip(free, basis[0]))
         return [Fraction(values.get(i, 0)) for i in range(self.species_count)]
 
-    def _viable(
-        self, masks: _Masks, forced: _Masks, alpha: _Masked, sigma: _Masked
-    ) -> tuple[_Masked, _Masked] | None:
-        """Sign-feasibility of the partial pattern ``masks``.
-
-        ``forced`` holds the reaction masks of the supports ``masks`` makes
-        pure +, pure - and all zero. ``alpha``/``sigma`` are the feasible
-        points carried from the parent node; both constraint cones are closed
-        under positive scaling, so a carried point whose signs still conform
-        proves feasibility without another LP. Returns conforming points for
-        the children, or None when either side is exactly infeasible.
-        """
-        if forced[0] or forced[1]:
-            alpha = self.alpha.point(forced, alpha)
-            if alpha is None:
-                return None
-        else:
-            alpha = self.zero_alpha
-        sigma = self.sigma.point(masks, sigma)
-        if sigma is None:
-            return None
-        return alpha, sigma
-
     def _descend(
         self, depth: int, masks: _Masks, touched: tuple[int, int], alpha: _Masked, sigma: _Masked
     ) -> SignWitness | None:
         """Search below ``masks``; ``touched`` holds the masks of the reactions
-        with a reactant signed + and with one signed -."""
+        with a reactant signed + and with one signed -. The alpha side weighs
+        each child's forced reaction masks, then the sigma side its masks; a
+        point carried from here whose signs still conform proves it feasible
+        with no LP, since both cones are closed under positive scaling."""
         self.nodes += 1
         if self.nodes > self.node_budget:
             raise _BudgetExhausted
@@ -554,11 +544,15 @@ class _WitnessSearch:
         after = self.after[depth + 1]
         for child, p, m in children:
             forced = (p & ~(m | after), m & ~(p | after), self.all_reactions & ~(p | m | after))
-            carried = self._viable(child, forced, alpha, sigma)
-            if carried is not None:
-                witness = self._descend(depth + 1, child, (p, m), *carried)
-                if witness is not None:
-                    return witness
+            alpha_point = self.alpha.point(forced, alpha)
+            if alpha_point is None:
+                continue
+            sigma_point = self.sigma.point(child, sigma)
+            if sigma_point is None:
+                continue
+            witness = self._descend(depth + 1, child, (p, m), alpha_point, sigma_point)
+            if witness is not None:
+                return witness
         return None
 
     def run(self) -> ConcordanceVerdict:
@@ -567,7 +561,7 @@ class _WitnessSearch:
             witness = SignWitness((_ZERO,) * self.reaction_count, tuple(free_sigma))
             return ConcordanceVerdict("Discordant", witness, self.nodes)
         try:
-            witness = self._descend(0, (0, 0, 0), (0, 0), self.zero_alpha, ([], 0, 0))
+            witness = self._descend(0, (0, 0, 0), (0, 0), _ORIGIN, _ORIGIN)
         except _BudgetExhausted:
             return ConcordanceVerdict("Unknown", None, self.nodes)
         if witness is not None:
@@ -649,7 +643,7 @@ def check_concordance(
 
 
 def _check_budget(node_budget: int) -> None:
-    if node_budget < 1:
+    if isinstance(node_budget, bool) or not isinstance(node_budget, int) or node_budget < 1:
         raise ValueError("node_budget must be a positive integer")
 
 
@@ -688,17 +682,17 @@ def verify_witness(net: Network, witness: SignWitness) -> bool:
     return True
 
 
-def _positive_point(rows: Sequence[Sequence[int]], count: int) -> ConeCertificate:
+def _positive_point(rows: list[list[int]], count: int) -> ConeCertificate:
     """Whether {rows . x = 0} has a point with every coordinate >= 1, and one such point."""
-    point = _signed_point(rows, range(count), ((1 << count) - 1, 0, 0))
-    if len(point) == 2:  # a certificate
+    point = _Side(rows, count, {}).point(((1 << count) - 1, 0, 0), _ORIGIN)
+    if point is None:
         return ConeCertificate(False, None)
-    return ConeCertificate(True, _assemble([point], count))
+    return ConeCertificate(True, _assemble(point[0], count))
 
 
 def is_positive_dependent(net: Network) -> ConeCertificate:
     """Whether some strictly positive combination of reaction vectors is 0."""
-    return _positive_point(list(zip(*reaction_vectors(net))), len(net.reactions))
+    return _positive_point(list(map(list, zip(*reaction_vectors(net)))), len(net.reactions))
 
 
 def is_conservative(net: Network) -> ConeCertificate:

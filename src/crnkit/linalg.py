@@ -177,9 +177,11 @@ def lp_feasible(
     verdicts are exact. Returns one feasible point (a basic one), not
     anything optimal — callers only need feasibility witnesses — as
     ``(u, denom)``: the point is ``u / denom``, integer numerators over the
-    lcm of the basic pivot entries. ``A`` and ``b`` are integers; rational
-    ones are scaled by one common denominator, since scaling rows apart
-    would reweight the artificials in the phase-1 objective.
+    lcm of the basic pivot entries. ``A`` and ``b`` must be integers, and
+    nothing here checks or scales them: a caller with rational entries
+    scales ``[A | b]`` by one common denominator first (as the tests'
+    ``oracles.fraction_lp`` does), since scaling rows apart would reweight
+    the artificials in the phase-1 objective.
 
     When the system is infeasible and ``farkas`` is a list, the list is
     filled with a primitive integer Farkas vector ``y``: ``yᵀA <= 0`` and

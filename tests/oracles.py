@@ -66,9 +66,10 @@ rate constants the two must agree (``test_transform.py``).
 
 ``alpha_conforms`` and ``sigma_conforms`` are the original sign tests of the
 witness search, one ``Fraction`` comparison per coordinate. The search now
-keeps each point's positive and negative coordinates as bitmasks and
-tests them against a pattern with one ``_conforms``; the answers must agree
-(``test_concord.py``).
+keeps each point's positive and negative coordinates as bitmasks, and
+``_Side.point`` tests them against a pattern with three mask tests; the
+answers must agree on every pattern that wants a sign. A pattern that
+wants none has the origin, whatever point is carried (``test_concord.py``).
 
 ``signature`` is the search's original reaction classification, which kept
 per-reaction counts of the reactant species assigned +, - and not yet
@@ -144,6 +145,12 @@ over all its coordinates. The library's side solves each block apart, once
 per sub-pattern; its points must be those of ``signed_point``, and the
 search must return the same verdict, witness and ``search_nodes`` with
 either side (``test_concord.py``).
+
+``positive_point`` is the library's former cone route: one
+``_signed_point`` over the whole system, with no row certificates and no
+block split. The library's ``is_positive_dependent`` and
+``is_conservative`` ask a ``_Side`` instead; both must return the same
+``holds`` and the same vector, repr for repr (``test_concord.py``).
 """
 
 from __future__ import annotations
@@ -159,8 +166,10 @@ from crnkit import linalg
 from crnkit.concord import (
     DEFAULT_NODE_BUDGET,
     ConcordanceVerdict,
+    ConeCertificate,
     M3crReport,
     SignWitness,
+    _assemble,
     _Block,
     _BudgetExhausted,
     _Certificate,
@@ -1203,3 +1212,12 @@ class WholeSide(_Side):
         if len(answer) == 2:  # a certificate
             return answer
         return [answer], answer[3], answer[4]
+
+
+def positive_point(rows: Sequence[Sequence[int]], count: int) -> ConeCertificate:
+    """Whether {rows . x = 0} has a point with every coordinate >= 1, from one
+    ``_signed_point`` over the whole system, and that point."""
+    point = _signed_point(rows, range(count), ((1 << count) - 1, 0, 0))
+    if len(point) == 2:  # a certificate
+        return ConeCertificate(False, None)
+    return ConeCertificate(True, _assemble([point], count))

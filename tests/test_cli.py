@@ -284,6 +284,17 @@ def test_a_file_that_is_not_utf8_is_reported_by_line(capsys, tmp_path, monkeypat
     )
 
 
+def test_a_byte_order_mark_is_read_as_no_text(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    text = "A -> B @R1\nB -> A @R2\n".encode("utf-8")
+    (tmp_path / "plain.crn").write_bytes(text)
+    (tmp_path / "bom.crn").write_bytes(b"\xef\xbb\xbf" + text)
+    plain = run(capsys, "analyze", "plain.crn", "--json")
+    marked = run(capsys, "analyze", "bom.crn", "--json")
+    assert plain[0] == 0
+    assert marked == (plain[0], plain[1].replace("plain.crn", "bom.crn"), plain[2])
+
+
 @pytest.mark.parametrize("mode", [(), ("--json",)])
 def test_equilibria_lists_the_models_it_can_run(mode, capsys):
     # lee is a bundled fixture with no equilibrium parametrization

@@ -198,7 +198,7 @@ def test_verdict_is_deterministic():
     assert first == second
 
 
-@pytest.mark.parametrize("budget", [0, -1])
+@pytest.mark.parametrize("budget", [0, -1, True, 2.5])
 def test_budget_below_one_is_rejected(budget):
     with pytest.raises(ValueError, match="node_budget must be a positive integer"):
         check_concordance(SCHMITZ, node_budget=budget)
@@ -372,6 +372,22 @@ def test_conservativity_toys():
     assert not is_conservative(parse_network("0 -> A @R1"))
 
 
+@settings(max_examples=200, deadline=None)
+@given(networks(max_species=6, max_reactions=7))
+def test_cone_certificates_match_the_whole_lp(net):
+    # the cone certificates ask a side, which answers from its row
+    # certificates or block by block; one LP over the whole system must
+    # give the same answer and the same point
+    columns = reaction_vectors(net)
+    for got, expected in (
+        (is_positive_dependent(net),
+         oracles.positive_point(list(zip(*columns)), len(net.reactions))),
+        (is_conservative(net), oracles.positive_point(columns, len(net.species))),
+    ):
+        assert got.holds == expected.holds
+        assert repr(got.vector) == repr(expected.vector)
+
+
 # --- maximal concordant containers ------------------------------------------
 
 
@@ -466,11 +482,16 @@ def _masks(sign):
     return tuple(sum(1 << j for j, s in enumerate(sign) if s == wanted) for wanted in (1, -1, 0))
 
 
-def _conforms(point, masks):
-    # a side answers with the carried point exactly when it conforms; one
-    # with no rows answers with a new point otherwise
+def _check_conforms(point, masks, conforms):
+    # a side answers a pattern that wants a sign with the carried point
+    # exactly when it conforms (one with no rows answers with a new point
+    # otherwise), and a pattern that wants no sign with the origin
     carried = oracles.masked(point)
-    return _Side([], len(point), {}).point(masks, carried) is carried
+    answer = _Side([], len(point), {}).point(masks, carried)
+    if masks[0] | masks[1]:
+        assert (answer is carried) == conforms
+    else:
+        assert answer == ((), 0, 0)
 
 
 def _read(point, count):
@@ -497,12 +518,12 @@ def test_sign_masks_agree_with_per_entry_conformance(net, data):
     assert oracles._signs(len(sign), _masks(sign)) == sign
     for _ in range(2):
         alpha = _near(data, classes)
-        assert _conforms(alpha, _masks(classes)) == (
-            oracles.alpha_conforms(alpha, _masks(classes))
+        _check_conforms(
+            alpha, _masks(classes), oracles.alpha_conforms(alpha, _masks(classes))
         )
         sigma = _near(data, sign)
-        assert _conforms(sigma, _masks(sign)) == (
-            oracles.sigma_conforms(sigma, range(len(sign)), sign)
+        _check_conforms(
+            sigma, _masks(sign), oracles.sigma_conforms(sigma, range(len(sign)), sign)
         )
 
 
@@ -515,16 +536,39 @@ def test_forced_reaction_masks_match_the_counters_at_every_node(net, node_budget
     search = _Parent(net).whole(node_budget)
     index = {name: i for i, name in enumerate(net.species)}
     supports = [tuple(index[name] for name, _ in rxn.reactant) for rxn in net.reactions]
-    viable = search._viable
+    descend, alpha = search._descend, search.alpha
+    # the nodes being expanded, each with the children it has still to weigh,
+    # in the search's order: +, - (unless the first sign is pinned), 0
+    expanding = []
     seen = []
 
-    def checking(masks, forced, alpha, sigma):
-        sign = oracles._signs(search.species_count, masks)
-        assert forced == oracles.signature(supports, sign)
-        seen.append(masks)
-        return viable(masks, forced, alpha, sigma)
+    def expand(depth, masks, touched, *points):
+        children = []
+        if depth < len(search.order):
+            plus, minus, zero = masks
+            bit = 1 << search.order[depth]
+            children = [
+                (plus | bit, minus, zero), (plus, minus | bit, zero), (plus, minus, zero | bit)
+            ]
+            if not plus | minus:
+                del children[1]
+        expanding.append(children)
+        try:
+            return descend(depth, masks, touched, *points)
+        finally:
+            expanding.pop()
 
-    search._viable = checking
+    class Weighing:
+        # the alpha side, checking the forced masks of each child it weighs
+        def point(self, forced, carried):
+            child = expanding[-1].pop(0)
+            sign = oracles._signs(search.species_count, child)
+            assert forced == oracles.signature(supports, sign)
+            seen.append(child)
+            return alpha.point(forced, carried)
+
+    search._descend = expand
+    search.alpha = Weighing()
     verdict = search.run()
     assert len(seen) >= verdict.search_nodes - 1
 
