@@ -485,10 +485,18 @@ def main(argv: list[str] | None = None) -> int:
     else:
         args.inputs = [args.model]
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout, as `| head` does: leave quietly, with
+        # stdout sent to devnull so that the flush at exit cannot fail again
+        # (the recipe of the Python `signal` docs)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (ValueError, KeyError, OSError) as exc:
         if isinstance(exc, OSError) and exc.strerror:
-            message = f"{exc.strerror}: {exc.filename}"
+            message = exc.strerror if exc.filename is None else f"{exc.strerror}: {exc.filename}"
         elif isinstance(exc, KeyError) and exc.args:
             message = exc.args[0]
         else:

@@ -9,107 +9,50 @@ is concordant when no witness exists.
 
 The decision procedure is a complete branch-and-prune search over sigma sign
 patterns, assigned species by species (most-shared reactant species first,
-first nonzero sign pinned to + since witnesses negate jointly). Each partial
-pattern is pruned by two exact rational LPs: realizability of the signs
-inside Im(N), and feasibility of the alpha-signs already forced by completed
-reactant supports (a pure-signed support forces alpha_r to that sign, an
-all-zero support forces alpha_r = 0, a mixed support leaves it free — so the
-inner problem is a single LP rather than a second sign search). Strict
-inequalities are encoded as >= 1, which loses nothing because both
-constraint cones are invariant under positive scaling. The search is
-budgeted; verdicts are Concordant, Discordant (with a witness), or Unknown
-when the node budget runs out.
-
-The LP rows are coprime integer vectors off two integer eliminations: the
-reduced row echelon form of N is the row basis, and its pivot columns,
-which span the image of N, give the basis of its left nullspace, as the
-nullspace of those reactions' vectors alone. A partial
+first nonzero sign pinned to + since witnesses negate jointly). A partial
 pattern is three species masks (the signs assigned +, - and 0), passed down
-the recursion as one immutable value. The alpha-signs it forces take three
-mask operations per node: the masks of the reactions with a reactant
-signed + and with one signed - go down the recursion too, and a reaction
-is decided once the species still to be signed hold none of its reactants.
-The masks of a pattern go down to the LP as they are, and the LP answers
-with a masked point or a certificate: the feasible point carried down the
-tree is stored with the bitmasks of its positive and negative coordinates
-(the rest are zero), so whether it fits a child's pattern is three mask
-tests too. A point is kept as its blocks' parts (below), each integer
-numerators over one positive denominator; the search builds ``Fraction``s
-in one place only, ``_assemble``, when it returns a witness or a cone
-certificate.
+the recursion. It is pruned when no vector of Im(N) has its signs, or no
+vector of ker(N) has the alpha-signs forced by completed reactant supports
+(a pure-signed support forces alpha_r to that sign, an all-zero one forces
+alpha_r = 0, a mixed one leaves it free), which take three mask operations
+per node. The search is budgeted; verdicts are Concordant, Discordant (with
+a witness), or Unknown when the node budget runs out.
 
-Each side splits its rows once into independent blocks: the connected
-components of the graph that joins the coordinates sharing a row, from
-``structure._row_components``. The cone is the direct sum of the blocks'
-cones, so a pattern is feasible exactly when each block's part of it is.
-The alpha rows are the reduced row echelon form of N, as in ``decomp.fid``,
-so the blocks are those of the finest independent decomposition. On the
-sigma side they are the groups of species that share conservation laws,
-and a species in no conservation law takes its sign with no LP. An LP is
-solved block by block, once per block sub-pattern in a search (these are
-the only points a side keeps); a block whose sub-pattern wants no sign has
-the point 0. In a block-diagonal tableau a pivot touches only its own
-block's rows and reduced costs, so under Bland's rule each block pivots as
-it would alone, and the point is that of the whole LP.
+Each side is the kernel of coprime integer rows (on alpha the RREF of N, on
+sigma a basis of its left nullspace), split into independent blocks: the
+components of the graph joining the coordinates that share a row, on alpha
+the blocks of the finest independent decomposition. A vector of a block's
+row space that is >= 0 where a pattern wants +, <= 0 where it wants -, 0
+where it wants nothing and nonzero on a signed coordinate refutes it
+(``_refuted``). By the Farkas lemma one exists exactly when the pattern is
+infeasible, and it is a conformal sum of circuits, the support-minimal
+vectors, one of which refutes it too (Rockafellar 1969; Müller et al.,
+Found. Comput. Math. 16, 2016). So each child is decided by the circuits
+that meet what its depth decides, as its parent was feasible. A block over
+``_CIRCUIT_SUBSETS`` decides by its LP instead, each sub-pattern once.
 
-Most blocks of the finest independent decomposition have rank 1, so most
-block LPs have one row, and Bland's rule settles such an LP in its first
-pivot: the artificial variable starts basic, the first column that can
-carry the right-hand side enters, and then no reduced cost is negative.
-``_first_pivot`` answers it in closed form with that pivot's point, scaled
-by the pivot entry's absolute value to stay integer, or with the row
-itself as the Farkas certificate when no column can enter. Only blocks of
-two or more rows reach ``lp_feasible``, which takes their integer rows and
-returns its point as integer numerators over one positive denominator; the
-block's part is read straight off them, with no ``Fraction``.
-
-An infeasible LP leaves a Farkas certificate instead: ``lp_feasible`` hands
-back its phase-1 duals ``y``, and ``w = -yᵀ rows`` is an integer vector of
-the row space that is >= 0 where the pattern wants +, <= 0 where it wants -,
-zero where it wants nothing, and nonzero on some signed coordinate. No point
-of the cone fits such a pattern, nor any pattern that refines it, since
-``w . x`` would be positive. One test, ``_refuted``, says whether the masks
-``(wpos, wneg)`` of such a ``w`` refute a pattern: it accepts each fresh
-certificate against its own pattern, and the search keeps the newest 64
-per side and answers a pattern a pooled certificate refutes without an LP,
-just as a conforming carried point answers a feasible one. Each row ``w``
-of an LP, and ``-w``, lies in the row space too, so the masks of every row
-and its negation are kept as certificates from the start and never
-evicted; they refute most infeasible patterns before any LP is solved.
-Verdicts, witnesses and node counts are those of the search without
-certificates; only the number of LPs falls.
-
-Every sign-pattern question goes to a ``_Side``, which answers one that
-wants no sign with the origin itself. ``is_positive_dependent`` and
-``is_conservative`` ask a side of their own, so they have the search's row
-certificates and block split. A side builds them the first time a pattern
-gets past the carried point, so a search that ends before that builds
-neither; in ``m3cr(toy-a, shared with toy-b)`` 9 of the 14 sides are never
-built. Every search is built by a ``_Parent``, which row-reduces its
-network once: ``check_concordance`` searches the network itself
-(``_Parent.whole``), on the parent's arrays as they are. ``m3cr``
-searches many reaction sets of one parent, and consecutive sets differ by
-one reaction, so one call sets up once. A set's species, reaction vectors
-and reactant masks are the parent's cut to its reactions, with no
-subnetwork built, and its alpha rows are ``_eliminate`` of the parent's
-RREF rows cut to them: the set's row space is the parent's projected onto
-its reactions, and the primitive RREF depends only on the row space, so
-these are the rows the subnetwork gives. A parent's searches take their
-blocks from one store keyed by a block's coordinates and rows. A block's
-answers depend on nothing else, so sharing them changes no verdict or
-node count, only how many LPs are solved; in ``check_concordance`` the
-store serves the two sides of its one search.
+The search carries no point. A ``Discordant`` search rebuilds its witness
+along the path to its leaf: each node takes its parent's point if the signs
+still conform (both cones are closed under positive scaling), else that of
+its own LP, block by block (``_signed_point``; under Bland's rule each block
+of a block-diagonal tableau pivots as it would alone). ``Fraction``s are
+built only in ``_assemble``. The cone certificates ask a ``_Side`` for one
+point each. A ``_Parent`` row-reduces its network once and builds every
+search, for ``check_concordance`` and for each reaction set of ``m3cr``,
+which share one store of blocks and their circuits. ``m3cr`` asks for no
+witness, so it solves no LP.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 from typing import Iterable, Literal, Sequence
 
 from .core import Network, Reaction, reaction_vectors, subnetwork
-from .linalg import _eliminate, _integer_nullspace, lp_feasible, nullspace_basis
+from .linalg import _eliminate, _integer_nullspace, _primitive, lp_feasible, nullspace_basis
 from .structure import _row_components
 
 DEFAULT_NODE_BUDGET = 5_000_000
@@ -172,9 +115,14 @@ _Masked = tuple[Sequence[_Part], int, int]
 _ORIGIN: _Masked = ((), 0, 0)
 # Bitmasks of the coordinates wanted positive, negative and zero.
 _Masks = tuple[int, int, int]
-# The masks (wpos, wneg) of an integer vector w of an LP's row space that
-# proves a sign pattern infeasible.
+# The masks (wpos, wneg) of a vector of a row space, such as a circuit.
 _Certificate = tuple[int, int]
+# A block of two or more rows decides by LP when its circuits would take more
+# subsets than this to enumerate. Measured on random blocks of rank 3-7
+# (2-vCPU Xeon, Python 3.11): 2-60 us per subset within the bound against
+# 0.04-0.3 ms per block LP, so a block at the bound costs at most about 110
+# of its LPs. The bundled models' blocks take at most 126 subsets.
+_CIRCUIT_SUBSETS = 200
 
 
 def _sign_masks(coords: Iterable[int], values: Iterable[int]) -> tuple[int, int]:
@@ -189,11 +137,7 @@ def _sign_masks(coords: Iterable[int], values: Iterable[int]) -> tuple[int, int]
 
 
 def _assemble(parts: Iterable[_Part], count: int) -> tuple[Fraction, ...]:
-    """The exact vector over ``count`` coordinates of the block ``parts``, 0 elsewhere.
-
-    The search's only ``Fraction``s are built here, when a witness or a cone
-    certificate is returned.
-    """
+    """The exact vector over ``count`` coordinates of the block ``parts``, 0 elsewhere."""
     vector = [_ZERO] * count
     for coords, nums, denom, _, _ in parts:
         for j, num in zip(coords, nums):
@@ -203,70 +147,51 @@ def _assemble(parts: Iterable[_Part], count: int) -> tuple[Fraction, ...]:
 
 def _signed_point(
     rows: Sequence[Sequence[int]], coords: Sequence[int], masks: _Masks
-) -> _Part | _Certificate:
-    """Exact feasible point of {rows . x = 0} over the coordinates ``coords``.
+) -> _Part | None:
+    """Exact feasible point of {rows . x = 0} over the coordinates ``coords``, or None.
 
-    Entry k of each row, and of the point, belongs to coordinate ``coords[k]``;
-    the masks are over coordinates, and lie within ``coords``. ``masks`` is
-    ``(plus, minus, zero)``: x_j >= 1 where ``plus`` has bit j, x_j <= -1
-    where ``minus`` has it, x_j = 0 where ``zero`` has it, and x_j
-    unconstrained elsewhere. A pattern that wants no sign has b = 0, so its
-    point is 0 with no LP, and one row is answered by ``_first_pivot`` with
-    no LP either. The point comes back as a ``_Part``, integers over one
-    denominator: that of the pivot, or of ``lp_feasible``'s point, whose
-    numerators ``u`` are added to the signs as they are. When there is no
-    such point, returns a certificate ``(wpos, wneg)``: the masks of the
-    positive and negative coordinates of ``w = -yᵀ rows`` for the Farkas
-    vector ``y`` of the LP, an integer vector of the row space that is
-    checked with ``_refuted`` to refute ``masks`` before it is returned.
+    Entry k of each row, and of the point, belongs to coordinate ``coords[k]``.
+    ``masks`` is ``(plus, minus, zero)``: x_j >= 1 where ``plus`` has bit j,
+    x_j <= -1 where ``minus`` has it, x_j = 0 where ``zero`` has it, free
+    elsewhere. One row is answered by ``_first_pivot``, with no LP. The point
+    is a ``_Part``, integers over the pivot's or ``lp_feasible``'s denominator.
     """
     plus, minus, zero = masks
     signs = [1 if plus >> j & 1 else -1 if minus >> j & 1 else 0 for j in coords]
     if not rows or not plus | minus | zero:
         return coords, signs, 1, plus, minus
     if len(rows) == 1:
-        answer = _first_pivot(rows[0], coords, masks, signs)
-    else:
-        variables: list[tuple[int, int]] = []  # (entry, direction)
-        for k, j in enumerate(coords):
-            if not zero >> j & 1:
-                if not minus >> j & 1:
-                    variables.append((k, 1))
-                if not plus >> j & 1:
-                    variables.append((k, -1))
-        a_eq = [[direction * row[k] for k, direction in variables] for row in rows]
-        # x_j = s_j + u for a signed coordinate, so its +-1 moves to the right-hand
-        # side; a free coordinate's two columns cancel in the row sum
-        b_eq = [-sum(line) for line in a_eq]
-        farkas: list[int] = []
-        solution = lp_feasible(a_eq, b_eq, farkas=farkas)
-        if solution is None:
-            w = [-sum(y * row[k] for y, row in zip(farkas, rows)) for k in range(len(coords))]
-            answer = _sign_masks(coords, w)
-        else:
-            u, denom = solution
-            nums = [sign * denom for sign in signs]
-            for (k, direction), value in zip(variables, u):
-                nums[k] += direction * value
-            answer = (coords, nums, denom, *_sign_masks(coords, nums))
-    if len(answer) == 2 and not _refuted([answer], masks):
-        raise RuntimeError("the phase-1 duals do not refute the sign pattern")
-    return answer
+        return _first_pivot(rows[0], coords, masks, signs)
+    variables: list[tuple[int, int]] = []  # (entry, direction)
+    for k, j in enumerate(coords):
+        if not zero >> j & 1:
+            if not minus >> j & 1:
+                variables.append((k, 1))
+            if not plus >> j & 1:
+                variables.append((k, -1))
+    a_eq = [[direction * row[k] for k, direction in variables] for row in rows]
+    # x_j = s_j + u for a signed coordinate, so its +-1 moves to the right-hand
+    # side; a free coordinate's two columns cancel in the row sum
+    solution = lp_feasible(a_eq, [-sum(line) for line in a_eq])
+    if solution is None:
+        return None
+    u, denom = solution
+    nums = [sign * denom for sign in signs]
+    for (k, direction), value in zip(variables, u):
+        nums[k] += direction * value
+    return coords, nums, denom, *_sign_masks(coords, nums)
 
 
 def _first_pivot(
     row: Sequence[int], coords: Sequence[int], masks: _Masks, signs: list[int]
-) -> _Part | _Certificate:
+) -> _Part | None:
     """``_signed_point``'s LP for the one row ``row``, in closed form.
 
-    Returns the point ``signs`` (+-1 or 0) moved onto the row, or the
-    certificate of ``w = -yᵀ row`` for the Farkas vector ``y`` when the LP is
-    infeasible. The LP is ``a . u = b`` with ``b = -row . signs``, and its
-    artificial variable starts basic. Bland's rule enters the first column
-    with ``s * a > 0``, ``s`` the sign of b, at ``b / a``; after that pivot
-    no reduced cost is negative. Either column of entry k moves it by
-    ``b / row[k]``, so the point is scaled by ``|row[k]|``. With ``b = 0``
-    the point already fits; with no column to enter, ``y = [s]``.
+    Returns the point ``signs`` (+-1 or 0) moved onto the row, or None. The
+    LP is ``a . u = b`` with ``b = -row . signs``, its artificial basic. Bland's
+    rule enters the first column with ``s * a > 0``, ``s`` the sign of b, and
+    then no reduced cost is negative; either column of entry k moves it by
+    ``b / row[k]``, so the point is scaled by ``|row[k]|``.
     """
     plus, minus, zero = masks
     b = 0
@@ -284,17 +209,14 @@ def _first_pivot(
             nums = [sign * denom for sign in signs]
             nums[k] += b if entry > 0 else -b
             return coords, nums, denom, *_sign_masks(coords, nums)
-    return _sign_masks(coords, [-s * entry for entry in row])
+    return None
 
 
 def _refuted(certs: Iterable[_Certificate], masks: _Masks) -> bool:
-    """Whether one of ``certs`` proves the pattern ``masks`` infeasible.
-
-    Every x of the cone is orthogonal to w. If w is >= 0 on the coordinates
-    wanted positive, <= 0 on those wanted negative, 0 on the free ones, and
-    nonzero on one signed coordinate, then w . x > 0 for every x with the
-    wanted signs, so none exists. Any more specific pattern is refuted too.
-    """
+    """Whether one of ``certs`` proves the pattern ``masks`` infeasible: every x of
+    the cone is orthogonal to w, and w . x > 0 for every x with the wanted signs
+    if w is >= 0 where + is wanted, <= 0 where - is, 0 on the free coordinates
+    and nonzero on a signed one. Any more specific pattern is refuted too."""
     plus, minus, zero = masks
     plus_zero, minus_zero = plus | zero, minus | zero
     for wpos, wneg in certs:
@@ -304,39 +226,118 @@ def _refuted(certs: Iterable[_Certificate], masks: _Masks) -> bool:
     return False
 
 
-def _row_certificates(rows: list[list[int]]) -> list[_Certificate]:
-    """The masks of every row ``w`` of an LP and of ``-w``.
+def _cross(vectors: list[list[int]], n: int) -> Sequence[int]:
+    """A nonzero vector of R^n orthogonal to the ``n - 1`` ``vectors``, or zeros
+    when they are dependent: their cross product up to a nonzero factor."""
+    if n == 1:
+        return [1]
+    if n == 2:
+        (a0, a1), = vectors
+        return [a1, -a0]
+    if n == 3:
+        (a0, a1, a2), (b0, b1, b2) = vectors
+        return [a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0]
+    basis = _integer_nullspace(vectors)
+    return basis[0] if len(basis) == 1 else [0] * n
 
-    Both lie in the row space, so they refute patterns exactly as a Farkas
-    certificate does, with no LP solved to find them. The rows are integers,
-    so their signs are read by comparison, not off ``Fraction`` numerators.
+
+def _circuits(coords: Sequence[int], rows: list[list[int]]) -> list[_Certificate] | None:
+    """The masks of the circuits of the row space of ``rows`` over ``coords``, and
+    of their negations; None when they would take more than ``_CIRCUIT_SUBSETS``.
+
+    The row space, of rank r, is the kernel of a kernel basis, of dimension
+    k, and a vector of it is a circuit exactly when its support is a minimal
+    dependent set of the basis's columns: each (k + 1)-subset of rank k gives
+    one, their cross product (``_cross``). There are ``C(m, r - 1)`` of them
+    over the m classes of parallel columns (every circuit holds a class in
+    one ratio, and is 0 on a zero column). One row is its own only circuit,
+    and two rows have one circuit per column, the one vanishing on it.
     """
-    certs = []
-    for row in rows:
-        wpos, wneg = _sign_masks(range(len(row)), row)
-        certs += [(wpos, wneg), (wneg, wpos)]
-    return certs
+    if len(rows) == 1:  # one subset, the empty one
+        pos, neg = _sign_masks(coords, rows[0])
+        if not pos | neg:
+            return []
+        return [(pos, neg), (neg, pos)]
+    found: dict[_Certificate, None] = {}
+    if len(rows) == 2 and len(coords) <= _CIRCUIT_SUBSETS:
+        # parallel rows give none, and take the general route
+        columns = list(zip(*rows))
+        for a0, a1 in columns:
+            pos, neg = _sign_masks(coords, [a0 * b1 - a1 * b0 for b0, b1 in columns])
+            if pos | neg:
+                found[pos, neg] = found[neg, pos] = None
+        if found:
+            return list(found)
+    classes: dict[tuple[int, ...], list[int]] = {}  # column -> [same ratio, opposite]
+    for j, column in zip(coords, zip(*rows)):
+        if any(column):
+            unit = _primitive(column)
+            flip = next(x for x in unit if x) < 0
+            members = classes.setdefault(tuple(-x for x in unit) if flip else tuple(unit), [0, 0])
+            members[flip] |= 1 << j
+    if not classes:  # no nonzero entry
+        return []
+    m = len(classes)
+    matrix = [list(row) for row in zip(*classes)]
+    kernel = _integer_nullspace(matrix)
+    rank = m - len(kernel)
+    if comb(m, rank - 1) > _CIRCUIT_SUBSETS:
+        return None
+    members = list(classes.values())
+
+    def add(entries: Iterable[tuple[int, int]]) -> None:
+        pos = neg = 0
+        for c, value in entries:
+            same, opposite = members[c]
+            if value > 0:
+                pos, neg = pos | same, neg | opposite
+            elif value < 0:
+                pos, neg = pos | opposite, neg | same
+        if pos | neg:
+            found[pos, neg] = found[neg, pos] = None
+
+    for subset in combinations(range(m), len(kernel) + 1):
+        add(zip(subset, _cross([[v[c] for c in subset] for v in kernel], len(subset))))
+    return list(found)
 
 
-# An independent block of an LP: its coordinates, their mask, its rows over
-# those coordinates, and the answers of ``_signed_point`` by sub-pattern.
-_Block = tuple[list[int], int, list[list[int]], dict[_Masks, _Part | _Certificate]]
-# Blocks shared by the searches of one ``m3cr`` call, keyed by their
-# coordinates and rows, which decide every answer a block holds.
+class _Block:
+    """An independent block of a side's rows: its coordinates, their mask, its
+    rows over them and ``_signed_point``'s answers by sub-pattern."""
+
+    __slots__ = ("coords", "mask", "rows", "answers", "_circuits")
+
+    def __init__(self, coords: list[int], rows: list[list[int]]) -> None:
+        self.coords = coords
+        self.mask = sum(1 << j for j in coords)
+        self.rows = rows
+        self.answers: dict[_Masks, _Part | None] = {}
+        self._circuits: list[_Certificate] | None | Literal[False] = False
+
+    def circuits(self) -> list[_Certificate] | None:
+        """``_circuits`` of the block, enumerated on first use."""
+        if self._circuits is False:
+            self._circuits = _circuits(self.coords, self.rows)
+        return self._circuits
+
+    def point(self, sub: _Masks) -> _Part | None:
+        """``_signed_point`` of the sub-pattern ``sub``, solved once."""
+        answers = self.answers
+        if sub not in answers:
+            answers[sub] = _signed_point(self.rows, self.coords, sub)
+        return answers[sub]
+
+
+# A parent's blocks, keyed by their coordinates and rows, which decide the rest.
 _Store = dict[tuple[tuple[int, ...], tuple[tuple[int, ...], ...]], _Block]
 
 
-def _blocks(rows: list[list[int]], supports: list[int], count: int, store: _Store) -> list[_Block]:
-    """The independent blocks of {rows . x = 0} over ``count`` coordinates.
-
-    ``supports`` holds the mask of each row's nonzero coordinates. The blocks
-    are the connected components of the graph that joins the coordinates of
-    each row (``_row_components``), so every row lies in the block of its
-    first nonzero coordinate and the LP is their direct sum. A coordinate in
-    no row is a block of its own, with no rows. A block that is already in
-    ``store`` under its coordinates and rows is returned with the answers it
-    holds, and a new one is added to it.
-    """
+def _blocks(rows: list[list[int]], count: int, store: _Store) -> list[_Block]:
+    """The independent blocks of {rows . x = 0} over ``count`` coordinates: the
+    components of the graph joining the coordinates of each row, a coordinate
+    in no row a block with no rows. A block already in ``store`` under its
+    coordinates and rows is returned with what it holds; a new one is added."""
+    supports = [sum(1 << j for j, entry in enumerate(row) if entry) for row in rows]
     components = _row_components(supports, count)
     block_of = {j: b for b, coords in enumerate(components) for j in coords}
     block_rows: list[list[list[int]]] = [[] for _ in components]
@@ -347,93 +348,88 @@ def _blocks(rows: list[list[int]], supports: list[int], count: int, store: _Stor
     for coords, lines in zip(components, block_rows):
         cut = [[row[j] for j in coords] for row in lines]
         key = (tuple(coords), tuple(map(tuple, cut)))
-        blocks.append(store.setdefault(key, (coords, sum(1 << j for j in coords), cut, {})))
+        if key not in store:
+            store[key] = _Block(coords, cut)
+        blocks.append(store[key])
     return blocks
 
 
 class _Side:
-    """The sign-pattern LPs of {rows . x = 0} over ``count`` coordinates.
+    """The sign patterns of {rows . x = 0} over ``count`` coordinates.
 
-    The search has one for alpha and one for sigma, and each cone
-    certificate asks one of its own. ``point`` takes the masks of a sign
-    pattern and answers with a masked point or None: the integer parts of
-    its nonzero blocks and its sign masks, which ``_assemble`` turns into a
-    vector; a pattern that wants no sign has the origin. A side keeps the
-    newest 64 certificates of its LPs, plus ``row_certs``, the certificates
-    of its own rows, which are never evicted. It splits its rows into
-    independent ``blocks``, taken from ``store``, and solves the LP of a
-    pattern block by block, each block's sub-pattern once, so its blocks'
-    answers are its only store of points. ``row_certs`` and ``blocks`` are
-    None until ``_build`` makes them, when a pattern first gets past the
-    carried point.
+    ``feasible(depth, masks)`` decides a child at ``depth`` of the search,
+    whose feasible parent differs from it only on ``changes[depth]``, by the
+    circuits that meet those and the LPs of the blocks over the circuit
+    bound that do; both lists are built for a depth when it is first asked.
+    ``point`` answers a pattern with a masked point, which ``_assemble``
+    turns into a vector, or None. The blocks come from ``store`` on first use.
     """
 
-    __slots__ = ("rows", "count", "store", "certs", "row_certs", "blocks")
+    __slots__ = ("rows", "count", "store", "changes", "checks", "blocks")
 
-    def __init__(self, rows: list[list[int]], count: int, store: _Store) -> None:
+    def __init__(
+        self, rows: list[list[int]], count: int, store: _Store, changes: Sequence[int] = ()
+    ) -> None:
         self.rows = rows
         self.count = count
         self.store = store
-        self.certs: deque[_Certificate] = deque(maxlen=64)
-        self.row_certs: list[_Certificate] | None = None
+        self.changes = changes
+        self.checks: list[tuple[list[_Certificate], list[_Block]] | None] = [None] * len(changes)
         self.blocks: list[_Block] | None = None
 
-    def _build(self) -> None:
-        self.row_certs = _row_certificates(self.rows)
-        # each row's certificate (wpos, wneg) comes first, so its support is wpos | wneg
-        supports = [wpos | wneg for wpos, wneg in self.row_certs[::2]]
-        self.blocks = _blocks(self.rows, supports, self.count, self.store)
+    def _build(self) -> list[_Block]:
+        if self.blocks is None:
+            self.blocks = _blocks(self.rows, self.count, self.store)
+        return self.blocks
+
+    def feasible(self, depth: int, masks: _Masks) -> bool:
+        """Whether a point has the signs ``masks`` wants; a pattern that wants
+        no sign has the origin."""
+        plus, minus, zero = masks
+        if not plus | minus:
+            return True
+        check = self.checks[depth]
+        if check is None:
+            change = self.changes[depth]
+            circuits, solved = [], []
+            for block in self._build():
+                if block.mask & change:
+                    found = block.circuits()
+                    if found is None:
+                        solved.append(block)
+                    else:
+                        circuits += [c for c in found if (c[0] | c[1]) & change]
+            check = self.checks[depth] = circuits, solved
+        circuits, solved = check
+        if _refuted(circuits, masks):
+            return False
+        for block in solved:
+            mask = block.mask
+            sub = (plus & mask, minus & mask, zero & mask)
+            if (sub[0] | sub[1]) and block.point(sub) is None:
+                return False
+        return True
 
     def point(self, masks: _Masks, carried: _Masked) -> _Masked | None:
-        """A point with the signs ``masks`` wants, or None.
-
-        A pattern that wants no sign has the origin, whatever is carried.
-        Otherwise the ``carried`` point answers if it conforms, then a row or
-        pooled certificate that refutes; only then is the LP solved, block
-        by block, and its certificate pooled.
-        """
-        want_pos, want_neg, want_zero = masks
-        if not want_pos | want_neg:
+        """A point with the signs ``masks`` wants, or None: the origin for a
+        pattern that wants no sign, ``carried`` if it conforms, else the
+        points of the blocks' LPs side by side (0 where nothing is wanted)."""
+        plus, minus, zero = masks
+        if not plus | minus:
             return _ORIGIN
         _, pos, neg = carried
-        if (want_pos & pos == want_pos and want_neg & neg == want_neg
-                and not want_zero & (pos | neg)):
+        if plus & pos == plus and minus & neg == minus and not zero & (pos | neg):
             return carried
-        if self.row_certs is None:
-            self._build()
-        if _refuted(self.row_certs, masks) or _refuted(self.certs, masks):
-            return None
-        solved = self._solve(masks)
-        if len(solved) == 2:  # a certificate
-            self.certs.append(solved)
-            return None
-        return solved
-
-    def _solve(self, masks: _Masks) -> _Masked | _Certificate:
-        """``_signed_point`` of the whole LP, put together from its blocks.
-
-        A pivot touches only its own block's rows and reduced costs, so under
-        Bland's rule each block pivots as it would alone: the point is the
-        blocks' points side by side, and the LP is infeasible when a block
-        is. The first infeasible block's certificate is zero off the block,
-        so it refutes ``masks``. A block whose sub-pattern wants no sign has
-        the point 0 and is skipped; the point is the list of the nonzero
-        blocks' integer parts with their masks, and no vector is built.
-        Only ``point`` calls it, after ``_build``.
-        """
-        plus, minus, zero = masks
         wanted = plus | minus | zero
         parts = []
         pos = neg = 0
-        for coords, mask, rows, solved in self.blocks:
+        for block in self._build():
+            mask = block.mask
             if not wanted & mask:
                 continue
-            sub = (plus & mask, minus & mask, zero & mask)
-            answer = solved.get(sub)
+            answer = block.point((plus & mask, minus & mask, zero & mask))
             if answer is None:
-                answer = solved[sub] = _signed_point(rows, coords, sub)
-            if len(answer) == 2:  # a certificate
-                return answer
+                return None
             if answer[3] | answer[4]:
                 parts.append(answer)
                 pos |= answer[3]
@@ -448,18 +444,13 @@ class _BudgetExhausted(Exception):
 class _WitnessSearch:
     """The sign search of one network, built by ``_Parent``.
 
-    A partial sigma pattern is one immutable value, the species masks
-    ``(plus, minus, zero)`` of the signs assigned so far, passed down the
-    recursion. ``reactant_of`` holds the mask of the reactions each species
-    is a reactant of, and ``after[d]`` the reactions with a reactant among
-    the species ``order[d:]``, so the reactions a pattern forces (pure +,
-    pure -, all zero) follow from three mask operations (``_descend``).
-
-    Each side, ``alpha`` over reactions with the rows of N and ``sigma``
-    over species with a basis of its left nullspace, is a ``_Side``: it
-    answers a pattern from the point carried down from the parent node, its
-    row certificates and its pooled certificates before it solves an LP,
-    block by block, with its blocks taken from ``store``.
+    ``reactant_of`` holds the mask of the reactions each species is a
+    reactant of, and ``after[d]`` the reactions with a reactant among the
+    species ``order[d:]``, so the reactions a pattern forces (pure +, pure -,
+    all zero) take three mask operations (``_descend``). A child at depth d
+    signs the species ``order[d]`` (``sigma``) and decides the reactions
+    ``after[d] & ~after[d + 1]`` (``alpha``); a reaction with no reactant is
+    forced to 0 everywhere, and a circuit within those refutes nothing.
     """
 
     def __init__(
@@ -478,11 +469,6 @@ class _WitnessSearch:
         self.nodes = 0
         self.reaction_count = len(columns)
         self.species_count = len(reactant_of)
-        self.alpha = _Side(alpha_rows, self.reaction_count, store)
-        # the pivot reactions span the image, so their left nullspace is N's
-        self.sigma = _Side(
-            _integer_nullspace([columns[r] for r in pivots]), self.species_count, store
-        )
         self.reactant_of = reactant_of
         self.order = sorted(
             (i for i in range(self.species_count) if reactant_of[i]),
@@ -493,8 +479,11 @@ class _WitnessSearch:
         for d in reversed(range(len(self.order))):
             self.after[d] = self.after[d + 1] | reactant_of[self.order[d]]
         self.all_reactions = (1 << self.reaction_count) - 1
-
-    # -- search --------------------------------------------------------------
+        decided = [self.after[d] & ~self.after[d + 1] for d in range(len(self.order))]
+        self.alpha = _Side(alpha_rows, self.reaction_count, store, decided)
+        # the pivot reactions span the image, so their left nullspace is N's
+        sigma_rows = _integer_nullspace([columns[r] for r in pivots])
+        self.sigma = _Side(sigma_rows, self.species_count, store, [1 << i for i in self.order])
 
     def _off_support_sigma(self) -> list[Fraction] | None:
         """A nonzero image vector vanishing on every reactant support, or None.
@@ -513,24 +502,16 @@ class _WitnessSearch:
         values = dict(zip(free, basis[0]))
         return [Fraction(values.get(i, 0)) for i in range(self.species_count)]
 
-    def _descend(
-        self, depth: int, masks: _Masks, touched: tuple[int, int], alpha: _Masked, sigma: _Masked
-    ) -> SignWitness | None:
-        """Search below ``masks``; ``touched`` holds the masks of the reactions
-        with a reactant signed + and with one signed -. The alpha side weighs
-        each child's forced reaction masks, then the sigma side its masks; a
-        point carried from here whose signs still conform proves it feasible
-        with no LP, since both cones are closed under positive scaling."""
+    def _descend(self, depth: int, masks: _Masks, touched: tuple[int, int]) -> _Masks | None:
+        """The first complete pattern of a witness below ``masks``, or None;
+        ``touched`` holds the masks of the reactions with a reactant signed +
+        and with one signed -."""
         self.nodes += 1
         if self.nodes > self.node_budget:
             raise _BudgetExhausted
         plus, minus, zero = masks
         if depth == len(self.order):
-            if not plus | minus:
-                return None
-            return SignWitness(
-                _assemble(alpha[0], self.reaction_count), _assemble(sigma[0], self.species_count)
-            )
+            return masks if plus | minus else None
         species = self.order[depth]
         bit, reactions = 1 << species, self.reactant_of[species]
         touched_plus, touched_minus = touched
@@ -544,29 +525,48 @@ class _WitnessSearch:
         after = self.after[depth + 1]
         for child, p, m in children:
             forced = (p & ~(m | after), m & ~(p | after), self.all_reactions & ~(p | m | after))
-            alpha_point = self.alpha.point(forced, alpha)
-            if alpha_point is None:
-                continue
-            sigma_point = self.sigma.point(child, sigma)
-            if sigma_point is None:
-                continue
-            witness = self._descend(depth + 1, child, (p, m), alpha_point, sigma_point)
-            if witness is not None:
-                return witness
+            if self.alpha.feasible(depth, forced) and self.sigma.feasible(depth, child):
+                leaf = self._descend(depth + 1, child, (p, m))
+                if leaf is not None:
+                    return leaf
         return None
 
-    def run(self) -> ConcordanceVerdict:
+    def _witness(self, leaf: _Masks) -> SignWitness:
+        """The witness of the complete pattern ``leaf``: each node on its path
+        takes its parent's point where it conforms, else its own LP's, as a
+        search that carried points would."""
+        plus, minus, zero = leaf
+        signed = p = m = 0
+        alpha = sigma = _ORIGIN
+        for depth, species in enumerate(self.order):
+            signed |= 1 << species
+            if plus >> species & 1:
+                p |= self.reactant_of[species]
+            elif minus >> species & 1:
+                m |= self.reactant_of[species]
+            after = self.after[depth + 1]
+            forced = (p & ~(m | after), m & ~(p | after), self.all_reactions & ~(p | m | after))
+            alpha = self.alpha.point(forced, alpha)
+            sigma = self.sigma.point((plus & signed, minus & signed, zero & signed), sigma)
+        return SignWitness(
+            _assemble(alpha[0], self.reaction_count), _assemble(sigma[0], self.species_count)
+        )
+
+    def run(self, witness: bool = True) -> ConcordanceVerdict:
+        """The verdict; a ``Discordant`` one found by the search carries its
+        witness only when ``witness`` asks for it."""
         free_sigma = self._off_support_sigma()
         if free_sigma is not None:
-            witness = SignWitness((_ZERO,) * self.reaction_count, tuple(free_sigma))
-            return ConcordanceVerdict("Discordant", witness, self.nodes)
+            found = SignWitness((_ZERO,) * self.reaction_count, tuple(free_sigma))
+            return ConcordanceVerdict("Discordant", found, self.nodes)
         try:
-            witness = self._descend(0, (0, 0, 0), (0, 0), _ORIGIN, _ORIGIN)
+            leaf = self._descend(0, (0, 0, 0), (0, 0))
         except _BudgetExhausted:
             return ConcordanceVerdict("Unknown", None, self.nodes)
-        if witness is not None:
-            return ConcordanceVerdict("Discordant", witness, self.nodes)
-        return ConcordanceVerdict("Concordant", None, self.nodes)
+        if leaf is None:
+            return ConcordanceVerdict("Concordant", None, self.nodes)
+        found = self._witness(leaf) if witness else None
+        return ConcordanceVerdict("Discordant", found, self.nodes)
 
 
 class _Parent:
@@ -575,15 +575,10 @@ class _Parent:
     The network's reaction vectors, its primitive RREF rows and their pivot
     columns, and one ``store`` from which all its searches take their blocks.
     ``whole`` builds the search of the network itself, in its own species
-    order, from these arrays as they are. ``search`` builds that of
-    ``subnetwork(net, key)`` with no subnetwork: the set's species are those
-    its reactions name, in order of first appearance, its reaction vectors
-    are the parent's cut to them, and its alpha rows are ``_eliminate`` of
-    the parent's RREF rows cut to the set's reactions. The set's row space
-    is the parent's projected onto those coordinates, and the primitive RREF
-    depends only on the row space, so they are the rows the subnetwork's own
-    elimination gives. The species of each reaction, and its reactants,
-    which only ``search`` reads, are listed by its first call.
+    order. ``search`` builds that of ``subnetwork(net, key)`` with no
+    subnetwork: its species in order of first appearance, the parent's
+    vectors cut to them, and ``_eliminate`` of the parent's RREF rows cut to
+    its reactions, the rows the subnetwork's own elimination gives.
     """
 
     __slots__ = ("net", "columns", "rows", "pivots", "store", "species_of", "reactants")
@@ -732,15 +727,11 @@ def m3cr(
 
     Each reaction set is searched once per call, however often the passes
     meet it; ``search_nodes`` still adds a verdict's nodes at every use. The
-    searches of one call share their set-up (``_Parent``): each is built
-    from the parent's reaction vectors and RREF rows, with no subnetwork,
-    and all take their LP blocks from one store keyed by a block's
-    coordinates and rows. A block's answers depend on nothing else, so
-    every verdict and node count is that of a search built afresh. The
-    store has no bound within a call: it keeps every block of every search,
-    with all the answers solved for it, until the call returns. On
-    ``m3cr(maclean, shared with fal)`` (12,654 nodes) that is a traced peak
-    of 2.1 MB instead of 0.34 MB.
+    searches share one ``_Parent``, so one set-up and one store of blocks and
+    their circuits, and none builds a witness, so none solves an LP unless a
+    block is over the circuit bound. The store keeps every block until the
+    call returns: a traced peak of 0.33 MB on ``m3cr(maclean, shared with
+    fal)`` (12,654 nodes).
     """
     _check_budget(node_budget)
     parent = _Parent(net)
@@ -749,7 +740,7 @@ def m3cr(
     def verdict_of(indices: list[int]) -> ConcordanceVerdict:
         key = tuple(sorted(indices))
         if key not in verdicts:
-            verdicts[key] = parent.search(key, node_budget).run()
+            verdicts[key] = parent.search(key, node_budget).run(witness=False)
         return verdicts[key]
 
     base = sorted(set(_reaction_indices(net, mandatory)))

@@ -165,12 +165,7 @@ def _integer_nullspace(rows: Sequence[Sequence[int]]) -> list[list[int]]:
     return [vec for _, vec in _nullspace(rows)]
 
 
-def lp_feasible(
-    a_eq: Sequence[Sequence[int]],
-    b_eq: Sequence[int],
-    *,
-    farkas: list[int] | None = None,
-) -> tuple[list[int], int] | None:
+def lp_feasible(a_eq: Sequence[Sequence[int]], b_eq: Sequence[int]) -> tuple[list[int], int] | None:
     """Find ``u >= 0`` with ``A u = b``, or None if the system is infeasible.
 
     Phase-1 simplex with Bland's rule, so termination is guaranteed and
@@ -182,12 +177,6 @@ def lp_feasible(
     scales ``[A | b]`` by one common denominator first (as the tests'
     ``oracles.fraction_lp`` does), since scaling rows apart would reweight
     the artificials in the phase-1 objective.
-
-    When the system is infeasible and ``farkas`` is a list, the list is
-    filled with a primitive integer Farkas vector ``y``: ``yᵀA <= 0`` and
-    ``yᵀb > 0`` hold exactly for the caller's ``A`` and ``b``: the phase-1
-    duals ``c_B B⁻¹``, with the sign of each row the kernel negated to make
-    ``b_i >= 0`` put back. A feasible system leaves ``farkas`` as it was.
 
     Raises:
         ValueError: if ``A`` is ragged or ``b`` does not have one entry per
@@ -242,16 +231,9 @@ def lp_feasible(
         _reduce(tableau, leaving, entering)
         basis[leaving] = entering
 
-    # Row r is p_r = row[basis[r]] > 0 times its row of B⁻¹[A | I | b], so
-    # the LP is infeasible exactly when a basic artificial's row has b != 0.
-    artificial = [(row, row[var]) for row, var in zip(tableau, basis) if var >= ncols]
-    if any(row[-1] for row, _ in artificial):
-        if farkas is not None:
-            # c_B B⁻¹ sums the I blocks of those rows, each over its p_r: its
-            # reduced costs -c_B B⁻¹ A_j are >= 0 and c_B B⁻¹ b > 0 at the optimum.
-            scale = lcm(*[p for _, p in artificial])
-            y = [sum(row[ncols + i] * (scale // p) for row, p in artificial) for i in range(nrows)]
-            farkas[:] = _primitive([-v if rhs < 0 else v for v, rhs in zip(y, b_eq)])
+    # Row r is a positive multiple of its row of B⁻¹[A | I | b], so the LP
+    # is infeasible exactly when a basic artificial's row has b != 0.
+    if any(row[-1] for row, var in zip(tableau, basis) if var >= ncols):
         return None
     basic = [(i, var) for i, var in enumerate(basis) if var < ncols]
     # a list: CPython's tuple free lists hoard the resized tuple of a generator

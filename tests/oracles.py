@@ -10,8 +10,8 @@ the golden files depend on which witness comes back (``test_linalg.py``).
 Fractions or floats, or compare its point with Fractions: the library's
 kernel takes integer rows and returns ``(u, denom)``. The adapter scales
 ``[A | b]`` by one common denominator with ``integer_system``, which changes
-no pivot, passes ``farkas`` through and returns ``u / denom`` as
-``Fraction``s, the library's former output. ``signed_point`` (below) and
+no pivot, hands a ``farkas`` list to ``farkas_lp`` (below) instead, and
+returns ``u / denom`` as ``Fraction``s, the library's former output. ``signed_point`` (below) and
 the brute-force concordance oracle in ``test_concord.py`` call it too.
 ``_eliminate`` and ``_integer_nullspace`` take integers as well; the tests
 hand them rational and float matrices through ``_integer_rows``.
@@ -34,8 +34,8 @@ of its true row, divides a row by its gcd after a pivot other than 1, and
 leaves a row with a zero in the pivot column alone. ``rref``, ``rank``,
 ``nullspace_basis`` and ``_integer_nullspace`` must return what the
 elimination oracles return, repr for repr; ``lp_feasible`` must return
-``bareiss_lp``'s point, as Fractions, and the primitive form of its Farkas
-vector (``test_linalg.py``).
+``bareiss_lp``'s point, as Fractions, and ``farkas_lp`` (below) the
+primitive form of its Farkas vector (``test_linalg.py``).
 
 ``search_rows`` is the witness search's former set-up: reaction vectors
 read by ``coefficient_reaction_vectors`` (one ``Complex.coefficient`` scan
@@ -106,12 +106,12 @@ reaction signs, or the list of infeasible alpha patterns a pattern refines,
 and otherwise solves an LP; it counts its solves. Like the library's, it
 keeps no pool of earlier points, so a pattern the carried point does not
 fit gets the point of its own LP (the library's from its blocks' answers,
-which are that LP's point). The library's search pools the certificates of
-its infeasible LPs instead and skips every LP a pooled certificate refutes;
-it must return the same verdict, witness and ``search_nodes`` with no more
-solves, and every pattern a certificate refutes must re-solve infeasible
-with this module's ``signed_point`` (``test_concord.py``,
-``test_acceptance.py``). It takes its LP rows from ``search_rows``.
+which are that LP's point). The library's search decides patterns by
+circuits and solves LPs only to rebuild a witness; it must return the same
+verdict, witness and ``search_nodes`` with no more solves, and a pattern
+must re-solve infeasible with this module's ``signed_point`` exactly when
+its circuits refute it (``test_concord.py``, ``test_acceptance.py``). It
+takes its LP rows from ``search_rows``.
 
 ``masked`` is the search's former point: a ``Fraction`` list with the
 masks of its signs, read off the numerators. ``CertificateFreeSearch``
@@ -122,16 +122,17 @@ of the oracle's point, repr for repr (``test_concord.py``).
 
 ``signed_point`` takes a per-coordinate sign list (``1``, ``-1``, ``0`` or
 ``None``) and returns a bare point or None, with the Farkas vector of
-``lp_feasible`` on request. ``_signs`` is its sign-list adapter, moved
+``farkas_lp`` on request. ``_signs`` is its sign-list adapter, moved
 here unchanged from the library when its search came to describe a pattern
 by masks all the way down to the LP: it turns the masks
 ``(plus, minus, zero)`` into a sign list. The library's ``_signed_point``
 builds the same LP straight from the masks and returns the masked point or
-a certificate; it must agree with ``signed_point`` on feasibility and on
-the point (``test_concord.py``). It answers a one-row LP in closed form,
-without ``lp_feasible``; on every integer row of 1-3 entries in -2..2 and
-every sign wish it must return the oracle's point, or the masks of
-``-yᵀ row`` for the oracle's Farkas vector ``y`` (``test_concord.py``).
+None; it must agree with ``signed_point`` on feasibility and on the point
+(``test_concord.py``). It answers a one-row LP in closed form, without
+``lp_feasible``; on every integer row of 1-3 entries in -2..2 and every
+sign wish it must return the oracle's point, and ``signed_answer`` the
+masks of ``-yᵀ row`` for the oracle's Farkas vector ``y``
+(``test_concord.py``).
 
 ``off_support_sigma`` is the search's original first step, which looks for
 a sigma that vanishes on every reactant species by one elimination, even
@@ -139,28 +140,53 @@ when every species is a reactant and only 0 can. The library's returns None
 at once then; both must give the same vector, or None (``test_concord.py``).
 ``CertificateFreeSearch`` uses it too.
 
-``WholeSide`` is the search's ``_Side`` as it was before it split its LP
-along the independent blocks of its rows: it solves each pattern as one LP
-over all its coordinates. The library's side solves each block apart, once
-per sub-pattern; its points must be those of ``signed_point``, and the
-search must return the same verdict, witness and ``search_nodes`` with
-either side (``test_concord.py``).
+Before the library's search decided sign patterns by circuits, it answered
+a pattern from the carried point, then from the certificates of its own
+rows (``row_certificates``) and of its newest 64 LPs, and only then solved
+the LP, pooling the certificate of an infeasible one. ``signed_answer`` is
+its former ``_signed_point``, which returned that certificate, the masks of
+``w = -yᵀ rows`` for the Farkas vector ``y``, checked to refute the
+pattern; ``farkas_lp`` is the library's former ``lp_feasible``, which read
+``y`` off its final tableau as the phase-1 duals (sums of the basic
+artificials' rows over their pivots). A pattern a row certificate refutes
+must have no point, and a circuit must refute it (``test_concord.py``).
+The Farkas tests of ``test_linalg.py`` run against ``farkas_lp``, whose
+point must be the library kernel's. ``certificate_free_verdict`` is
+``check_concordance`` by ``CertificateFreeSearch``: the library's search
+must return its verdict, witness and ``search_nodes`` on random networks,
+fixture subsets and the fixtures, also with every block of two or more
+rows over the circuit bound, and ``m3cr`` with it as the check must give
+the library's reports (``test_concord.py``).
+
+``WholeSide`` is the library's ``_Side`` before it split its rows into
+independent blocks: one block over all its coordinates, so with the
+circuit bound at 0 each pattern is one LP over the whole system. The
+library's search must return the same verdict, witness and
+``search_nodes`` as its search with this side (``test_concord.py``).
+
+``plain_circuits`` enumerates the circuits of a row space with no shortcut:
+every ``(r - 1)``-subset of the columns of a ``Fraction`` RREF basis whose
+orthogonal ``y`` is unique up to scale gives ``yᵀ R``. The library's
+``_circuits`` enumerates one column per class of parallel columns, by
+cross products over a kernel basis, and must find the same masks
+(``test_concord.py``).
 
 ``positive_point`` is the library's former cone route: one
-``_signed_point`` over the whole system, with no row certificates and no
-block split. The library's ``is_positive_dependent`` and
-``is_conservative`` ask a ``_Side`` instead; both must return the same
-``holds`` and the same vector, repr for repr (``test_concord.py``).
+``_signed_point`` over the whole system, with no block split. The library's
+``is_positive_dependent`` and ``is_conservative`` ask a ``_Side`` instead;
+both must return the same ``holds`` and the same vector, repr for repr
+(``test_concord.py``).
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from collections import Counter
+from itertools import combinations
 
 from crnkit import linalg
 from crnkit.concord import (
@@ -173,16 +199,18 @@ from crnkit.concord import (
     _Block,
     _BudgetExhausted,
     _Certificate,
-    _Masked,
     _Masks,
+    _Part,
     _reaction_indices,
+    _refuted,
     _Side,
+    _sign_masks,
     _signed_point,
     check_concordance,
 )
 from crnkit.core import Network, Reaction, _complexes, reaction_vectors, subnetwork
 from crnkit.decomp import Decomposition
-from crnkit.linalg import _integer_rows
+from crnkit.linalg import _integer_rows, _primitive
 from crnkit.structure import _components
 from crnkit.transform import KineticSystem
 
@@ -877,10 +905,12 @@ def m3cr(
     net: Network,
     mandatory: Iterable[Reaction | str],
     node_budget: int = DEFAULT_NODE_BUDGET,
+    check=check_concordance,
 ) -> M3crReport:
-    """Grow a maximal concordant container of the mandatory reactions."""
+    """Grow a maximal concordant container of the mandatory reactions, with
+    ``check(subnetwork, node_budget)`` deciding each reaction set."""
     base = sorted(set(_reaction_indices(net, mandatory)))
-    base_verdict = check_concordance(subnetwork(net, base), node_budget)
+    base_verdict = check(subnetwork(net, base), node_budget)
     if base_verdict.status == "Discordant":
         raise ValueError("mandatory reaction set generates a discordant subnetwork")
     if base_verdict.status == "Unknown":
@@ -899,9 +929,7 @@ def m3cr(
             leftovers: list[int] = []
             hit_budget = False
             for cand in pending:
-                verdict = check_concordance(
-                    subnetwork(net, sorted(kept + [cand])), node_budget
-                )
+                verdict = check(subnetwork(net, sorted(kept + [cand])), node_budget)
                 total_nodes += verdict.search_nodes
                 if verdict.status == "Concordant":
                     kept.append(cand)
@@ -943,13 +971,93 @@ def fraction_lp(
     """``linalg.lp_feasible`` for entries of any type, with a ``Fraction`` point.
 
     ``(A, b)`` goes in through ``integer_system``, and ``(u, denom)`` is read
-    back as ``u / denom``; ``farkas`` is passed through.
+    back as ``u / denom``. With ``farkas``, ``farkas_lp`` solves it instead
+    and fills the list.
     """
-    solution = linalg.lp_feasible(*integer_system(a_eq, b_eq), farkas=farkas)
+    a_int, b_int = integer_system(a_eq, b_eq)
+    if farkas is None:
+        solution = linalg.lp_feasible(a_int, b_int)
+    else:
+        solution = farkas_lp(a_int, b_int, farkas=farkas)
     if solution is None:
         return None
     u, denom = solution
     return [Fraction(x, denom) for x in u]
+
+
+def farkas_lp(
+    a_eq: Sequence[Sequence[int]],
+    b_eq: Sequence[int],
+    *,
+    farkas: list[int] | None = None,
+) -> tuple[list[int], int] | None:
+    """``linalg.lp_feasible`` as it was when it also returned a Farkas vector.
+
+    The same phase-1 simplex on ``[A | I | b]`` with ``linalg._reduce`` steps,
+    so its point is the library's. When the system is infeasible and
+    ``farkas`` is a list, the list is filled with a primitive integer Farkas
+    vector ``y``: ``yᵀA <= 0`` and ``yᵀb > 0`` hold exactly for the caller's
+    ``A`` and ``b``. It is the phase-1 duals ``c_B B⁻¹``, with the sign of
+    each row the kernel negated to make ``b_i >= 0`` put back. A feasible
+    system leaves ``farkas`` as it was.
+    """
+    nrows = len(a_eq)
+    if len(b_eq) != nrows:
+        raise ValueError(f"b_eq has {len(b_eq)} entries for {nrows} rows of a_eq")
+    if nrows == 0:
+        return [], 1
+    ncols = len(a_eq[0])
+    width = ncols + nrows
+    tableau: list[Sequence[int]] = []
+    for i, (row, rhs) in enumerate(zip(a_eq, b_eq)):
+        if len(row) != ncols:
+            raise ValueError("ragged matrix")
+        line = ([-x for x in row] if rhs < 0 else list(row)) + [0] * nrows + [abs(rhs)]
+        line[ncols + i] = 1
+        tableau.append(line)
+    obj = [-sum(column) for column in zip(*tableau)]
+    obj[ncols:width] = [0] * nrows
+    tableau.append(obj)
+    basis = list(range(ncols, width))
+    while True:
+        obj = tableau[nrows]
+        for entering in range(width):
+            if obj[entering] < 0:
+                break
+        else:
+            break
+        leaving = None
+        for i in range(nrows):
+            coef = tableau[i][entering]
+            if coef > 0:
+                if leaving is None:
+                    leaving = i
+                    continue
+                lhs = tableau[i][-1] * tableau[leaving][entering]
+                rhs = tableau[leaving][-1] * coef
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
+                    leaving = i
+        if leaving is None:  # pragma: no cover - phase-1 objective is bounded
+            raise RuntimeError("unbounded phase-1 LP")
+        linalg._reduce(tableau, leaving, entering)
+        basis[leaving] = entering
+    # Row r is p_r = row[basis[r]] > 0 times its row of B⁻¹[A | I | b], so
+    # the LP is infeasible exactly when a basic artificial's row has b != 0.
+    artificial = [(row, row[var]) for row, var in zip(tableau, basis) if var >= ncols]
+    if any(row[-1] for row, _ in artificial):
+        if farkas is not None:
+            # c_B B⁻¹ sums the I blocks of those rows, each over its p_r: its
+            # reduced costs -c_B B⁻¹ A_j are >= 0 and c_B B⁻¹ b > 0 at the optimum.
+            scale = lcm(*[p for _, p in artificial])
+            y = [sum(row[ncols + i] * (scale // p) for row, p in artificial) for i in range(nrows)]
+            farkas[:] = _primitive([-v if rhs < 0 else v for v, rhs in zip(y, b_eq)])
+        return None
+    basic = [(i, var) for i, var in enumerate(basis) if var < ncols]
+    denom = lcm(*[tableau[i][var] for i, var in basic])
+    u = [0] * ncols
+    for i, var in basic:
+        u[var] = tableau[i][-1] * (denom // tableau[i][var])
+    return u, denom
 
 
 _ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
@@ -1186,7 +1294,13 @@ def search_rows(net: Network) -> tuple[list[list[int]], list[list[int]]]:
     )
 
 
-def row_blocks(rows: list[list[int]], count: int) -> list[_Block]:
+# An independent block as the search kept one before its blocks became
+# ``concord._Block``: its coordinates, their mask, its rows over them and
+# its answers by sub-pattern.
+_RowBlock = tuple[list[int], int, list[list[int]], dict]
+
+
+def row_blocks(rows: list[list[int]], count: int) -> list[_RowBlock]:
     """The independent blocks of ``rows``, split by scanning each row."""
     supports = [[j for j, entry in enumerate(row) if entry] for row in rows]
     components = _components(count, ((s[0], j) for s in supports for j in s[1:]))
@@ -1202,22 +1316,95 @@ def row_blocks(rows: list[list[int]], count: int) -> list[_Block]:
     ]
 
 
+def row_certificates(rows: list[list[int]]) -> list[_Certificate]:
+    """The masks of every row ``w`` of an LP and of ``-w``, both of its row space."""
+    certs = []
+    for row in rows:
+        wpos, wneg = _sign_masks(range(len(row)), row)
+        certs += [(wpos, wneg), (wneg, wpos)]
+    return certs
+
+
+def signed_answer(
+    rows: Sequence[Sequence[int]], coords: Sequence[int], masks: _Masks
+) -> _Part | _Certificate:
+    """``concord._signed_point``, or the certificate ``(wpos, wneg)`` it used to
+    return when there is no point: the masks of ``w = -yᵀ rows`` for the
+    Farkas vector ``y`` of ``farkas_lp`` (for one row, ``y = [s]``, ``s`` the
+    sign of the right-hand side), checked with ``_refuted`` to refute
+    ``masks`` before it is returned."""
+    point = _signed_point(rows, coords, masks)
+    if point is not None:
+        return point
+    plus, minus, zero = masks
+    signs = [1 if plus >> j & 1 else -1 if minus >> j & 1 else 0 for j in coords]
+    if len(rows) == 1:
+        b = -sum(entry * sign for entry, sign in zip(rows[0], signs))
+        w = [(-1 if b > 0 else 1) * entry for entry in rows[0]]
+    else:
+        variables = [
+            (k, direction)
+            for k, j in enumerate(coords)
+            if not zero >> j & 1
+            for direction, blocked in ((1, minus), (-1, plus))
+            if not blocked >> j & 1
+        ]
+        a_eq = [[direction * row[k] for k, direction in variables] for row in rows]
+        farkas: list[int] = []
+        if farkas_lp(a_eq, [-sum(line) for line in a_eq], farkas=farkas) is not None:
+            raise RuntimeError("the LP kernels disagree on feasibility")
+        w = [-sum(y * row[k] for y, row in zip(farkas, rows)) for k in range(len(coords))]
+    answer = _sign_masks(coords, w)
+    if not _refuted([answer], masks):
+        raise RuntimeError("the phase-1 duals do not refute the sign pattern")
+    return answer
+
+
 class WholeSide(_Side):
-    """``_Side`` with each pattern solved as one LP over all its coordinates."""
+    """``_Side`` with its rows as one block over all its coordinates, so a
+    pattern is decided by that block's circuits, or its LP over the bound,
+    and a point is one LP over the whole system."""
 
     __slots__ = ()
 
-    def _solve(self, masks: _Masks) -> _Masked | _Certificate:
-        answer = _signed_point(self.rows, range(self.count), masks)
-        if len(answer) == 2:  # a certificate
-            return answer
-        return [answer], answer[3], answer[4]
+    def _build(self) -> list[_Block]:
+        if self.blocks is None:
+            self.blocks = [_Block(list(range(self.count)), self.rows)]
+        return self.blocks
+
+
+def certificate_free_verdict(
+    net: Network, node_budget: int = DEFAULT_NODE_BUDGET
+) -> ConcordanceVerdict:
+    """``check_concordance`` by ``CertificateFreeSearch``."""
+    return CertificateFreeSearch(net, node_budget).run()
+
+
+def plain_circuits(rows: Sequence[Sequence[int]]) -> set[_Certificate]:
+    """The masks of the circuits of the row space of ``rows`` and of their
+    negations, by the plain enumeration: every ``(r - 1)``-subset of the
+    columns whose ``y`` with ``yᵀ R`` zero on it is unique up to scale gives
+    ``yᵀ R``, for the Fraction RREF basis ``R`` of rank r."""
+    reduced, pivots = rref(rows) if rows else ([], [])
+    basis = reduced[: len(pivots)]
+    rank, count = len(basis), len(rows[0]) if rows else 0
+    found: set[_Certificate] = set()
+    if not rank:
+        return found
+    for subset in combinations(range(count), rank - 1):
+        constraints = [[row[c] for row in basis] for c in subset]
+        ys = nullspace_basis(constraints) if constraints else [[_ONE]] * (rank == 1)
+        if len(ys) == 1:
+            w = [sum(y * row[c] for y, row in zip(ys[0], basis)) for c in range(count)]
+            wpos, wneg = masked(w)[1:]
+            found |= {(wpos, wneg), (wneg, wpos)}
+    return found
 
 
 def positive_point(rows: Sequence[Sequence[int]], count: int) -> ConeCertificate:
     """Whether {rows . x = 0} has a point with every coordinate >= 1, from one
     ``_signed_point`` over the whole system, and that point."""
     point = _signed_point(rows, range(count), ((1 << count) - 1, 0, 0))
-    if len(point) == 2:  # a certificate
+    if point is None:
         return ConeCertificate(False, None)
     return ConeCertificate(True, _assemble([point], count))

@@ -24,7 +24,6 @@ from crnkit import fixtures
 from crnkit.cli import main as cli_main
 from crnkit.concord import (
     _Side,
-    _refuted,
     check_concordance,
     is_conservative,
     is_positive_dependent,
@@ -332,23 +331,22 @@ def test_concordance_verdict_and_certificate(factory, expected):
     ids=[case[0] for case in CONCORDANCE_CASES],
 )
 def test_every_pattern_a_certificate_refutes_is_infeasible(factory, monkeypatch):
-    # every (rows, pattern) a row or pooled certificate refutes during the
-    # search, re-solved with the certificate-free LP set-up of the oracle
-    refuted = set()
-    point = _Side.point
+    # every (rows, pattern) a side decides during the search, re-solved with
+    # the LP set-up of the oracle: the circuits refute exactly the patterns
+    # it finds infeasible, and let every feasible one through
+    decided = {}
+    feasible = _Side.feasible
 
-    def recording(side, masks, carried):
-        if side.row_certs is None:
-            side._build()
-        if _refuted(side.row_certs, masks) or _refuted(side.certs, masks):
-            refuted.add((tuple(map(tuple, side.rows)), side.count, masks))
-        return point(side, masks, carried)
+    def recording(side, depth, masks):
+        answer = feasible(side, depth, masks)
+        decided[tuple(map(tuple, side.rows)), side.count, masks] = answer
+        return answer
 
-    monkeypatch.setattr(_Side, "point", recording)
+    monkeypatch.setattr(_Side, "feasible", recording)
     check_concordance(factory())
-    assert refuted
-    for rows, count, masks in refuted:
-        assert oracles.signed_point(rows, _signs(count, masks)) is None
+    assert False in decided.values()
+    for (rows, count, masks), answer in decided.items():
+        assert (oracles.signed_point(rows, _signs(count, masks)) is not None) == answer
 
 
 def test_positive_dependence_and_nonconservativity_of_the_four_models():

@@ -75,6 +75,26 @@ def test_json_output_matches_golden_file_byte_for_byte(name, capsys, monkeypatch
     assert report["command"] == argv[0]
 
 
+# The two `compare m3cr` fixture reports, frozen before the search decided
+# patterns by circuits. They stay out of GOLDEN_RUNS, whose commands the
+# benchmark's cli-reports workload runs cold, since each takes 0.1-0.5 s.
+M3CR_FIXTURE_RUNS = {
+    "m3cr_fal_maclean.txt": ("compare", "m3cr", "fixture:fal", "fixture:maclean"),
+    "m3cr_schmitz-augmented_maclean.txt": (
+        "compare", "m3cr", "fixture:schmitz-augmented", "fixture:maclean",
+    ),
+}
+
+
+@pytest.mark.parametrize("mode", [(), ("--json",)])
+@pytest.mark.parametrize("name", sorted(M3CR_FIXTURE_RUNS))
+def test_m3cr_fixture_reports_match_their_golden_files(name, mode, capsys):
+    code, out, err = run(capsys, *M3CR_FIXTURE_RUNS[name], *mode)
+    assert (code, err) == (0, "")
+    golden = name.replace(".txt", ".json") if mode else name
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
 def test_json_output_is_stable_across_runs(capsys):
     first = run(capsys, "equilibria", "fal", "--samples", "25", "--seed", "3", "--json")
     second = run(capsys, "equilibria", "fal", "--samples", "25", "--seed", "3", "--json")
@@ -364,6 +384,32 @@ def test_console_entry_point_runs_in_a_subprocess():
     )
     assert result.returncode == 0
     assert "network numbers" in result.stdout
+
+
+def test_a_closed_stdout_is_left_quietly():
+    # the reader is gone before the report is written, as after `| head`
+    src = str(Path(crnkit.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "crnkit", "analyze", "fixture:maclean", "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 1
+    assert err == b""
+
+
+def test_an_os_error_with_no_file_name_prints_none_of_it(capsys, monkeypatch):
+    def failing(args):
+        raise OSError(5, "Input/output error")
+
+    monkeypatch.setattr("crnkit.cli.cmd_analyze", failing)
+    code, out, err = run(capsys, "analyze", "fixture:lee")
+    assert (code, out, err) == (1, "", "crnkit: error: Input/output error\n")
 
 
 def test_help_exits_0_and_lists_the_parametrized_models(capsys):

@@ -18,10 +18,11 @@ from crnkit.concord import (
     DEFAULT_NODE_BUDGET,
     SignWitness,
     UnverifiedMandatorySet,
+    _ORIGIN,
     _assemble,
+    _circuits,
     _Parent,
     _refuted,
-    _row_certificates,
     _Side,
     _signed_point,
     check_concordance,
@@ -542,7 +543,7 @@ def test_forced_reaction_masks_match_the_counters_at_every_node(net, node_budget
     expanding = []
     seen = []
 
-    def expand(depth, masks, touched, *points):
+    def expand(depth, masks, touched):
         children = []
         if depth < len(search.order):
             plus, minus, zero = masks
@@ -554,18 +555,22 @@ def test_forced_reaction_masks_match_the_counters_at_every_node(net, node_budget
                 del children[1]
         expanding.append(children)
         try:
-            return descend(depth, masks, touched, *points)
+            return descend(depth, masks, touched)
         finally:
             expanding.pop()
 
     class Weighing:
         # the alpha side, checking the forced masks of each child it weighs
-        def point(self, forced, carried):
+        def feasible(self, depth, forced):
             child = expanding[-1].pop(0)
             sign = oracles._signs(search.species_count, child)
             assert forced == oracles.signature(supports, sign)
             seen.append(child)
-            return alpha.point(forced, carried)
+            return alpha.feasible(depth, forced)
+
+        def point(self, masks, carried):
+            # a Discordant search rebuilds its witness through the real side
+            return alpha.point(masks, carried)
 
     search._descend = expand
     search.alpha = Weighing()
@@ -612,9 +617,10 @@ def test_m3cr_search_node_totals(parent, other, nodes):
 
 
 @pytest.mark.parametrize(
-    "net, solves", [(SCHMITZ, 16), (FAL, 27), (LEE, 20)], ids=["schmitz", "fal", "lee"]
+    "net, solves", [(SCHMITZ, 3), (FAL, 14), (LEE, 9)], ids=["schmitz", "fal", "lee"]
 )
 def test_lp_solves_per_search(net, solves, monkeypatch):
+    # circuits decide every pattern; LPs only rebuild the witness along its path
     calls = []
 
     def counting(a_eq, b_eq, **kwargs):
@@ -629,9 +635,10 @@ def test_lp_solves_per_search(net, solves, monkeypatch):
 @pytest.mark.parametrize(
     "run, solves, nodes",
     [
-        (lambda: check_concordance(AUGMENTED), 10, 16),
-        (lambda: check_concordance(REDUCED), 10, 16),
-        (lambda: m3cr(REDUCED, common_reactions(REDUCED, MACLEAN)), 11, 316),
+        (lambda: check_concordance(AUGMENTED), 4, 16),
+        (lambda: check_concordance(REDUCED), 4, 16),
+        # m3cr asks for no witness
+        (lambda: m3cr(REDUCED, common_reactions(REDUCED, MACLEAN)), 0, 316),
     ],
     ids=["schmitz-augmented", "schmitz-reduced", "m3cr-reduced-vs-maclean"],
 )
@@ -675,9 +682,9 @@ def test_a_search_with_no_lp_builds_no_fraction(monkeypatch):
 
 def test_the_lp_path_builds_no_fraction(monkeypatch):
     # lp_feasible takes and returns integers, and _signed_point reads its
-    # point as numerators over its denominator, so a Concordant
-    # search, whose LPs leave only integer points and certificates, builds
-    # no Fraction in either module
+    # point as numerators over its denominator, so a Concordant search
+    # builds no Fraction in either module: by circuits it solves no LP, and
+    # with every block over the circuit bound its LPs leave integer points
     net = subnetwork_by_labels(
         FAL, [r.label for r in FAL.reactions if r.label not in ("R51", "R52")]
     )
@@ -695,7 +702,11 @@ def test_the_lp_path_builds_no_fraction(monkeypatch):
     monkeypatch.setattr(linalg, "Fraction", fraction)
     monkeypatch.setattr(concord, "lp_feasible", counting)
     verdict = check_concordance(net)
-    assert (verdict.status, verdict.search_nodes, len(calls)) == ("Concordant", 73, 52)
+    assert (verdict.status, verdict.search_nodes, len(calls)) == ("Concordant", 73, 0)
+    monkeypatch.setattr(concord, "_CIRCUIT_SUBSETS", 0)
+    verdict = check_concordance(net)
+    assert (verdict.status, verdict.search_nodes) == ("Concordant", 73)
+    assert calls
     assert made == []
 
 
@@ -805,22 +816,25 @@ def test_m3cr_with_a_shared_store_on_larger_networks(net, data, node_budget):
 
 
 def test_the_block_store_is_reused_within_an_m3cr_call(monkeypatch):
-    # some search meets a block that an earlier search of the call solved
-    handed, solved_before = [], []
+    # some search meets a block whose circuits an earlier search of the call
+    # enumerated
+    handed, enumerated_before = [], []
     split = concord._blocks
 
-    def recording(rows, supports, count, store):
+    def recording(rows, count, store):
         assert store is not None
-        blocks = split(rows, supports, count, store)
+        blocks = split(rows, count, store)
         handed.extend(blocks)
-        solved_before.extend(block for block in blocks if block[3])
+        enumerated_before.extend(block for block in blocks if block._circuits is not False)
         return blocks
 
     monkeypatch.setattr(concord, "_blocks", recording)
     report = m3cr(REDUCED, common_reactions(REDUCED, MACLEAN))
     assert report.search_nodes == 316
-    assert solved_before
+    assert enumerated_before
     assert len({id(block) for block in handed}) < len(handed)
+    # m3cr asks for no witness, so no block holds an LP answer
+    assert not any(block.answers for block in handed)
 
 
 # --- m3cr against the construction that searched every set afresh ----------
@@ -852,9 +866,11 @@ def test_m3cr_matches_the_memo_free_construction(net, data, node_budget):
 
 
 def test_certificates_are_checked_before_use(monkeypatch):
+    # the certificates the search used to pool (oracles.signed_answer);
     # x1 + x2 = 0 has no point with x1, x2 >= 1: w = (1, 1) refutes it
-    assert _signed_point([[1, 1]], range(2), (0b11, 0, 0)) == (0b11, 0)
-    assert _signed_point([[1, 1, 0]], range(3), (0, 0b01, 0b10)) == (0, 0b11)
+    assert _signed_point([[1, 1]], range(2), (0b11, 0, 0)) is None
+    assert oracles.signed_answer([[1, 1]], range(2), (0b11, 0, 0)) == (0b11, 0)
+    assert oracles.signed_answer([[1, 1, 0]], range(3), (0, 0b01, 0b10)) == (0, 0b11)
 
     def infeasible(vector):
         # an LP kernel that finds every system infeasible, with Farkas vector ``vector``
@@ -866,19 +882,19 @@ def test_certificates_are_checked_before_use(monkeypatch):
 
     # one row never reaches the kernel, whose zero vector would not refute:
     # 2 x1 - x2 = 0 with x1 >= 1, x2 <= -1 has b = -3, and -sign(b) w = w
-    monkeypatch.setattr(concord, "lp_feasible", infeasible([0]))
-    assert _signed_point([[2, -1, 0]], range(3), (0b001, 0b010, 0)) == (0b001, 0b010)
+    monkeypatch.setattr(oracles, "farkas_lp", infeasible([0]))
+    assert oracles.signed_answer([[2, -1, 0]], range(3), (0b001, 0b010, 0)) == (0b001, 0b010)
     # x1 + x2 = x1 - x2 = 0 has no point with x1, x2 >= 1: y = (-1, 0) gives w = (1, 1)
     rows = [[1, 1], [1, -1]]
-    monkeypatch.setattr(concord, "lp_feasible", infeasible([-1, 0]))
-    assert _signed_point(rows, range(2), (0b11, 0, 0)) == (0b11, 0)
+    monkeypatch.setattr(oracles, "farkas_lp", infeasible([-1, 0]))
+    assert oracles.signed_answer(rows, range(2), (0b11, 0, 0)) == (0b11, 0)
     # a vector of the wrong sign, zero, or nonzero on a free coordinate
     for masks, farkas in (
         ((0b11, 0, 0), [1, 0]), ((0b11, 0, 0), [0, 0]), ((0b01, 0, 0), [-1, 0])
     ):
-        monkeypatch.setattr(concord, "lp_feasible", infeasible(farkas))
+        monkeypatch.setattr(oracles, "farkas_lp", infeasible(farkas))
         with pytest.raises(RuntimeError, match="do not refute"):
-            _signed_point(rows, range(2), masks)
+            oracles.signed_answer(rows, range(2), masks)
 
 
 @settings(max_examples=300, deadline=None)
@@ -891,9 +907,11 @@ def test_signed_point_from_masks_matches_the_sign_list_oracle(count, data):
     masks = _masks(_sign_list(data, count))
     solved = _signed_point(rows, range(count), masks)
     want = oracles.signed_point(rows, oracles._signs(count, masks))
-    assert (len(solved) == 5) == (want is not None)
+    assert (solved is None) == (want is None)
+    # the circuits of the rows refute exactly the infeasible patterns
+    assert _refuted(_circuits(range(count), rows) if rows else [], masks) == (want is None)
     if want is None:
-        assert _refuted([solved], masks)
+        assert _refuted([oracles.signed_answer(rows, range(count), masks)], masks)
     else:
         assert _read(([solved], *solved[3:]), count) == _shown(oracles.masked(want))
 
@@ -920,7 +938,9 @@ def test_one_row_closed_form_matches_the_lp_on_every_small_row():
                 kinds.add("no columns")
             if want is None:
                 w = [-farkas[0] * entry for entry in row]
-                assert solved == oracles.masked(w, coords)[1:3]
+                assert solved is None
+                answer = oracles.signed_answer([list(row)], coords, spread)
+                assert answer == oracles.masked(w, coords)[1:3]
             else:
                 assert solved[0] == coords
                 assert repr(list(_assemble([solved], 2 * count)[1::2])) == repr(want)
@@ -985,14 +1005,16 @@ def test_a_pattern_the_carried_point_misses_gets_its_own_lp_point():
 
 
 def test_row_certificates_are_the_masks_of_each_row_and_its_negation():
-    assert _row_certificates([[1, -1, 0]]) == [(0b01, 0b10), (0b10, 0b01)]
-    assert _row_certificates([[0, 2, 0], [-3, 0, 1]]) == [
+    # the search's former row certificates (oracles.row_certificates)
+    assert oracles.row_certificates([[1, -1, 0]]) == [(0b01, 0b10), (0b10, 0b01)]
+    assert oracles.row_certificates([[0, 2, 0], [-3, 0, 1]]) == [
         (0b010, 0), (0, 0b010), (0b100, 0b001), (0b001, 0b100)
     ]
-    assert _row_certificates([]) == []
+    assert oracles.row_certificates([]) == []
     # x1 - x2 = 0: the row refutes x1 >= 1 with x2 <= 0, its negation x2 >= 1
     # with x1 <= 0, and nothing refutes x1, x2 >= 1 or an unassigned x2
-    certs = _row_certificates([[1, -1]])
+    certs = oracles.row_certificates([[1, -1]])
+    assert _circuits([0, 1], [[1, -1]]) == certs
     assert _refuted(certs, (0b01, 0, 0b10))
     assert _refuted(certs, (0b10, 0b01, 0))
     assert not _refuted(certs, (0b11, 0, 0))
@@ -1002,13 +1024,14 @@ def test_row_certificates_are_the_masks_of_each_row_and_its_negation():
 @settings(max_examples=150, deadline=None)
 @given(networks(max_species=5, max_reactions=7), st.data())
 def test_every_pattern_a_row_certificate_refutes_is_infeasible(net, data):
-    # a pattern is drawn to fit one row certificate (wanted + or 0 where it
-    # is positive, - or 0 where it is negative, one of them signed, anything
-    # elsewhere); the LP of the certificate-free oracle must find no point
+    # a pattern is drawn to fit one row certificate (oracles.row_certificates:
+    # wanted + or 0 where it is positive, - or 0 where it is negative, one of
+    # them signed, anything elsewhere); the LP of the certificate-free oracle
+    # must find no point, and a circuit of the side must refute it
     search = _Parent(net).whole(DEFAULT_NODE_BUDGET)
     side = data.draw(st.sampled_from([s for s in (search.alpha, search.sigma) if s.rows]))
-    side._build()
-    wpos, wneg = data.draw(st.sampled_from(side.row_certs))
+    row_certs = oracles.row_certificates(side.rows)
+    wpos, wneg = data.draw(st.sampled_from(row_certs))
     signs = []
     for j in range(side.count):
         if wpos >> j & 1:
@@ -1021,9 +1044,10 @@ def test_every_pattern_a_row_certificate_refutes_is_infeasible(net, data):
     signed = data.draw(st.sampled_from(support))
     signs[signed] = 1 if wpos >> signed & 1 else -1
     masks = _masks(signs)
-    assert _refuted(side.row_certs, masks)
+    assert _refuted(row_certs, masks)
     assert side.point(masks, ([], 0, 0)) is None
     assert oracles.signed_point(side.rows, signs) is None
+    assert any(_refuted(block.circuits(), masks) for block in side._build())
 
 
 # --- the LP split along its independent blocks ------------------------------
@@ -1051,29 +1075,34 @@ def _block_diagonal(draw):
 @given(_block_diagonal(), st.data())
 def test_block_solve_matches_the_whole_lp(system, data):
     # one side answers a run of patterns, so later ones meet cached blocks
+    # (rows of one block may be dependent); its circuits refute exactly the
+    # patterns with no point
     rows, count = system
     side = _Side(rows, count, {})
-    side._build()
+    blocks = side._build()
     for _ in range(6):
         signs = _sign_list(data, count)
         masks = _masks(signs)
-        solved = side._solve(masks)
+        solved = side.point(masks, _ORIGIN)
         want = oracles.signed_point(rows, signs)
-        assert (len(solved) == 3) == (want is not None)
-        if want is None:
-            assert _refuted([solved], masks)
-        else:
+        assert (solved is None) == (want is None)
+        assert any(_refuted(block.circuits(), masks) for block in blocks) == (want is None)
+        if want is not None:
             assert _read(solved, count) == _shown(oracles.masked(want))
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(networks(max_species=5, max_reactions=7), st.sampled_from((3, 12, DEFAULT_NODE_BUDGET)))
 def test_block_split_changes_nothing_but_the_solve_count(net, node_budget):
-    # the same search with each side solving one whole LP per pattern
+    # the same search with each side one block, deciding each pattern by one
+    # whole LP (a side of one row by the row) and solving one for each point
     whole = _Parent(net).whole(node_budget)
-    whole.alpha = oracles.WholeSide(whole.alpha.rows, whole.alpha.count, {})
-    whole.sigma = oracles.WholeSide(whole.sigma.rows, whole.sigma.count, {})
-    verdict, want = check_concordance(net, node_budget), whole.run()
+    for name in ("alpha", "sigma"):
+        side = getattr(whole, name)
+        setattr(whole, name, oracles.WholeSide(side.rows, side.count, {}, side.changes))
+    verdict = check_concordance(net, node_budget)
+    with patch.object(concord, "_CIRCUIT_SUBSETS", 0):
+        want = whole.run()
     assert (verdict.status, repr(verdict.witness), verdict.search_nodes) == (
         want.status, repr(want.witness), want.search_nodes
     )
@@ -1084,22 +1113,23 @@ def test_alpha_blocks_are_the_fid_blocks(name):
     # the rows of N split as the finest independent decomposition does
     net = fixtures.load(name)
     search = _Parent(net).whole(DEFAULT_NODE_BUDGET)
-    search.alpha._build()
-    assert [tuple(coords) for coords, *_ in search.alpha.blocks] == list(fid(net).blocks)
+    assert [tuple(block.coords) for block in search.alpha._build()] == list(fid(net).blocks)
+
+
+def _as_tuples(blocks):
+    return [(block.coords, block.mask, block.rows, block.answers) for block in blocks]
 
 
 def _assert_set_up_as_before(net):
-    # the search's rows, row certificates and blocks are those of the set-up
-    # that eliminated with a shared denominator, took the left nullspace of
-    # every reaction and split each row by scanning it
+    # the search's rows and blocks are those of the set-up that eliminated
+    # with a shared denominator, took the left nullspace of every reaction
+    # and split each row by scanning it
     assert reaction_vectors(net) == oracles.coefficient_reaction_vectors(net)
     search = _Parent(net).whole(DEFAULT_NODE_BUDGET)
     assert search.order == oracles.CertificateFreeSearch(net, DEFAULT_NODE_BUDGET).order
     for side, rows in zip((search.alpha, search.sigma), oracles.search_rows(net)):
         assert side.rows == rows
-        side._build()
-        assert side.row_certs == _row_certificates(rows)
-        assert side.blocks == oracles.row_blocks(rows, side.count)
+        assert _as_tuples(side._build()) == oracles.row_blocks(rows, side.count)
 
 
 @settings(max_examples=200, deadline=None)
@@ -1123,15 +1153,12 @@ def test_search_set_up_matches_the_old_one_on_fixture_subsets(name, data):
 def test_sides_with_a_zero_row_or_no_rows():
     zero = ([], 0, 0)
     side = _Side([[0]], 1, {})
-    side._build()
-    assert side.row_certs == [(0, 0), (0, 0)]
-    assert side.blocks == oracles.row_blocks([[0]], 1) == [([0], 1, [], {})]
+    assert _as_tuples(side._build()) == oracles.row_blocks([[0]], 1) == [([0], 1, [], {})]
+    assert [block.circuits() for block in side.blocks] == [[]]
     assert _read(side.point((1, 0, 0), zero), 1) == _shown(oracles.masked([Fraction(1)]))
     assert _read(side.point((0, 1, 0), zero), 1) == _shown(oracles.masked([Fraction(-1)]))
     empty = _Side([], 3, {})
-    empty._build()
-    assert empty.row_certs == []
-    assert empty.blocks == oracles.row_blocks([], 3) == [
+    assert _as_tuples(empty._build()) == oracles.row_blocks([], 3) == [
         ([0], 1, [], {}), ([1], 2, [], {}), ([2], 4, [], {})
     ]
     point = empty.point((0b001, 0b100, 0b010), zero)
@@ -1140,8 +1167,7 @@ def test_sides_with_a_zero_row_or_no_rows():
 
 def test_species_in_no_left_null_row_are_signed_without_an_lp(monkeypatch):
     search = _Parent(LEE).whole(DEFAULT_NODE_BUDGET)
-    search.sigma._build()
-    loose = [coords[0] for coords, _, rows, _ in search.sigma.blocks if not rows]
+    loose = [block.coords[0] for block in search.sigma._build() if not block.rows]
     assert len(loose) == 3
     calls = []
 
@@ -1214,3 +1240,132 @@ def test_off_support_sigma_hand_cases(text, want):
 def test_off_support_sigma_matches_the_elimination(net):
     # with every species a reactant, the search skips the elimination
     _assert_off_support_sigma_matches_the_elimination(net)
+
+
+# --- the search against the point-carrying search ---------------------------
+#
+# oracles.CertificateFreeSearch carries a point down the tree and answers
+# each pattern from it, from its alpha cache, or by one LP. The library
+# decides each pattern by circuits and rebuilds the witness along the leaf's
+# path, so verdict, witness and node count must be the same, and also with
+# every block of two or more rows over the circuit bound, deciding by LP.
+
+BOUNDS = [concord._CIRCUIT_SUBSETS, 0]
+
+
+def _assert_as_the_point_carrying_search(net, node_budget, bound):
+    with patch.object(concord, "_CIRCUIT_SUBSETS", bound):
+        verdict = check_concordance(net, node_budget)
+    want = oracles.CertificateFreeSearch(net, node_budget).run()
+    assert (verdict.status, repr(verdict.witness), verdict.search_nodes) == (
+        want.status, repr(want.witness), want.search_nodes
+    )
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    networks(max_species=6, max_reactions=8),
+    st.data(),
+    st.sampled_from((3, 12, DEFAULT_NODE_BUDGET)),
+)
+def test_search_over_the_circuit_bound_is_the_point_carrying_search(net, data, node_budget):
+    # at the bound, test_certificates_change_nothing_but_the_solve_count
+    net = Network(net.reactions, data.draw(st.permutations(net.species)))
+    _assert_as_the_point_carrying_search(net, node_budget, 0)
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+@pytest.mark.parametrize("name", fixtures.NAMES)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_search_on_fixture_subsets_is_the_point_carrying_search(name, bound, data):
+    net = fixtures.load(name)
+    keep = data.draw(
+        st.lists(st.integers(0, len(net.reactions) - 1), min_size=1, unique=True), label="keep"
+    )
+    _assert_as_the_point_carrying_search(subnetwork(net, keep), DEFAULT_NODE_BUDGET, bound)
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+@pytest.mark.parametrize("name", fixtures.NAMES)
+def test_search_on_the_fixtures_is_the_point_carrying_search(name, bound):
+    _assert_as_the_point_carrying_search(fixtures.load(name), DEFAULT_NODE_BUDGET, bound)
+
+
+@pytest.mark.parametrize("bound", BOUNDS)
+@pytest.mark.parametrize("name, other", [*M3CR_PAIRS, ("fal", "maclean")])
+def test_m3cr_is_the_point_carrying_construction(name, other, bound):
+    net = _network(name)
+    shared = common_reactions(net, _network(other))
+    with patch.object(concord, "_CIRCUIT_SUBSETS", bound):
+        report = m3cr(net, shared)
+    assert report == oracles.m3cr(net, shared, check=oracles.certificate_free_verdict)
+
+
+# --- circuits against the plain enumeration --------------------------------
+
+
+@st.composite
+def _matrices_with_parallel_columns(draw):
+    """Integer rows whose columns include zero, repeated, negated and scaled
+    copies of others, in a drawn order; the rows may be dependent."""
+    height = draw(st.integers(1, 4))
+    columns = draw(
+        st.lists(
+            st.lists(st.integers(-3, 3), min_size=height, max_size=height), min_size=1, max_size=7
+        )
+    )
+    copies = draw(
+        st.lists(
+            st.tuples(st.integers(0, len(columns) - 1), st.sampled_from((0, 1, -1, 2, -3))),
+            max_size=4,
+        )
+    )
+    columns += [[factor * x for x in columns[k]] for k, factor in copies]
+    columns = draw(st.permutations(columns))
+    return [list(row) for row in zip(*columns)]
+
+
+def _spread(masks, coords):
+    """Masks over entries, moved onto the coordinates ``coords``."""
+    return {
+        tuple(sum(1 << j for k, j in enumerate(coords) if mask >> k & 1) for mask in pair)
+        for pair in masks
+    }
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices_with_parallel_columns(), st.data())
+def test_circuits_match_the_plain_enumeration(rows, data):
+    count = len(rows[0])
+    coords = sorted(
+        data.draw(st.lists(st.integers(0, 14), min_size=count, max_size=count, unique=True))
+    )
+    found = _circuits(coords, rows)
+    assert len(found) == len(set(found))
+    assert set(found) == _spread(oracles.plain_circuits(rows), coords)
+    # over the bound a block decides by LP, but one row is its own circuit
+    want = found if len(rows) == 1 else None if any(map(any, rows)) else []
+    with patch.object(concord, "_CIRCUIT_SUBSETS", 0):
+        assert _circuits(coords, rows) == want
+
+
+@pytest.mark.parametrize("name", fixtures.NAMES)
+def test_circuits_of_the_fixture_blocks_match_the_plain_enumeration(name):
+    search = _Parent(fixtures.load(name)).whole(DEFAULT_NODE_BUDGET)
+    for side in (search.alpha, search.sigma):
+        for block in side._build():
+            want = _spread(oracles.plain_circuits(block.rows), range(len(block.coords)))
+            assert set(block.circuits()) == _spread(want, block.coords)
+
+
+def test_the_circuit_bound_counts_subsets():
+    # the schmitz 6-row reaction block over 11 reactions: 8 column classes
+    # and rank 6, so C(8, 5) = 56 subsets
+    search = _Parent(SCHMITZ).whole(DEFAULT_NODE_BUDGET)
+    block = max(search.alpha._build(), key=lambda block: len(block.rows))
+    assert (len(block.rows), len(block.coords)) == (6, 11)
+    with patch.object(concord, "_CIRCUIT_SUBSETS", 55):
+        assert _circuits(block.coords, block.rows) is None
+    with patch.object(concord, "_CIRCUIT_SUBSETS", 56):
+        assert set(_circuits(block.coords, block.rows)) == set(block.circuits())

@@ -458,9 +458,12 @@ def test_lp_feasible_breaks_a_ratio_tie_like_the_oracle():
 @given(lp_systems(st.integers(-3, 3)))
 def test_integer_lp_point_is_the_fraction_oracles(case):
     # entries in -3..3 give pivots other than 1, so both _reduce branches run
+    # the Farkas vector is the one oracles.farkas_lp, the kernel's former
+    # reading of its final tableau, reports
     a_eq, b_eq = case
     farkas: list[int] = []
-    solution = lp_feasible(a_eq, b_eq, farkas=farkas)
+    solution = lp_feasible(a_eq, b_eq)
+    assert oracles.farkas_lp(a_eq, b_eq, farkas=farkas) == solution
     want = oracles.lp_feasible(a_eq, b_eq)
     if want is None:
         assert solution is None
@@ -546,7 +549,8 @@ def test_lp_point_and_farkas_vector_are_the_bareiss_oracles(case):
     a_eq, b_eq = oracles.integer_system(*case)
     farkas: list[int] = []
     want_farkas: list[int] = []
-    solution = lp_feasible(a_eq, b_eq, farkas=farkas)
+    solution = lp_feasible(a_eq, b_eq)
+    assert oracles.farkas_lp(a_eq, b_eq, farkas=farkas) == solution
     want = oracles.bareiss_lp(a_eq, b_eq, farkas=want_farkas)
     if want is None:
         assert solution is None
@@ -572,9 +576,11 @@ def _steps_taken(monkeypatch):
 
 
 def _assert_farkas_is_the_bareiss_oracles(a_eq, b_eq, want):
+    # oracles.farkas_lp reads the vector off the final tableau of the
+    # library's steps, as lp_feasible did when it returned one
     farkas: list[int] = []
     want_farkas: list[int] = []
-    assert lp_feasible(a_eq, b_eq, farkas=farkas) is None
+    assert oracles.farkas_lp(a_eq, b_eq, farkas=farkas) is None
     assert oracles.bareiss_lp(a_eq, b_eq, farkas=want_farkas) is None
     assert farkas == _primitive(want_farkas) == want
 
@@ -583,6 +589,7 @@ def test_farkas_vector_sums_the_artificial_rows_over_their_pivots(monkeypatch):
     # one pivot of 2 leaves two artificials basic: row 0 under artificial 0
     # with pivot entry 2 and row 2 under artificial 2 with pivot entry 1, so
     # y = 1 * (2, 1, 0) + 2 * (0, 0, 1) over their lcm 2
+    assert lp_feasible([[-1], [2], [0]], [3, 2, 3]) is None
     steps = _steps_taken(monkeypatch)
     _assert_farkas_is_the_bareiss_oracles([[-1], [2], [0]], [3, 2, 3], [2, 1, 2])
     assert [col for _, col in steps] == [0]
@@ -594,6 +601,7 @@ def test_farkas_vector_sums_the_artificial_rows_over_their_pivots(monkeypatch):
 def test_farkas_vector_after_an_artificial_enters_again(monkeypatch):
     a_eq = [[1, 0, -2, -2, -1], [0, -2, 1, 2, 3], [3, -3, 0, 2, 0], [2, 2, -1, 0, 1]]
     b_eq = [-2, 4, -4, 4]
+    assert lp_feasible(a_eq, b_eq) is None
     steps = _steps_taken(monkeypatch)
     _assert_farkas_is_the_bareiss_oracles(a_eq, b_eq, [5, 2, -2, -1])
     # artificial 2 (column 5 + 2) leaves the basis and comes back
