@@ -1,188 +1,149 @@
-"""Reference kernels for the differential tests.
+"""Reference implementations for the differential tests.
 
-``rref`` and ``lp_feasible`` are the original ``fractions.Fraction``
-versions: every entry is a Fraction and every pivot divides. The library's
-kernels pivot on integers instead; they must return exactly what these
-return, down to the chosen basic point, since the concordance search and
-the golden files depend on which witness comes back (``test_linalg.py``).
+Each library kernel has one reference here, and the tests compare the two
+on the same inputs. Most are the library's own former code, kept when it
+was replaced.
 
-``fraction_lp`` is the adapter for tests that hand ``linalg.lp_feasible``
-Fractions or floats, or compare its point with Fractions: the library's
-kernel takes integer rows and returns ``(u, denom)``. The adapter scales
-``[A | b]`` by one common denominator with ``integer_system``, which changes
-no pivot, hands a ``farkas`` list to ``farkas_lp`` (below) instead, and
-returns ``u / denom`` as ``Fraction``s, the library's former output. ``signed_point`` (below) and
-the brute-force concordance oracle in ``test_concord.py`` call it too.
-``_eliminate`` and ``_integer_nullspace`` take integers as well; the tests
-hand them rational and float matrices through ``_integer_rows``.
+``rref`` and ``nullspace_basis`` are the elimination reference: the
+original ``fractions.Fraction`` Gauss-Jordan elimination, where every entry
+is a Fraction and every pivot divides, and the canonical nullspace read off
+it. The library eliminates on integers with ``linalg._reduce`` steps. Its
+``rref``, ``rank``, ``nullspace_basis`` and ``_integer_nullspace`` must give
+what these give, repr for repr, the last after ``scale_to_integers``, on
+integer, rational and float matrices with repeated, scaled and zero rows
+(``test_linalg.py``: ``test_rref_matches_fraction_oracle_on_*``). The rows
+of ``linalg._eliminate`` must be the RREF rows scaled to coprime integers
+(``test_primitive_rows_match_the_scaled_fraction_rref``,
+``test_eliminate_pivots_on_two_like_the_fraction_rref``), and so must the
+witness search's LP rows (``test_concord.py``:
+``test_search_rows_are_the_scaled_fraction_rows``). ``plain_circuits`` and
+``search_rows`` (below) use them too.
 
-``nullspace_basis`` is the original canonical nullspace, read off the
-``Fraction`` RREF. The library reads it off the integer elimination, and
-the witness search reads its LP rows (row basis and left nullspace) there
-as coprime integer vectors; both must give what this gives, after
-``scale_to_integers`` for the search (``test_linalg.py``).
+``lp_feasible`` is the LP reference: the original phase-1 simplex with
+Bland's rule on ``Fraction``s. ``linalg.lp_feasible`` pivots on integers and
+must return the same basic point, which the concordance search and the
+golden files depend on (``test_linalg.py``:
+``test_lp_feasible_matches_fraction_oracle_on_*``,
+``test_integer_lp_point_is_the_fraction_oracles``,
+``test_lp_feasible_breaks_a_ratio_tie_like_the_oracle``). Feasibility alone
+is also checked against the brute-force enumerator of ``test_linalg.py``,
+which shares no code with either. The library's kernel takes integer rows
+and returns ``(u, denom)``; ``integer_system`` scales ``[A | b]`` by one
+common denominator, which changes no pivot, and ``fraction_lp`` hands the
+library's kernel any entries that way and returns ``u / denom`` as
+``Fraction``s, the library's former output.
 
-``bareiss_pivot`` is one fraction-free Gauss-Jordan step (Bareiss) over
-one shared denominator, which rescales every row at every pivot, and
-``eliminate`` is the library's former ``_eliminate`` built on it, both
-moved here verbatim. ``bareiss_rref``, ``bareiss_nullspace``, ``primitive``
-and ``bareiss_integer_nullspace`` are the library's former readings of
-``eliminate``; ``bareiss_lp`` is the library's former ``lp_feasible``,
-whose tableau kept that shared denominator. The library runs one step,
-``linalg._reduce``, in both kernels: it keeps each row a positive multiple
-of its true row, divides a row by its gcd after a pivot other than 1, and
-leaves a row with a zero in the pivot column alone. ``rref``, ``rank``,
-``nullspace_basis`` and ``_integer_nullspace`` must return what the
-elimination oracles return, repr for repr; ``lp_feasible`` must return
-``bareiss_lp``'s point, as Fractions, and ``farkas_lp`` (below) the
-primitive form of its Farkas vector (``test_linalg.py``).
+``CertificateFreeSearch`` is the sign-search reference: the witness search
+before it decided sign patterns by circuits. It answers a pattern from the
+point carried down from the parent node, an alpha cache keyed by the forced
+reaction signs, or the list of infeasible alpha patterns a pattern refines,
+and otherwise solves an LP; ``solves`` counts them. The library's search
+must return the same verdict, witness and ``search_nodes`` with no more
+LPs, on random networks, fixture subsets and the fixtures, also with every
+block of two or more rows over the circuit bound; ``m3cr`` with
+``certificate_free_verdict`` as its check must give the library's reports
+(``test_concord.py``: ``test_certificates_change_nothing_but_the_solve_count``
+and the ``*_is_the_point_carrying_*`` tests). Its parts are references in
+their own right:
 
-``search_rows`` is the witness search's former set-up: reaction vectors
-read by ``coefficient_reaction_vectors`` (one ``Complex.coefficient`` scan
-per species), the row basis off ``eliminate``, and the left nullspace of
-every reaction's vector. ``row_blocks`` is its former block split, which
-scans each row for its nonzero coordinates. The library reads the vectors
-by species index, takes the left nullspace of the pivot reactions only, and
-splits the rows by the support masks of their row certificates; the rows,
-row certificates and blocks must be equal (``test_concord.py``).
+- ``signed_point`` answers one sign pattern, given as a per-coordinate sign
+  list (``1``, ``-1``, ``0`` or ``None``), by one LP over the whole system
+  through ``fraction_lp``, and returns a ``Fraction`` point or None;
+  ``_signs`` turns the masks ``(plus, minus, zero)`` into that list. The
+  library's ``_signed_point`` and ``_Side.point`` must agree with it on
+  feasibility and on the point, and the circuits of a side must refute
+  exactly the patterns it finds infeasible (``test_concord.py``:
+  ``test_signed_point_from_masks_matches_the_sign_list_oracle``,
+  ``test_one_row_closed_form_matches_the_lp_on_every_small_row``,
+  ``test_block_solve_matches_the_whole_lp``; ``test_acceptance.py``:
+  ``test_every_pattern_a_certificate_refutes_is_infeasible``).
+- ``masked`` is the search's former point: a ``Fraction`` list with the
+  masks of its signs. The library keeps a point as integer block parts and
+  builds ``Fraction``s only in ``concord._assemble``; the tests compare the
+  two through ``masked``, repr for repr.
+- ``off_support_sigma`` is the search's original first step, which looks
+  for a sigma that vanishes on every reactant species by one nullspace, even
+  when every species is a reactant and only 0 can. The library's returns
+  None at once then; both must give the same vector, or None
+  (``test_off_support_sigma_*``).
+- ``search_rows`` is the search's former set-up: reaction vectors read by
+  ``coefficient_reaction_vectors`` (one ``Complex.coefficient`` scan per
+  species), the RREF rows of N and the left nullspace of every reaction's
+  vector, scaled to coprime integers. ``row_blocks`` is its former block
+  split, which scans each row for its nonzero coordinates. The library's
+  rows and blocks must be equal (``test_search_set_up_matches_the_old_one``
+  and its fixture-subset variant).
+
+``row_certificates`` gives the masks of each row of an LP and of its
+negation, the certificates the search once kept. A pattern one of them
+refutes must have no point, and a circuit of the side must refute it
+(``test_every_pattern_a_row_certificate_refutes_is_infeasible``).
+
+``plain_circuits`` enumerates the circuits of a row space with no shortcut:
+every ``(r - 1)``-subset of the columns of the ``Fraction`` RREF basis whose
+orthogonal ``y`` is unique up to scale gives ``yᵀ R``. The library's
+``_circuits`` enumerates one column per class of parallel columns, by cross
+products over a kernel basis, and must find the same masks
+(``test_circuits_match_the_plain_enumeration`` and its fixture-block
+variant).
+
+``positive_point`` is the library's former cone route: one
+``_signed_point`` over the whole system, with no block split. The library's
+``is_positive_dependent`` and ``is_conservative`` ask a ``_Side`` instead;
+both must return the same ``holds`` and the same vector, repr for repr
+(``test_cone_certificates_match_the_whole_lp``).
+
+``alpha_conforms`` and ``sigma_conforms`` are the original sign tests of the
+search, one ``Fraction`` comparison per coordinate. ``_Side.point`` tests a
+point's masks against a pattern instead; the answers must agree on every
+pattern that wants a sign, and a pattern that wants none has the origin
+(``test_sign_masks_agree_with_per_entry_conformance``).
+
+``signature`` is the search's original reaction classification, which kept
+per-reaction counts of the reactant species assigned +, - and not yet
+assigned. The search forms the three reaction masks with mask operations;
+they must agree at every node of a search
+(``test_forced_reaction_masks_match_the_counters_at_every_node``).
+
+``m3cr`` is the original container construction, which runs a fresh search
+for every reaction set it meets. The library's ``m3cr`` searches each
+reaction set once per call and shares a block store between its searches;
+its report must be equal, ``search_nodes`` included (``test_concord.py``).
 
 ``RowReducer``, ``solve_unique`` and ``scale_to_integers`` are the library's
-former span, solve and scaling helpers, moved here unchanged when nothing in
-the library called them any more; the ``fid`` oracle and the search-rows
-tests use them, and their own unit tests are in ``test_linalg.py``.
+former span, solve and scaling helpers, moved here when nothing in the
+library called them any more. ``fid`` is the original finest independent
+decomposition, which picks the basis with a ``RowReducer``, solves for each
+dependent reaction apart with ``solve_unique`` and groups the reactions
+with a ``_DisjointSet``. The library reads everything off one elimination,
+and the blocks must agree (``test_decomp.py``). The helpers' own unit tests
+are in ``test_linalg.py``.
+
+``linkage_partitions`` is the original partition of the complexes, built on
+the directed complex graph of ``_complex_graph``: linkage classes from an
+undirected depth-first search, strong classes from an iterative Kosaraju
+pass, terminal classes from the edges that leave each strong class. The
+library's takes all three from ``structure._components``; the lists must be
+equal (``test_structure.py``).
 
 ``mass_action_rhs`` and ``equilibrium_residual`` are the original binary64
-versions, which coerce every rate constant to ``float``. The library's one
+evaluators, which coerce every rate constant to ``float``. The library's one
 evaluator keeps the number type of its input; on floats it must return
 exactly what these return, since the ``equilibria`` golden files print
 their results (``test_kinetics.py``).
 
 ``same_dynamics`` is the original dynamics comparison, which evaluates both
 right-hand sides at 200 seeded random positive rational points and compares
-them exactly there. It answers by sampling, and compares floats when the
-rate constants are floats. The library's compares the exact coefficient of
-each (species, rate monomial) pair instead; on systems with ``Fraction``
-rate constants the two must agree (``test_transform.py``).
-
-``alpha_conforms`` and ``sigma_conforms`` are the original sign tests of the
-witness search, one ``Fraction`` comparison per coordinate. The search now
-keeps each point's positive and negative coordinates as bitmasks, and
-``_Side.point`` tests them against a pattern with three mask tests; the
-answers must agree on every pattern that wants a sign. A pattern that
-wants none has the origin, whatever point is carried (``test_concord.py``).
-
-``signature`` is the search's original reaction classification, which kept
-per-reaction counts of the reactant species assigned +, - and not yet
-assigned. The search later classified each reaction by subset tests of its
-reactant-support mask (``CertificateFreeSearch._signature`` still does); it
-now forms the three reaction masks with three mask operations, from the
-reactions touched by + and by - and those with a reactant still unsigned.
-The masks must agree at every node of a search (``test_concord.py``).
-
-``fid`` is the original finest independent decomposition, which picks the
-basis with a ``RowReducer`` and solves for each dependent reaction apart
-with ``solve_unique``, and groups the reactions with a ``_DisjointSet``; the
-library's ``fid`` reads everything off one elimination and takes the blocks
-from the shared ``structure._components`` helper, and the blocks must agree
-(``test_decomp.py``).
-
-``linkage_partitions`` is the original partition of the complexes, built on
-the directed complex graph of ``_complex_graph``: linkage classes from an
-undirected depth-first search, strong classes from an iterative Kosaraju
-pass, terminal classes from the edges that leave each strong class. The
-library's takes all three from ``structure._components``, with strong classes
-defined by mutual reachability; the lists must be equal
-(``test_structure.py``).
-
-``m3cr`` is the original container construction, which runs a fresh search
-for every reaction set it meets. The library's ``m3cr`` searches each
-reaction set once per call; its report must be equal, ``search_nodes``
-included (``test_concord.py``).
-
-``CertificateFreeSearch`` is the witness search before infeasible LPs left
-Farkas certificates behind: it answers a sign pattern from the point
-carried down from the parent node, an alpha cache keyed by the forced
-reaction signs, or the list of infeasible alpha patterns a pattern refines,
-and otherwise solves an LP; it counts its solves. Like the library's, it
-keeps no pool of earlier points, so a pattern the carried point does not
-fit gets the point of its own LP (the library's from its blocks' answers,
-which are that LP's point). The library's search decides patterns by
-circuits and solves LPs only to rebuild a witness; it must return the same
-verdict, witness and ``search_nodes`` with no more solves, and a pattern
-must re-solve infeasible with this module's ``signed_point`` exactly when
-its circuits refute it (``test_concord.py``, ``test_acceptance.py``). It
-takes its LP rows from ``search_rows``.
-
-``masked`` is the search's former point: a ``Fraction`` list with the
-masks of its signs, read off the numerators. ``CertificateFreeSearch``
-keeps its points so. The library keeps a point as integer block parts over
-one denominator and builds ``Fraction``s only in ``concord._assemble``; the
-tests read its points through that helper and compare them with ``masked``
-of the oracle's point, repr for repr (``test_concord.py``).
-
-``signed_point`` takes a per-coordinate sign list (``1``, ``-1``, ``0`` or
-``None``) and returns a bare point or None, with the Farkas vector of
-``farkas_lp`` on request. ``_signs`` is its sign-list adapter, moved
-here unchanged from the library when its search came to describe a pattern
-by masks all the way down to the LP: it turns the masks
-``(plus, minus, zero)`` into a sign list. The library's ``_signed_point``
-builds the same LP straight from the masks and returns the masked point or
-None; it must agree with ``signed_point`` on feasibility and on the point
-(``test_concord.py``). It answers a one-row LP in closed form, without
-``lp_feasible``; on every integer row of 1-3 entries in -2..2 and every
-sign wish it must return the oracle's point, and ``signed_answer`` the
-masks of ``-yᵀ row`` for the oracle's Farkas vector ``y``
-(``test_concord.py``).
-
-``off_support_sigma`` is the search's original first step, which looks for
-a sigma that vanishes on every reactant species by one elimination, even
-when every species is a reactant and only 0 can. The library's returns None
-at once then; both must give the same vector, or None (``test_concord.py``).
-``CertificateFreeSearch`` uses it too.
-
-Before the library's search decided sign patterns by circuits, it answered
-a pattern from the carried point, then from the certificates of its own
-rows (``row_certificates``) and of its newest 64 LPs, and only then solved
-the LP, pooling the certificate of an infeasible one. ``signed_answer`` is
-its former ``_signed_point``, which returned that certificate, the masks of
-``w = -yᵀ rows`` for the Farkas vector ``y``, checked to refute the
-pattern; ``farkas_lp`` is the library's former ``lp_feasible``, which read
-``y`` off its final tableau as the phase-1 duals (sums of the basic
-artificials' rows over their pivots). A pattern a row certificate refutes
-must have no point, and a circuit must refute it (``test_concord.py``).
-The Farkas tests of ``test_linalg.py`` run against ``farkas_lp``, whose
-point must be the library kernel's. ``certificate_free_verdict`` is
-``check_concordance`` by ``CertificateFreeSearch``: the library's search
-must return its verdict, witness and ``search_nodes`` on random networks,
-fixture subsets and the fixtures, also with every block of two or more
-rows over the circuit bound, and ``m3cr`` with it as the check must give
-the library's reports (``test_concord.py``).
-
-``WholeSide`` is the library's ``_Side`` before it split its rows into
-independent blocks: one block over all its coordinates, so with the
-circuit bound at 0 each pattern is one LP over the whole system. The
-library's search must return the same verdict, witness and
-``search_nodes`` as its search with this side (``test_concord.py``).
-
-``plain_circuits`` enumerates the circuits of a row space with no shortcut:
-every ``(r - 1)``-subset of the columns of a ``Fraction`` RREF basis whose
-orthogonal ``y`` is unique up to scale gives ``yᵀ R``. The library's
-``_circuits`` enumerates one column per class of parallel columns, by
-cross products over a kernel basis, and must find the same masks
-(``test_concord.py``).
-
-``positive_point`` is the library's former cone route: one
-``_signed_point`` over the whole system, with no block split. The library's
-``is_positive_dependent`` and ``is_conservative`` ask a ``_Side`` instead;
-both must return the same ``holds`` and the same vector, repr for repr
-(``test_concord.py``).
+them exactly there. The library's compares the exact coefficient of each
+(species, rate monomial) pair instead; on systems with ``Fraction`` rate
+constants the two must agree (``test_transform.py``).
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from collections import Counter
@@ -196,34 +157,22 @@ from crnkit.concord import (
     M3crReport,
     SignWitness,
     _assemble,
-    _Block,
     _BudgetExhausted,
     _Certificate,
     _Masks,
-    _Part,
     _reaction_indices,
-    _refuted,
-    _Side,
     _sign_masks,
     _signed_point,
     check_concordance,
 )
 from crnkit.core import Network, Reaction, _complexes, reaction_vectors, subnetwork
 from crnkit.decomp import Decomposition
-from crnkit.linalg import _integer_rows, _primitive
+from crnkit.linalg import _integer_rows
 from crnkit.structure import _components
 from crnkit.transform import KineticSystem
 
 Scalar = int | Fraction
 Matrix = list[list[Fraction]]
-
-
-def to_matrix(rows: Sequence[Sequence[Scalar]]) -> Matrix:
-    """Copy ``rows`` into a rectangular Fraction matrix."""
-    out = [[Fraction(x) for x in row] for row in rows]
-    if out and any(len(row) != len(out[0]) for row in out):
-        raise ValueError("ragged matrix")
-    return out
 
 
 def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Matrix, list[int]]:
@@ -233,7 +182,9 @@ def rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Matrix, list[int]]:
         ``(R, pivots)`` where ``R`` is the RREF and ``pivots`` lists the pivot
         column of each nonzero row, in order.
     """
-    mat = to_matrix(rows)
+    mat = [[Fraction(x) for x in row] for row in rows]
+    if mat and any(len(row) != len(mat[0]) for row in mat):
+        raise ValueError("ragged matrix")
     nrows = len(mat)
     ncols = len(mat[0]) if nrows else 0
     pivots: list[int] = []
@@ -271,95 +222,6 @@ def nullspace_basis(rows: Sequence[Sequence[Scalar]]) -> list[list[Fraction]]:
             vec[p] = -reduced[k][f]
         basis.append(vec)
     return basis
-
-
-def bareiss_pivot(rows: list[Sequence[int]], r: int, col: int, denom: int) -> None:
-    """One fraction-free Gauss-Jordan step on ``rows[r][col]`` (Bareiss), the
-    step of ``eliminate`` and ``bareiss_lp``.
-
-    ``rows`` holds ``denom`` times the current tableau. Afterwards it holds
-    ``rows[r][col]`` times the tableau pivoted on that entry: ``rows[r]`` is
-    unchanged, and every other row becomes ``(p*row - f*pivot_row) / denom``.
-    Each entry is then a minor of the starting integer matrix, so the
-    division is exact. With ``p == denom == 1`` that is ``row - f*pivot_row``.
-    """
-    pivot_row = rows[r]
-    p = pivot_row[col]
-    for i, row in enumerate(rows):
-        if i == r:
-            continue
-        f = row[col]
-        if f:
-            if p == denom == 1:
-                rows[i] = [a - f * b for a, b in zip(row, pivot_row)]
-            else:
-                rows[i] = [(p * a - f * b) // denom for a, b in zip(row, pivot_row)]
-        elif p != denom:
-            rows[i] = [p * a // denom for a in row]
-
-
-def eliminate(rows: Sequence[Sequence[Scalar]]) -> tuple[list[Sequence[int]], list[int], int]:
-    """Fraction-free Gauss-Jordan elimination of ``rows``.
-
-    Returns ``(R, pivots, denom)``: ``R / denom`` is the reduced row echelon
-    form, with ``R`` integer and ``denom`` nonzero but of either sign, and
-    ``pivots`` lists the pivot column of each nonzero row, in order.
-    """
-    mat = _integer_rows(rows)
-    nrows = len(mat)
-    ncols = len(mat[0]) if nrows else 0
-    pivots: list[int] = []
-    denom = 1
-    for col in range(ncols):
-        row = len(pivots)
-        if row == nrows:
-            break
-        pivot_row = next((i for i in range(row, nrows) if mat[i][col]), None)
-        if pivot_row is None:
-            continue
-        mat[row], mat[pivot_row] = mat[pivot_row], mat[row]
-        bareiss_pivot(mat, row, col, denom)
-        denom = mat[row][col]
-        pivots.append(col)
-    return mat, pivots, denom
-
-
-def bareiss_rref(rows: Sequence[Sequence[Scalar]]) -> tuple[Matrix, list[int]]:
-    """``rref`` read off ``eliminate``, as the library read it."""
-    mat, pivots, denom = eliminate(rows)
-    zero = Fraction(0)
-    return [[Fraction(x, denom) if x else zero for x in values] for values in mat], pivots
-
-
-def bareiss_nullspace(rows: Sequence[Sequence[Scalar]]) -> tuple[list[list[int]], int]:
-    """``(V, denom)`` with ``V / denom`` the canonical nullspace basis, read off
-    ``eliminate``: free column ``f`` gives ``denom * e_f - sum_k R[k][f] * e_(pivots[k])``."""
-    if not rows:
-        return [], 1
-    mat, pivots, denom = eliminate(rows)
-    ncols = len(rows[0])
-    basis = []
-    for f in (c for c in range(ncols) if c not in pivots):
-        vec = [0] * ncols
-        vec[f] = denom
-        for k, p in enumerate(pivots):
-            vec[p] = -mat[k][f]
-        basis.append(vec)
-    return basis, denom
-
-
-def primitive(vector: Sequence[int], denom: int) -> list[int]:
-    """``vector / denom`` scaled by a positive rational to coprime integers."""
-    common = gcd(*vector)
-    if denom < 0:
-        common = -common
-    return [v // common for v in vector] if common not in (0, 1) else list(vector)
-
-
-def bareiss_integer_nullspace(rows: Sequence[Sequence[Scalar]]) -> list[list[int]]:
-    """The canonical nullspace basis scaled to coprime integers, via ``eliminate``."""
-    basis, denom = bareiss_nullspace(rows)
-    return [primitive(vec, denom) for vec in basis]
 
 
 def lp_feasible(
@@ -428,103 +290,6 @@ def lp_feasible(
         if var < ncols:
             solution[var] = tableau[i][-1]
     return solution
-
-
-def bareiss_lp(
-    a_eq: Sequence[Sequence[int]],
-    b_eq: Sequence[int],
-    *,
-    farkas: list[int] | None = None,
-) -> tuple[list[int], int] | None:
-    """Find ``u >= 0`` with ``A u = b``, or None if the system is infeasible.
-
-    Phase-1 simplex with Bland's rule, so termination is guaranteed and
-    verdicts are exact. Returns one feasible point (a basic one), not
-    anything optimal — callers only need feasibility witnesses — as
-    ``(u, denom)``: the point is ``u / denom``, integer numerators over the
-    tableau's positive denominator. ``A`` and ``b`` are integers; rational
-    ones are scaled by one common denominator, since scaling rows apart
-    would reweight the artificials in the phase-1 objective.
-
-    When the system is infeasible and ``farkas`` is a list, the list is
-    filled with an integer Farkas vector ``y``: ``yᵀA <= 0`` and ``yᵀb > 0``
-    hold exactly for the caller's ``A`` and ``b``. It is read off the final
-    phase-1 duals, with the sign of each row the kernel negated to make
-    ``b_i >= 0`` put back. A feasible system leaves ``farkas`` as it was.
-
-    Raises:
-        ValueError: if ``A`` is ragged or ``b`` does not have one entry per
-            row of ``A``.
-    """
-    nrows = len(a_eq)
-    if len(b_eq) != nrows:
-        raise ValueError(f"b_eq has {len(b_eq)} entries for {nrows} rows of a_eq")
-    if nrows == 0:
-        return [], 1
-    ncols = len(a_eq[0])
-    width = ncols + nrows
-
-    # Tableau [A | I | b] with b >= 0; artificial variables start basic.
-    tableau: list[Sequence[int]] = []
-    for i, (row, rhs) in enumerate(zip(a_eq, b_eq)):
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
-        line = ([-x for x in row] if rhs < 0 else list(row)) + [0] * nrows + [abs(rhs)]
-        line[ncols + i] = 1
-        tableau.append(line)
-    # Reduced costs for minimizing the sum of artificials (all basic costs 1),
-    # kept as the last row so that every pivot updates them too.
-    obj = [-sum(column) for column in zip(*tableau)]
-    obj[ncols:width] = [0] * nrows
-    tableau.append(obj)
-    basis = list(range(ncols, width))
-    # ``tableau`` holds denom times the true tableau; denom > 0 because every
-    # pivot is, so signs and ratios read the same off either.
-    denom = 1
-
-    while True:
-        obj = tableau[nrows]
-        for entering in range(width):
-            if obj[entering] < 0:
-                break
-        else:
-            break
-        # Ratio test, ties to the lowest basic index (Bland). Both a_ie and a_le
-        # are positive, so b_i/a_ie < b_l/a_le is compared cross-multiplied.
-        leaving = None
-        for i in range(nrows):
-            coef = tableau[i][entering]
-            if coef > 0:
-                if leaving is None:
-                    leaving = i
-                    continue
-                lhs = tableau[i][-1] * tableau[leaving][entering]
-                rhs = tableau[leaving][-1] * coef
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
-                    leaving = i
-        if leaving is None:  # pragma: no cover - phase-1 objective is bounded
-            raise RuntimeError("unbounded phase-1 LP")
-        bareiss_pivot(tableau, leaving, entering, denom)
-        denom = tableau[leaving][entering]
-        basis[leaving] = entering
-
-    infeasibility = sum(tableau[i][-1] for i in range(nrows) if basis[i] >= ncols)
-    if infeasibility != 0:
-        if farkas is not None:
-            # y_i = s_i * (denom - obj[ncols + i]), s_i = -1 for a negated row.
-            # With duals pi of the negated rows, the true reduced cost under
-            # artificial i is 1 - pi_i. At the optimum every structural reduced
-            # cost -piᵀA_j is >= 0 and piᵀb is the positive infeasibility; denom
-            # times pi is integer and keeps those signs.
-            farkas[:] = [
-                (denom - obj[ncols + i]) * (-1 if rhs < 0 else 1) for i, rhs in enumerate(b_eq)
-            ]
-        return None
-    u = [0] * ncols
-    for i, var in enumerate(basis):
-        if var < ncols:
-            u[var] = tableau[i][-1]
-    return u, denom
 
 
 def _reaction_rates(
@@ -962,102 +727,17 @@ def integer_system(
     return [row[:-1] for row in rows], [row[-1] for row in rows]
 
 
-def fraction_lp(
-    a_eq: Sequence[Sequence[Scalar]],
-    b_eq: Sequence[Scalar],
-    *,
-    farkas: list[int] | None = None,
-) -> list[Fraction] | None:
+def fraction_lp(a_eq: Sequence[Sequence[Scalar]], b_eq: Sequence[Scalar]) -> list[Fraction] | None:
     """``linalg.lp_feasible`` for entries of any type, with a ``Fraction`` point.
 
     ``(A, b)`` goes in through ``integer_system``, and ``(u, denom)`` is read
-    back as ``u / denom``. With ``farkas``, ``farkas_lp`` solves it instead
-    and fills the list.
+    back as ``u / denom``.
     """
-    a_int, b_int = integer_system(a_eq, b_eq)
-    if farkas is None:
-        solution = linalg.lp_feasible(a_int, b_int)
-    else:
-        solution = farkas_lp(a_int, b_int, farkas=farkas)
+    solution = linalg.lp_feasible(*integer_system(a_eq, b_eq))
     if solution is None:
         return None
     u, denom = solution
     return [Fraction(x, denom) for x in u]
-
-
-def farkas_lp(
-    a_eq: Sequence[Sequence[int]],
-    b_eq: Sequence[int],
-    *,
-    farkas: list[int] | None = None,
-) -> tuple[list[int], int] | None:
-    """``linalg.lp_feasible`` as it was when it also returned a Farkas vector.
-
-    The same phase-1 simplex on ``[A | I | b]`` with ``linalg._reduce`` steps,
-    so its point is the library's. When the system is infeasible and
-    ``farkas`` is a list, the list is filled with a primitive integer Farkas
-    vector ``y``: ``yᵀA <= 0`` and ``yᵀb > 0`` hold exactly for the caller's
-    ``A`` and ``b``. It is the phase-1 duals ``c_B B⁻¹``, with the sign of
-    each row the kernel negated to make ``b_i >= 0`` put back. A feasible
-    system leaves ``farkas`` as it was.
-    """
-    nrows = len(a_eq)
-    if len(b_eq) != nrows:
-        raise ValueError(f"b_eq has {len(b_eq)} entries for {nrows} rows of a_eq")
-    if nrows == 0:
-        return [], 1
-    ncols = len(a_eq[0])
-    width = ncols + nrows
-    tableau: list[Sequence[int]] = []
-    for i, (row, rhs) in enumerate(zip(a_eq, b_eq)):
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
-        line = ([-x for x in row] if rhs < 0 else list(row)) + [0] * nrows + [abs(rhs)]
-        line[ncols + i] = 1
-        tableau.append(line)
-    obj = [-sum(column) for column in zip(*tableau)]
-    obj[ncols:width] = [0] * nrows
-    tableau.append(obj)
-    basis = list(range(ncols, width))
-    while True:
-        obj = tableau[nrows]
-        for entering in range(width):
-            if obj[entering] < 0:
-                break
-        else:
-            break
-        leaving = None
-        for i in range(nrows):
-            coef = tableau[i][entering]
-            if coef > 0:
-                if leaving is None:
-                    leaving = i
-                    continue
-                lhs = tableau[i][-1] * tableau[leaving][entering]
-                rhs = tableau[leaving][-1] * coef
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
-                    leaving = i
-        if leaving is None:  # pragma: no cover - phase-1 objective is bounded
-            raise RuntimeError("unbounded phase-1 LP")
-        linalg._reduce(tableau, leaving, entering)
-        basis[leaving] = entering
-    # Row r is p_r = row[basis[r]] > 0 times its row of B⁻¹[A | I | b], so
-    # the LP is infeasible exactly when a basic artificial's row has b != 0.
-    artificial = [(row, row[var]) for row, var in zip(tableau, basis) if var >= ncols]
-    if any(row[-1] for row, _ in artificial):
-        if farkas is not None:
-            # c_B B⁻¹ sums the I blocks of those rows, each over its p_r: its
-            # reduced costs -c_B B⁻¹ A_j are >= 0 and c_B B⁻¹ b > 0 at the optimum.
-            scale = lcm(*[p for _, p in artificial])
-            y = [sum(row[ncols + i] * (scale // p) for row, p in artificial) for i in range(nrows)]
-            farkas[:] = _primitive([-v if rhs < 0 else v for v, rhs in zip(y, b_eq)])
-        return None
-    basic = [(i, var) for i, var in enumerate(basis) if var < ncols]
-    denom = lcm(*[tableau[i][var] for i, var in basic])
-    u = [0] * ncols
-    for i, var in basic:
-        u[var] = tableau[i][-1] * (denom // tableau[i][var])
-    return u, denom
 
 
 _ZERO, _ONE, _MINUS_ONE = Fraction(0), Fraction(1), Fraction(-1)
@@ -1089,17 +769,11 @@ def _signs(count: int, masks: _Masks) -> list[int | None]:
     ]
 
 
-def signed_point(
-    rows: Sequence[Sequence[int]],
-    signs: Sequence[int | None],
-    *,
-    farkas: list[int] | None = None,
-) -> list[Fraction] | None:
+def signed_point(rows: Sequence[Sequence[int]], signs: Sequence[int | None]) -> list[Fraction] | None:
     """Exact feasible point of {rows . x = 0} under per-coordinate signs.
 
     signs[j] is +1 for x_j >= 1, -1 for x_j <= -1, 0 for x_j = 0, None for
-    unconstrained. Returns None when infeasible, and then fills ``farkas``,
-    if given, with the Farkas vector ``lp_feasible`` reports.
+    unconstrained. Returns None when infeasible.
     """
     point = [_ONE if s == 1 else _MINUS_ONE if s == -1 else _ZERO for s in signs]
     if not rows:
@@ -1124,7 +798,7 @@ def signed_point(
             elif s == -1:
                 offset -= row[j]
         b_eq.append(-offset)
-    solution = fraction_lp(a_eq, b_eq, farkas=farkas)
+    solution = fraction_lp(a_eq, b_eq)
     if solution is None:
         return None
     for (j, direction), value in zip(variables, solution):
@@ -1145,10 +819,10 @@ def off_support_sigma(
     if not pinned:
         # no left-null constraints and no reactant species at all
         return [Fraction(1)] + [Fraction(0)] * (species_count - 1)
-    basis = bareiss_integer_nullspace(pinned)
+    basis = nullspace_basis(pinned)
     if not basis:
         return None
-    return [Fraction(v) for v in basis[0]]
+    return [Fraction(v) for v in scale_to_integers(basis[0])]
 
 
 class CertificateFreeSearch:
@@ -1284,13 +958,13 @@ def coefficient_reaction_vectors(net: Network) -> list[list[int]]:
 
 
 def search_rows(net: Network) -> tuple[list[list[int]], list[list[int]]]:
-    """The LP rows of the witness search: coprime integer rows of the RREF of
-    N, and the left nullspace of all of N's columns, both off ``eliminate``."""
+    """The LP rows of the witness search: the rows of the RREF of N and the
+    left nullspace of all of N's columns, each scaled to coprime integers."""
     columns = coefficient_reaction_vectors(net)
-    reduced, pivots, denom = eliminate(list(zip(*columns)))
+    reduced, pivots = rref(list(zip(*columns)))
     return (
-        [primitive(reduced[k], denom) for k in range(len(pivots))],
-        bareiss_integer_nullspace(columns),
+        [scale_to_integers(reduced[k]) for k in range(len(pivots))],
+        [scale_to_integers(vec) for vec in nullspace_basis(columns)],
     )
 
 
@@ -1323,54 +997,6 @@ def row_certificates(rows: list[list[int]]) -> list[_Certificate]:
         wpos, wneg = _sign_masks(range(len(row)), row)
         certs += [(wpos, wneg), (wneg, wpos)]
     return certs
-
-
-def signed_answer(
-    rows: Sequence[Sequence[int]], coords: Sequence[int], masks: _Masks
-) -> _Part | _Certificate:
-    """``concord._signed_point``, or the certificate ``(wpos, wneg)`` it used to
-    return when there is no point: the masks of ``w = -yᵀ rows`` for the
-    Farkas vector ``y`` of ``farkas_lp`` (for one row, ``y = [s]``, ``s`` the
-    sign of the right-hand side), checked with ``_refuted`` to refute
-    ``masks`` before it is returned."""
-    point = _signed_point(rows, coords, masks)
-    if point is not None:
-        return point
-    plus, minus, zero = masks
-    signs = [1 if plus >> j & 1 else -1 if minus >> j & 1 else 0 for j in coords]
-    if len(rows) == 1:
-        b = -sum(entry * sign for entry, sign in zip(rows[0], signs))
-        w = [(-1 if b > 0 else 1) * entry for entry in rows[0]]
-    else:
-        variables = [
-            (k, direction)
-            for k, j in enumerate(coords)
-            if not zero >> j & 1
-            for direction, blocked in ((1, minus), (-1, plus))
-            if not blocked >> j & 1
-        ]
-        a_eq = [[direction * row[k] for k, direction in variables] for row in rows]
-        farkas: list[int] = []
-        if farkas_lp(a_eq, [-sum(line) for line in a_eq], farkas=farkas) is not None:
-            raise RuntimeError("the LP kernels disagree on feasibility")
-        w = [-sum(y * row[k] for y, row in zip(farkas, rows)) for k in range(len(coords))]
-    answer = _sign_masks(coords, w)
-    if not _refuted([answer], masks):
-        raise RuntimeError("the phase-1 duals do not refute the sign pattern")
-    return answer
-
-
-class WholeSide(_Side):
-    """``_Side`` with its rows as one block over all its coordinates, so a
-    pattern is decided by that block's circuits, or its LP over the bound,
-    and a point is one LP over the whole system."""
-
-    __slots__ = ()
-
-    def _build(self) -> list[_Block]:
-        if self.blocks is None:
-            self.blocks = [_Block(list(range(self.count)), self.rows)]
-        return self.blocks
 
 
 def certificate_free_verdict(

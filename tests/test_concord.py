@@ -865,38 +865,6 @@ def test_m3cr_matches_the_memo_free_construction(net, data, node_budget):
 # --- certificate pruning against the search without certificates ----------
 
 
-def test_certificates_are_checked_before_use(monkeypatch):
-    # the certificates the search used to pool (oracles.signed_answer);
-    # x1 + x2 = 0 has no point with x1, x2 >= 1: w = (1, 1) refutes it
-    assert _signed_point([[1, 1]], range(2), (0b11, 0, 0)) is None
-    assert oracles.signed_answer([[1, 1]], range(2), (0b11, 0, 0)) == (0b11, 0)
-    assert oracles.signed_answer([[1, 1, 0]], range(3), (0, 0b01, 0b10)) == (0, 0b11)
-
-    def infeasible(vector):
-        # an LP kernel that finds every system infeasible, with Farkas vector ``vector``
-        def solve(a_eq, b_eq, farkas):
-            farkas[:] = vector
-            return None
-
-        return solve
-
-    # one row never reaches the kernel, whose zero vector would not refute:
-    # 2 x1 - x2 = 0 with x1 >= 1, x2 <= -1 has b = -3, and -sign(b) w = w
-    monkeypatch.setattr(oracles, "farkas_lp", infeasible([0]))
-    assert oracles.signed_answer([[2, -1, 0]], range(3), (0b001, 0b010, 0)) == (0b001, 0b010)
-    # x1 + x2 = x1 - x2 = 0 has no point with x1, x2 >= 1: y = (-1, 0) gives w = (1, 1)
-    rows = [[1, 1], [1, -1]]
-    monkeypatch.setattr(oracles, "farkas_lp", infeasible([-1, 0]))
-    assert oracles.signed_answer(rows, range(2), (0b11, 0, 0)) == (0b11, 0)
-    # a vector of the wrong sign, zero, or nonzero on a free coordinate
-    for masks, farkas in (
-        ((0b11, 0, 0), [1, 0]), ((0b11, 0, 0), [0, 0]), ((0b01, 0, 0), [-1, 0])
-    ):
-        monkeypatch.setattr(oracles, "farkas_lp", infeasible(farkas))
-        with pytest.raises(RuntimeError, match="do not refute"):
-            oracles.signed_answer(rows, range(2), masks)
-
-
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 6), st.data())
 def test_signed_point_from_masks_matches_the_sign_list_oracle(count, data):
@@ -910,16 +878,15 @@ def test_signed_point_from_masks_matches_the_sign_list_oracle(count, data):
     assert (solved is None) == (want is None)
     # the circuits of the rows refute exactly the infeasible patterns
     assert _refuted(_circuits(range(count), rows) if rows else [], masks) == (want is None)
-    if want is None:
-        assert _refuted([oracles.signed_answer(rows, range(count), masks)], masks)
-    else:
+    if want is not None:
         assert _read(([solved], *solved[3:]), count) == _shown(oracles.masked(want))
 
 
 def test_one_row_closed_form_matches_the_lp_on_every_small_row():
     # every integer row over 1-3 coordinates with entries in -2..2, under
     # every (+, -, 0, free) wish per coordinate, against the oracle's LP;
-    # the closed form sees the coordinates spread out, as a block does
+    # the closed form sees the coordinates spread out, as a block does, and
+    # the row's circuits refute exactly the wishes with no point
     kinds = set()
     for count in (1, 2, 3):
         coords = [2 * k + 1 for k in range(count)]
@@ -930,17 +897,14 @@ def test_one_row_closed_form_matches_the_lp_on_every_small_row():
             spread = tuple(sum(1 << j for k, j in enumerate(coords) if m >> k & 1)
                            for m in (plus, minus, zero))
             solved = _signed_point([list(row)], coords, spread)
-            farkas = []
-            want = oracles.signed_point([list(row)], signs, farkas=farkas)
+            want = oracles.signed_point([list(row)], signs)
             b = sum(-w if s == 1 else w if s == -1 else 0 for w, s in zip(row, signs))
             kinds.add("b = 0" if not b else "infeasible" if want is None else "feasible")
             if all(s == 0 for s in signs):
                 kinds.add("no columns")
+            assert _refuted(_circuits(coords, [list(row)]), spread) == (want is None)
             if want is None:
-                w = [-farkas[0] * entry for entry in row]
                 assert solved is None
-                answer = oracles.signed_answer([list(row)], coords, spread)
-                assert answer == oracles.masked(w, coords)[1:3]
             else:
                 assert solved[0] == coords
                 assert repr(list(_assemble([solved], 2 * count)[1::2])) == repr(want)
@@ -1089,23 +1053,6 @@ def test_block_solve_matches_the_whole_lp(system, data):
         assert any(_refuted(block.circuits(), masks) for block in blocks) == (want is None)
         if want is not None:
             assert _read(solved, count) == _shown(oracles.masked(want))
-
-
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(networks(max_species=5, max_reactions=7), st.sampled_from((3, 12, DEFAULT_NODE_BUDGET)))
-def test_block_split_changes_nothing_but_the_solve_count(net, node_budget):
-    # the same search with each side one block, deciding each pattern by one
-    # whole LP (a side of one row by the row) and solving one for each point
-    whole = _Parent(net).whole(node_budget)
-    for name in ("alpha", "sigma"):
-        side = getattr(whole, name)
-        setattr(whole, name, oracles.WholeSide(side.rows, side.count, {}, side.changes))
-    verdict = check_concordance(net, node_budget)
-    with patch.object(concord, "_CIRCUIT_SUBSETS", 0):
-        want = whole.run()
-    assert (verdict.status, repr(verdict.witness), verdict.search_nodes) == (
-        want.status, repr(want.witness), want.search_nodes
-    )
 
 
 @pytest.mark.parametrize("name", fixtures.NAMES)

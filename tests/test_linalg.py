@@ -1,24 +1,28 @@
 """Tests for exact rational linear algebra.
 
 The LP feasibility routine is checked against a self-contained brute-force
-oracle (enumeration of candidate basic solutions with a local Gaussian solve),
-so the two implementations share no code beyond Fraction itself. Both
-integer kernels are also checked for identical output against the Fraction
-kernels they replaced, kept in ``oracles.py``, and ``rank``, which counts
-pivots without building the reduced matrix, against the oracle's pivot
-count. Both kernels run one row step, ``_reduce``, which keeps each row a
-positive multiple of its true row; each is checked once more against the
-shared-denominator (Bareiss) kernel it replaced. On integer, ``Fraction``
-and float matrices with repeated and zero rows, ``rref``, ``rank`` and the
-nullspaces must return what ``oracles.eliminate`` gave, repr for repr, and
-on integer and rational systems ``lp_feasible`` must return the point of
-``oracles.bareiss_lp`` and the primitive form of its Farkas vector.
-``RowReducer``, ``solve_unique`` and ``scale_to_integers`` live in
-``oracles.py`` now; their unit tests stay here. Both kernels take and
-return integers, so the cases with Fractions or floats reach them through
-``oracles.fraction_lp`` and ``_integer_rows``; the integer contracts
-themselves (the ``(u, denom)`` point, both branches of ``_reduce``, an
-elimination pivot other than 1) have their own tests.
+oracle (enumeration of candidate basic solutions with a local Gaussian
+solve), so the two implementations share no code beyond Fraction itself.
+Each integer kernel is also checked for identical output against the one
+``Fraction`` kernel it replaced, kept in ``oracles.py``:
+
+- ``rref``, ``rank``, ``nullspace_basis`` and ``_integer_nullspace`` against
+  ``oracles.rref`` and ``oracles.nullspace_basis``, on integer, rational and
+  float matrices with the empty matrix and repeated, scaled and zero rows,
+  repr for repr (``rank`` against the oracle's pivot count);
+- ``lp_feasible`` against ``oracles.lp_feasible``, down to the basic point,
+  on integer, rational and float systems with rows that tie in the ratio
+  test.
+
+Both kernels run one row step, ``_reduce``, which keeps each row a positive
+multiple of its true row; its branches are checked against the ``Fraction``
+Gauss-Jordan step. ``RowReducer``, ``solve_unique`` and
+``scale_to_integers`` live in ``oracles.py`` now; their unit tests stay
+here. Both kernels take and return integers, so the cases with Fractions or
+floats reach them through ``oracles.fraction_lp`` and ``_integer_rows``;
+the integer contracts themselves (the ``(u, denom)`` point, both branches
+of ``_reduce``, an elimination pivot other than 1, the unpadded tableau)
+have their own tests.
 """
 
 from __future__ import annotations
@@ -158,9 +162,10 @@ def test_scale_to_integers():
 
 
 def test_lp_feasible_hand_cases():
-    point = fraction_lp([[1, 1]], [1])
-    assert point is not None and sum(point) == 1 and all(x >= 0 for x in point)
+    assert fraction_lp([[1, 1]], [1]) == [1, 0]
     assert fraction_lp([[1, 1]], [-1]) is None
+    assert fraction_lp([[0, 0]], [1]) is None
+    assert fraction_lp([[1], [1]], [1, 2]) is None
     assert fraction_lp([[1, -1]], [0]) is not None
     assert fraction_lp([[1, 0], [0, 1]], [2, 3]) == [Fraction(2), Fraction(3)]
     assert fraction_lp([[0, 0]], [0]) == [Fraction(0), Fraction(0)]
@@ -294,6 +299,9 @@ def test_solve_unique_roundtrip(mat, coeffs):
 rational_entries = st.one_of(
     small_entries, st.fractions(min_value=-4, max_value=4, max_denominator=6)
 )
+float_entries = st.one_of(
+    small_entries, st.floats(min_value=-4, max_value=4, allow_subnormal=False, width=32)
+)
 
 
 @st.composite
@@ -331,28 +339,64 @@ def test_lp_feasible_matches_fraction_oracle_on_rationals(case):
     _assert_identical(fraction_lp(*case), oracles.lp_feasible(*case))
 
 
+@settings(max_examples=200)
+@given(lp_systems(float_entries))
+def test_lp_feasible_matches_fraction_oracle_on_floats(case):
+    _assert_identical(fraction_lp(*case), oracles.lp_feasible(*case))
+
+
+@st.composite
+def edge_matrices(draw, entries):
+    """Up to 5 rows of 1-6 columns, the empty matrix included, with a row
+    often repeated or scaled, a zero row put in, or every entry zero."""
+    n = draw(st.integers(min_value=1, max_value=6))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=5))
+    if rows and draw(st.booleans()):
+        k = draw(st.integers(min_value=0, max_value=len(rows) - 1))
+        scale = draw(st.sampled_from((1, -1, 2)))
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), [scale * x for x in rows[k]])
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), [0] * n)
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        rows = [[0] * n for _ in rows]
+    return rows
+
+
+def _assert_elimination_is_the_fraction_oracles(mat):
+    # every eliminating kernel: rref, rank, and both nullspaces, the integer
+    # one as the Fraction basis scaled to coprime integers
+    want = oracles.rref(mat)
+    _assert_identical(rref(mat), want)
+    assert rank(mat) == len(want[1])
+    basis = oracles.nullspace_basis(mat)
+    _assert_identical(nullspace_basis(mat), basis)
+    _assert_identical(_integer_nullspace(_integer_rows(mat)), [scale_to_integers(v) for v in basis])
+
+
 @settings(max_examples=300)
-@given(matrices(max_rows=5, max_cols=6))
+@given(edge_matrices(small_entries))
+@example([])
+@example([[0]])
+@example([[0, 0], [0, 0]])
+@example([[5]])
+@example([[0], [2], [-4]])
+@example([[2, 4, 6], [1, 2, 3]])
+@example([[0, 0, 3], [0, 0, 0], [0, 2, 1]])
+@example([[-2, 4], [-2, 4], [0, 0]])
 def test_rref_matches_fraction_oracle_on_integers(mat):
-    want = oracles.rref(mat)
-    _assert_identical(rref(mat), want)
-    assert rank(mat) == len(want[1])
+    _assert_elimination_is_the_fraction_oracles(mat)
 
 
 @settings(max_examples=300)
-@given(matrices(max_rows=5, max_cols=6, entries=rational_entries))
+@given(edge_matrices(rational_entries))
 def test_rref_matches_fraction_oracle_on_rationals(mat):
-    want = oracles.rref(mat)
-    _assert_identical(rref(mat), want)
-    assert rank(mat) == len(want[1])
+    _assert_elimination_is_the_fraction_oracles(mat)
 
 
-@settings(max_examples=300)
-@given(matrices(max_rows=5, max_cols=6, entries=rational_entries))
-def test_nullspace_matches_fraction_oracle(mat):
-    want = oracles.nullspace_basis(mat)
-    _assert_identical(nullspace_basis(mat), want)
-    assert _integer_nullspace(_integer_rows(mat)) == [scale_to_integers(vec) for vec in want]
+@settings(max_examples=200)
+@given(edge_matrices(float_entries))
+def test_rref_matches_fraction_oracle_on_floats(mat):
+    _assert_elimination_is_the_fraction_oracles(mat)
 
 
 @settings(max_examples=300)
@@ -372,63 +416,6 @@ def test_primitive_divides_by_the_gcd():
     assert _primitive([-1, 2]) == [-1, 2]
     assert _primitive([0, 0]) == [0, 0]
     assert _primitive([]) == []
-
-
-# --- Farkas vectors of infeasible systems ------------------------------------
-
-float_entries = st.one_of(
-    small_entries, st.floats(min_value=-4, max_value=4, allow_subnormal=False, width=32)
-)
-
-
-def _assert_farkas_output(a_eq, b_eq):
-    """An infeasible system fills ``farkas`` with an exact Farkas vector; a
-    feasible one leaves it empty. Either way the point is the oracle's."""
-    farkas: list[int] = []
-    point = fraction_lp(a_eq, b_eq, farkas=farkas)
-    _assert_identical(point, oracles.lp_feasible(a_eq, b_eq))
-    if point is not None:
-        assert farkas == []
-        return
-    assert len(farkas) == len(a_eq) and all(type(y) is int for y in farkas)
-    for j in range(len(a_eq[0])):
-        assert sum(y * Fraction(row[j]) for y, row in zip(farkas, a_eq)) <= 0
-    assert sum(y * Fraction(b) for y, b in zip(farkas, b_eq)) > 0
-
-
-@settings(max_examples=300)
-@given(lp_systems(small_entries))
-def test_farkas_vector_of_integer_systems(case):
-    _assert_farkas_output(*case)
-
-
-@settings(max_examples=300)
-@given(lp_systems(rational_entries))
-def test_farkas_vector_of_rational_systems(case):
-    _assert_farkas_output(*case)
-
-
-@settings(max_examples=200)
-@given(lp_systems(float_entries))
-def test_farkas_vector_of_float_systems(case):
-    _assert_farkas_output(*case)
-
-
-def test_farkas_vector_hand_cases():
-    # 0 = 1; u = 1 and u = 2; u + v = -1, whose row the kernel negates to
-    # make b >= 0, so y must carry that sign back
-    for a_eq, b_eq, want in (
-        ([[0, 0]], [1], [1]),
-        ([[1], [1]], [1, 2], [-1, 1]),
-        ([[1, 1]], [-1], [-1]),
-    ):
-        farkas: list[int] = []
-        assert fraction_lp(a_eq, b_eq, farkas=farkas) is None
-        assert farkas == want
-        _assert_farkas_output(a_eq, b_eq)
-    farkas = []
-    assert fraction_lp([[1, 1]], [1], farkas=farkas) == [1, 0]
-    assert farkas == []
 
 
 def test_kernels_take_float_entries_at_their_exact_value():
@@ -455,26 +442,29 @@ def test_lp_feasible_breaks_a_ratio_tie_like_the_oracle():
 
 
 @settings(max_examples=300)
-@given(lp_systems(st.integers(-3, 3)))
+@given(st.one_of(lp_systems(st.integers(-3, 3)), lp_systems(rational_entries)))
+@example(([[2, 1], [1, 1]], [3, 2]))  # a pivot of 2
+@example(([[1, 1], [2, 2]], [1, 2]))  # both rows tie in the ratio test
+@example(([[0, 0, 1, -1], [0, 1, 0, 1], [-1, -1, 1, 0]], [0, 1, 0]))  # a tie at ratio 0
+@example(([[2, 1], [4, 2]], [1, 3]))  # infeasible after a pivot of 2
+@example(  # infeasible, on four rows of six columns
+    (
+        [[3, 4, 5, 4, 1, 1], [-1, -1, 3, -1, 4, 1], [-3, -5, -5, -3, 1, 5], [-5, -2, -3, 3, -2, 5]],
+        [0, -5, 0, 0],
+    )
+)
 def test_integer_lp_point_is_the_fraction_oracles(case):
-    # entries in -3..3 give pivots other than 1, so both _reduce branches run
-    # the Farkas vector is the one oracles.farkas_lp, the kernel's former
-    # reading of its final tableau, reports
-    a_eq, b_eq = case
-    farkas: list[int] = []
-    solution = lp_feasible(a_eq, b_eq)
-    assert oracles.farkas_lp(a_eq, b_eq, farkas=farkas) == solution
-    want = oracles.lp_feasible(a_eq, b_eq)
+    # entries in -3..3 and rationals give pivots other than 1, so both
+    # _reduce branches run, and a row repeated at twice its scale makes the
+    # ratio test tie
+    solution = lp_feasible(*oracles.integer_system(*case))
+    want = oracles.lp_feasible(*case)
     if want is None:
         assert solution is None
-        for j in range(len(a_eq[0])):
-            assert sum(y * row[j] for y, row in zip(farkas, a_eq)) <= 0
-        assert sum(y * b for y, b in zip(farkas, b_eq)) > 0
         return
     u, denom = solution
     assert denom > 0 and all(type(x) is int for x in u)
     assert [Fraction(x, denom) for x in u] == want
-    assert farkas == []
 
 
 def _pivots_taken(monkeypatch):
@@ -502,11 +492,9 @@ def test_lp_with_unit_pivots_only(monkeypatch):
 def test_lp_with_a_pivot_of_two(monkeypatch):
     taken = _pivots_taken(monkeypatch)
     # the pivot of 2 leaves its row at twice its true row, and the unit pivot
-    # after it keeps that scale, so the point comes over 2; Bareiss reads the
-    # same point over its last pivot, 1
+    # after it keeps that scale, so the point comes over 2
     assert lp_feasible([[2, 1], [1, 1]], [3, 2]) == ([2, 2], 2)
     assert taken == [2, 1]
-    assert oracles.bareiss_lp([[2, 1], [1, 1]], [3, 2]) == ([1, 1], 1)
     assert oracles.lp_feasible([[2, 1], [1, 1]], [3, 2]) == [1, 1]
     taken.clear()
     assert lp_feasible([[2, 1]], [3]) == ([3, 0], 2)
@@ -514,51 +502,25 @@ def test_lp_with_a_pivot_of_two(monkeypatch):
     assert oracles.lp_feasible([[2, 1]], [3]) == [Fraction(3, 2), 0]
 
 
-def test_pivot_branches_agree_with_the_bareiss_formula():
+def test_pivot_branches_are_positive_multiples_of_the_fraction_step():
     # pivot 1: row - f*pivot_row; otherwise p*row - f*pivot_row over its gcd,
     # and a row with a zero in the pivot column is left alone. Every row is a
-    # positive multiple of the Bareiss step's, (p*row - f*pivot_row) / denom
-    # with the zero rows rescaled too, so their primitive forms are equal.
-    for rows, r, col, denom, want in (
-        ([[1, 2, 3], [4, 5, 6], [0, 7, 8]], 0, 0, 1, [[1, 2, 3], [0, -3, -6], [0, 7, 8]]),
-        ([[2, 1, 3], [1, 1, 2], [0, 4, 6]], 0, 0, 1, [[2, 1, 3], [0, 1, 1], [0, 4, 6]]),
-        ([[4, 2, 6], [2, 3, 4], [0, 2, 4]], 1, 1, 2, [[4, 0, 5], [2, 3, 4], [-1, 0, 1]]),
+    # positive multiple of the Fraction Gauss-Jordan step's, pivot_row / p
+    # for the pivot row and row - (f/p)*pivot_row for the others, so both
+    # scale to the same coprime integers.
+    for rows, r, col, want in (
+        ([[1, 2, 3], [4, 5, 6], [0, 7, 8]], 0, 0, [[1, 2, 3], [0, -3, -6], [0, 7, 8]]),
+        ([[2, 1, 3], [1, 1, 2], [0, 4, 6]], 0, 0, [[2, 1, 3], [0, 1, 1], [0, 4, 6]]),
+        ([[4, 2, 6], [2, 3, 4], [0, 2, 4]], 1, 1, [[4, 0, 5], [2, 3, 4], [-1, 0, 1]]),
     ):
-        bareiss = [list(row) for row in rows]
-        oracles.bareiss_pivot(bareiss, r, col, denom)
+        pivot_row = [Fraction(x, rows[r][col]) for x in rows[r]]
+        step = [
+            pivot_row if i == r else [a - row[col] * b for a, b in zip(row, pivot_row)]
+            for i, row in enumerate(rows)
+        ]
         linalg._reduce(rows, r, col)
         assert rows == want
-        assert [_primitive(row) for row in rows] == [_primitive(row) for row in bareiss]
-
-
-@settings(max_examples=300)
-@given(st.one_of(lp_systems(st.integers(-3, 3)), lp_systems(rational_entries)))
-@example(([[2, 1], [1, 1]], [3, 2]))  # a pivot of 2
-@example(([[1, 1], [2, 2]], [1, 2]))  # both rows tie in the ratio test
-@example(([[0, 0, 1, -1], [0, 1, 0, 1], [-1, -1, 1, 0]], [0, 1, 0]))  # a tie at ratio 0
-@example(([[2, 1], [4, 2]], [1, 3]))  # infeasible after a pivot of 2
-@example(  # infeasible, with final duals of common factor 4
-    (
-        [[3, 4, 5, 4, 1, 1], [-1, -1, 3, -1, 4, 1], [-3, -5, -5, -3, 1, 5], [-5, -2, -3, 3, -2, 5]],
-        [0, -5, 0, 0],
-    )
-)
-def test_lp_point_and_farkas_vector_are_the_bareiss_oracles(case):
-    # entries in -3..3 and rationals give pivots other than 1, and a row
-    # repeated at twice its scale makes the ratio test tie
-    a_eq, b_eq = oracles.integer_system(*case)
-    farkas: list[int] = []
-    want_farkas: list[int] = []
-    solution = lp_feasible(a_eq, b_eq)
-    assert oracles.farkas_lp(a_eq, b_eq, farkas=farkas) == solution
-    want = oracles.bareiss_lp(a_eq, b_eq, farkas=want_farkas)
-    if want is None:
-        assert solution is None
-        assert farkas == _primitive(want_farkas)
-        return
-    (u, denom), (want_u, want_denom) = solution, want
-    assert [Fraction(x, denom) for x in u] == [Fraction(x, want_denom) for x in want_u]
-    assert farkas == []
+        assert [scale_to_integers(row) for row in rows] == [scale_to_integers(row) for row in step]
 
 
 def _steps_taken(monkeypatch):
@@ -575,35 +537,22 @@ def _steps_taken(monkeypatch):
     return steps
 
 
-def _assert_farkas_is_the_bareiss_oracles(a_eq, b_eq, want):
-    # oracles.farkas_lp reads the vector off the final tableau of the
-    # library's steps, as lp_feasible did when it returned one
-    farkas: list[int] = []
-    want_farkas: list[int] = []
-    assert oracles.farkas_lp(a_eq, b_eq, farkas=farkas) is None
-    assert oracles.bareiss_lp(a_eq, b_eq, farkas=want_farkas) is None
-    assert farkas == _primitive(want_farkas) == want
-
-
-def test_farkas_vector_sums_the_artificial_rows_over_their_pivots(monkeypatch):
-    # one pivot of 2 leaves two artificials basic: row 0 under artificial 0
-    # with pivot entry 2 and row 2 under artificial 2 with pivot entry 1, so
-    # y = 1 * (2, 1, 0) + 2 * (0, 0, 1) over their lcm 2
-    assert lp_feasible([[-1], [2], [0]], [3, 2, 3]) is None
+def test_infeasible_lp_ends_on_an_unpadded_tableau(monkeypatch):
+    # one pivot of 2 leaves two artificials basic, 0 and 2, with b != 0; the
+    # final tableau is [A | I | b], with no padding column
     steps = _steps_taken(monkeypatch)
-    _assert_farkas_is_the_bareiss_oracles([[-1], [2], [0]], [3, 2, 3], [2, 1, 2])
+    assert lp_feasible([[-1], [2], [0]], [3, 2, 3]) is None
     assert [col for _, col in steps] == [0]
     tableau = steps[-1][0]
     assert tableau[:3] == [[0, 2, 1, 0, 8], [2, 0, 1, 0, 2], [0, 0, 0, 1, 3]]
     assert all(len(row) == 1 + 3 + 1 for row in tableau)
 
 
-def test_farkas_vector_after_an_artificial_enters_again(monkeypatch):
+def test_infeasible_lp_lets_an_artificial_enter_again(monkeypatch):
     a_eq = [[1, 0, -2, -2, -1], [0, -2, 1, 2, 3], [3, -3, 0, 2, 0], [2, 2, -1, 0, 1]]
     b_eq = [-2, 4, -4, 4]
-    assert lp_feasible(a_eq, b_eq) is None
     steps = _steps_taken(monkeypatch)
-    _assert_farkas_is_the_bareiss_oracles(a_eq, b_eq, [5, 2, -2, -1])
+    assert lp_feasible(a_eq, b_eq) is None
     # artificial 2 (column 5 + 2) leaves the basis and comes back
     assert [col for _, col in steps] == [1, 0, 2, 3, 4, 7]
 
@@ -620,60 +569,3 @@ def test_eliminate_pivots_on_two_like_the_fraction_rref():
     assert pivots == want_pivots == [0, 1]
     assert reduced == [scale_to_integers(row) for row in want]
     assert reduced == [[1, 0, 0, 1, -1], [0, 1, -1, 1, -1]]
-
-
-# --- the row-primitive elimination against the Bareiss one -------------------
-
-
-@st.composite
-def edge_matrices(draw, entries):
-    """Up to 5 rows of 1-6 columns, the empty matrix included, with a row
-    often repeated or scaled, a zero row put in, or every entry zero."""
-    n = draw(st.integers(min_value=1, max_value=6))
-    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), max_size=5))
-    if rows and draw(st.booleans()):
-        k = draw(st.integers(min_value=0, max_value=len(rows) - 1))
-        scale = draw(st.sampled_from((1, -1, 2)))
-        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), [scale * x for x in rows[k]])
-    if draw(st.booleans()):
-        rows.insert(draw(st.integers(min_value=0, max_value=len(rows))), [0] * n)
-    if draw(st.integers(min_value=0, max_value=9)) == 0:
-        rows = [[0] * n for _ in rows]
-    return rows
-
-
-def _assert_matches_bareiss(mat):
-    _assert_identical(rref(mat), oracles.bareiss_rref(mat))
-    assert rank(mat) == len(oracles.eliminate(mat)[1])
-    basis, denom = oracles.bareiss_nullspace(mat)
-    _assert_identical(nullspace_basis(mat), [[Fraction(x, denom) for x in vec] for vec in basis])
-    _assert_identical(
-        _integer_nullspace(_integer_rows(mat)), oracles.bareiss_integer_nullspace(mat)
-    )
-
-
-@pytest.mark.parametrize(
-    "mat",
-    [[], [[0]], [[0, 0], [0, 0]], [[5]], [[0], [2], [-4]], [[2, 4, 6], [1, 2, 3]],
-     [[0, 0, 3], [0, 0, 0], [0, 2, 1]], [[-2, 4], [-2, 4], [0, 0]]],
-)
-def test_elimination_matches_bareiss_on_edge_cases(mat):
-    _assert_matches_bareiss(mat)
-
-
-@settings(max_examples=300)
-@given(edge_matrices(small_entries))
-def test_elimination_matches_bareiss_on_integers(mat):
-    _assert_matches_bareiss(mat)
-
-
-@settings(max_examples=300)
-@given(edge_matrices(rational_entries))
-def test_elimination_matches_bareiss_on_rationals(mat):
-    _assert_matches_bareiss(mat)
-
-
-@settings(max_examples=200)
-@given(edge_matrices(float_entries))
-def test_elimination_matches_bareiss_on_floats(mat):
-    _assert_matches_bareiss(mat)
