@@ -55,6 +55,15 @@ def _rate_constants(net: Network, k: Mapping[str, Real]) -> list[Real]:
     return [_positive(k[label], f"rate constant for {label}") for label in labels]
 
 
+def _check_concentrations(species: Iterable[str], x: Mapping[str, Real]) -> None:
+    """Check that ``x`` gives every one of ``species`` a positive, finite
+    concentration."""
+    for name in species:
+        if name not in x:
+            raise ValueError(f"missing concentration for {name}")
+        _positive(x[name], f"concentration of {name}")
+
+
 def _rate(k: Real, exponents: Complex, x: Mapping[str, Real]) -> Real:
     """The monomial ``k * Π x[s]**e`` over the (species, exponent) pairs."""
     for name, power in exponents:
@@ -67,12 +76,14 @@ def _species_rates(
     reactions: Iterable[tuple[Real, Complex, Complex, Complex]],
     x: Mapping[str, Real],
 ) -> tuple[dict[str, Real], dict[str, Real]]:
-    """Net and gross production of each species at ``x``.
+    """Net and gross production of each species at ``x``, once ``x`` is
+    checked by ``_check_concentrations``.
 
     ``reactions`` yields (rate constant, rate exponents, reactant, product).
     The arithmetic stays in the type of the inputs: floats give floats,
     ``Fraction``s give exact results.
     """
+    _check_concentrations(species, x)
     f = dict.fromkeys(species, 0)
     gross = dict.fromkeys(species, 0)
     for k, exponents, reactant, product in reactions:
@@ -85,25 +96,19 @@ def _species_rates(
     return f, gross
 
 
-def _mass_action_rates(
-    net: Network, constants: Sequence[Real], x: Mapping[str, Real]
-) -> tuple[dict[str, Real], dict[str, Real]]:
-    """Net and gross production at ``x``, with ``constants`` from ``_rate_constants``."""
-    for name in net.species:
-        if name not in x:
-            raise ValueError(f"missing concentration for {name}")
-        _positive(x[name], f"concentration of {name}")
-    reactions = (
-        (c, rxn.reactant, rxn.reactant, rxn.product) for c, rxn in zip(constants, net.reactions)
-    )
-    return _species_rates(net.species, reactions, x)
+def _mass_action_reactions(
+    net: Network, constants: Sequence[Real]
+) -> Iterable[tuple[Real, Complex, Complex, Complex]]:
+    """The ``_species_rates`` reactions of ``net`` under mass action, with
+    ``constants`` from ``_rate_constants``."""
+    return ((c, rxn.reactant, rxn.reactant, rxn.product) for c, rxn in zip(constants, net.reactions))
 
 
 def mass_action_rhs(
     net: Network, k: Mapping[str, Real], x: Mapping[str, Real]
 ) -> dict[str, Real]:
     """The species-formation rate f(x) = N·K(x) under mass-action kinetics."""
-    return _mass_action_rates(net, _rate_constants(net, k), x)[0]
+    return _species_rates(net.species, _mass_action_reactions(net, _rate_constants(net, k)), x)[0]
 
 
 def equilibrium_residual(
@@ -115,7 +120,7 @@ def equilibrium_residual(
 
 def _residual(net: Network, constants: Sequence[Real], x: Mapping[str, Real]) -> Real:
     """``equilibrium_residual`` with ``constants`` from ``_rate_constants``."""
-    f, gross = _mass_action_rates(net, constants, x)
+    f, gross = _species_rates(net.species, _mass_action_reactions(net, constants), x)
     return max(abs(f[name]) / max(1, gross[name]) for name in net.species)
 
 

@@ -21,7 +21,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .core import Complex, Network, Reaction, common_reactions, reaction_vectors
 from .decomp import fid
-from .kinetics import _positive, _rate, _rate_constants, _species_rates
+from .kinetics import _check_concentrations, _positive, _rate, _rate_constants, _species_rates
 from .linalg import rank
 from .structure import network_numbers
 
@@ -311,6 +311,7 @@ class RatedReaction:
         return self.exponents == self.reactant
 
     def rate(self, x: Mapping[str, Real]) -> Real:
+        _check_concentrations((name for name, _ in self.exponents), x)
         return _rate(self.rate_constant, self.exponents, x)
 
 

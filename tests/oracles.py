@@ -15,9 +15,8 @@ integer, rational and float matrices with repeated, scaled and zero rows
 of ``linalg._eliminate`` must be the RREF rows scaled to coprime integers
 (``test_primitive_rows_match_the_scaled_fraction_rref``,
 ``test_eliminate_pivots_on_two_like_the_fraction_rref``), and so must the
-witness search's LP rows (``test_concord.py``:
-``test_search_rows_are_the_scaled_fraction_rows``). ``plain_circuits`` and
-``search_rows`` (below) use them too.
+witness search's LP rows, through ``search_rows`` (below).
+``plain_circuits`` uses them too.
 
 ``lp_feasible`` is the LP reference: the original phase-1 simplex with
 Bland's rule on ``Fraction``s. ``linalg.lp_feasible`` pivots on integers and
@@ -108,7 +107,22 @@ they must agree at every node of a search
 ``m3cr`` is the original container construction, which runs a fresh search
 for every reaction set it meets. The library's ``m3cr`` searches each
 reaction set once per call and shares a block store between its searches;
-its report must be equal, ``search_nodes`` included (``test_concord.py``).
+its report must be equal, ``search_nodes`` included, and also with
+``certificate_free_verdict`` deciding each set (``test_concord.py``:
+``test_m3cr_with_a_shared_store_on_larger_networks``,
+``test_m3cr_is_the_point_carrying_construction``).
+
+``oracle_verdict`` is the verdict by exhaustive enumeration: on a tiny
+network it tries every one of the 3^m sign patterns of sigma, each with one
+exact LP for sigma and one for alpha (``_signed_solution``), with no search,
+no pruning and no code shared with the library's search beyond the simplex
+kernel. ``check_concordance`` must give its status, and both its witness and
+the library's must verify (``test_acceptance.py``:
+``test_sign_search_agrees_with_exhaustive_enumeration``). ``lifted_witness``
+carries a subnetwork's witness into its parent, which holds when every
+removed reaction's reactant support stays zero or mixed in sign; the lifted
+witness must verify in the parent
+(``test_lifted_certificates_stay_valid_in_the_parent``).
 
 ``RowReducer``, ``solve_unique`` and ``scale_to_integers`` are the library's
 former span, solve and scaling helpers, moved here when nothing in the
@@ -147,7 +161,7 @@ from math import gcd
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from collections import Counter
-from itertools import combinations
+from itertools import combinations, product
 
 from crnkit import linalg
 from crnkit.concord import (
@@ -1034,3 +1048,113 @@ def positive_point(rows: Sequence[Sequence[int]], count: int) -> ConeCertificate
     if point is None:
         return ConeCertificate(False, None)
     return ConeCertificate(True, _assemble([point], count))
+
+
+# --- brute-force oracle -----------------------------------------------------
+#
+# Witness existence depends on sigma only through its sign pattern, so on a
+# tiny network we can simply enumerate all 3^m patterns and solve one exact
+# LP for sigma and one for alpha per pattern.  No search, no pruning, no
+# shared code with the production engine beyond the simplex kernel.
+
+
+def _signed_solution(n_vars, eq_rows, pos_forms, neg_forms, zero_forms):
+    """A point of {x free : eq_rows x = 0, f x >= 1, g x <= -1, h x = 0}."""
+    strict = len(pos_forms) + len(neg_forms)
+
+    def split(form, slack_at=None, slack_sign=0):
+        row = []
+        for c in form:
+            row.extend((c, -c))
+        row.extend([_ZERO] * strict)
+        if slack_at is not None:
+            row[2 * n_vars + slack_at] = Fraction(slack_sign)
+        return row
+
+    rows = [split(row) for row in eq_rows]
+    rhs = [_ZERO] * len(eq_rows)
+    for k, form in enumerate(pos_forms):
+        rows.append(split(form, k, -1))
+        rhs.append(_ONE)
+    for k, form in enumerate(neg_forms):
+        rows.append(split(form, len(pos_forms) + k, 1))
+        rhs.append(_MINUS_ONE)
+    for form in zero_forms:
+        rows.append(split(form))
+        rhs.append(_ZERO)
+    point = fraction_lp(rows, rhs)
+    if point is None:
+        return None
+    x = [point[2 * i] - point[2 * i + 1] for i in range(n_vars)]
+    for row in eq_rows:
+        assert sum(c * v for c, v in zip(row, x)) == 0
+    for form in pos_forms:
+        assert sum(c * v for c, v in zip(form, x)) >= 1
+    for form in neg_forms:
+        assert sum(c * v for c, v in zip(form, x)) <= -1
+    for form in zero_forms:
+        assert sum(c * v for c, v in zip(form, x)) == 0
+    return x
+
+
+def oracle_verdict(net: Network) -> tuple[str, SignWitness | None]:
+    """``("Discordant", witness)`` for the first sign pattern that has one,
+    else ``("Concordant", None)``."""
+    cols = coefficient_reaction_vectors(net)
+    m, r = len(net.species), len(net.reactions)
+    rows = [[cols[j][i] for j in range(r)] for i in range(m)]
+    supports = [
+        [net.species.index(name) for name, _ in rxn.reactant]
+        for rxn in net.reactions
+    ]
+    unit = lambda k, n: [Fraction(i == k) for i in range(n)]
+    for signs in product((1, -1, 0), repeat=m):
+        if all(s == 0 for s in signs):
+            continue
+        beta = _signed_solution(
+            r,
+            [],
+            [rows[i] for i in range(m) if signs[i] > 0],
+            [rows[i] for i in range(m) if signs[i] < 0],
+            [rows[i] for i in range(m) if signs[i] == 0],
+        )
+        if beta is None:
+            continue
+        pos, neg, zero = [], [], []
+        for k, supp in enumerate(supports):
+            seen = {signs[i] for i in supp}
+            if not supp or seen == {0}:
+                zero.append(unit(k, r))
+            elif 1 in seen and -1 in seen:
+                pass
+            elif 1 in seen:
+                pos.append(unit(k, r))
+            else:
+                neg.append(unit(k, r))
+        alpha = _signed_solution(r, rows, pos, neg, zero)
+        if alpha is not None:
+            sigma = [sum(cols[j][i] * beta[j] for j in range(r)) for i in range(m)]
+            return "Discordant", SignWitness(tuple(alpha), tuple(sigma))
+    return "Concordant", None
+
+
+def lifted_witness(parent: Network, child: Network, witness: SignWitness) -> SignWitness | None:
+    """The witness of ``child``, a subnetwork of ``parent``, over the parent's
+    reactions and species, or None when a removed reaction's reactant support
+    takes one strict sign under sigma."""
+    by_name = dict(zip(child.species, witness.sigma))
+    sigma = tuple(by_name.get(name, _ZERO) for name in parent.species)
+    child_arrows = {rxn.arrow for rxn in child.reactions}
+    alpha = []
+    taken = iter(witness.alpha)
+    for rxn in parent.reactions:
+        alpha.append(next(taken) if rxn.arrow in child_arrows else _ZERO)
+    removed = [rxn for rxn in parent.reactions if rxn.arrow not in child_arrows]
+    for rxn in removed:
+        signs = {
+            (by_name.get(name, _ZERO) > 0) - (by_name.get(name, _ZERO) < 0)
+            for name, _ in rxn.reactant
+        }
+        if signs and signs != {0} and not (1 in signs and -1 in signs):
+            return None
+    return SignWitness(tuple(alpha), sigma)

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from oracles import _signs
+from oracles import _signs, lifted_witness, oracle_verdict
 from crnkit import fixtures
 from crnkit.cli import main as cli_main
 from crnkit.concord import (
@@ -44,7 +44,6 @@ from crnkit.kinetics import acr_scan, equilibrium_residual, free_parameters, par
 from crnkit.linalg import rank
 from crnkit.transform import KineticSystem, core, csen, embedded_network, same_dynamics
 from netgen import networks
-from test_concord import _lifted, oracle_verdict
 
 LEE = fixtures.load("lee")
 FAL = fixtures.load("fal")
@@ -360,7 +359,9 @@ def test_positive_dependence_and_nonconservativity_of_the_four_models():
             for i in range(len(net.species))
         ]
         assert all(entry == 0 for entry in combo)
-        assert not is_conservative(net).holds
+        conservative = is_conservative(net)
+        assert not conservative.holds
+        assert conservative.vector is None
     assert time.perf_counter() - start < 5.0
 
 
@@ -372,9 +373,11 @@ def test_positive_dependence_and_nonconservativity_of_the_four_models():
 def test_maximal_concordant_containers_of_shared_reactions():
     start = time.perf_counter()
 
-    report = m3cr(AUGMENTED, common_reactions(AUGMENTED, MACLEAN))
+    shared = common_reactions(AUGMENTED, MACLEAN)
+    report = m3cr(AUGMENTED, shared)
     assert sorted(r.label for r in report.discordance_set) == ["R10", "R11"]
     assert labels(report.container.reactions) == labels(AUGMENTED.reactions) - {"R10", "R11"}
+    assert labels(shared) <= labels(report.container.reactions)
     assert report.maximality_verified
     assert not report.order_dependent
 
@@ -388,6 +391,7 @@ def test_maximal_concordant_containers_of_shared_reactions():
     assert labels(report.container.reactions) == labels(FAL.reactions) - {"R55"}
     assert report.maximality_verified
     assert report.order_dependent
+    assert check_concordance(report.container).concordant
 
     # Dropping the whole pair R51/R52 also leaves a concordant container, but
     # not a maximal one: R51 can be re-admitted on its own.
@@ -540,8 +544,14 @@ def test_every_independent_partition_coarsens_the_finest_one(net):
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(networks(max_species=4, max_reactions=4))
 def test_sign_search_agrees_with_exhaustive_enumeration(net):
-    expected, _ = oracle_verdict(net)
-    assert check_concordance(net).status == expected
+    expected, oracle_witness = oracle_verdict(net)
+    verdict = check_concordance(net)
+    assert verdict.status == expected
+    if expected == "Discordant":
+        assert verify_witness(net, verdict.witness)
+        assert verify_witness(net, oracle_witness)
+    else:
+        assert verdict.witness is None
 
 
 def test_removing_reactions_can_flip_concordance_both_ways():
@@ -554,7 +564,7 @@ def test_removing_reactions_can_flip_concordance_both_ways():
     assert check_concordance(subnetwork(trio, [0, 1])).status == "Discordant"
 
 
-@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(networks(max_species=4, max_reactions=5), st.data())
 def test_lifted_certificates_stay_valid_in_the_parent(net, data):
     if len(net.reactions) < 2:
@@ -571,7 +581,7 @@ def test_lifted_certificates_stay_valid_in_the_parent(net, data):
     verdict = check_concordance(child)
     if verdict.status != "Discordant":
         return
-    lifted = _lifted(net, child, verdict.witness)
+    lifted = lifted_witness(net, child, verdict.witness)
     if lifted is not None:
         assert verify_witness(net, lifted)
         assert check_concordance(net).status == "Discordant"

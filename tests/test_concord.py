@@ -52,117 +52,6 @@ REDUCED = fixtures.load("schmitz-reduced")
 DATA = Path(__file__).parent / "data"
 
 
-# --- brute-force oracle -----------------------------------------------------
-#
-# Witness existence depends on sigma only through its sign pattern, so on a
-# tiny network we can simply enumerate all 3^m patterns and solve one exact
-# LP for sigma and one for alpha per pattern.  No search, no pruning, no
-# shared code with the production engine beyond the simplex kernel.
-
-
-def _columns(net):
-    cols = []
-    for rxn in net.reactions:
-        col = {name: Fraction(0) for name in net.species}
-        for name, coeff in rxn.product:
-            col[name] += coeff
-        for name, coeff in rxn.reactant:
-            col[name] -= coeff
-        cols.append([col[name] for name in net.species])
-    return cols
-
-
-def _signed_solution(n_vars, eq_rows, pos_forms, neg_forms, zero_forms):
-    """A point of {x free : eq_rows x = 0, f x >= 1, g x <= -1, h x = 0}."""
-    strict = len(pos_forms) + len(neg_forms)
-
-    def split(form, slack_at=None, slack_sign=0):
-        row = []
-        for c in form:
-            row.extend((c, -c))
-        row.extend([Fraction(0)] * strict)
-        if slack_at is not None:
-            row[2 * n_vars + slack_at] = Fraction(slack_sign)
-        return row
-
-    rows = [split(row) for row in eq_rows]
-    rhs = [Fraction(0)] * len(eq_rows)
-    for k, form in enumerate(pos_forms):
-        rows.append(split(form, k, -1))
-        rhs.append(Fraction(1))
-    for k, form in enumerate(neg_forms):
-        rows.append(split(form, len(pos_forms) + k, 1))
-        rhs.append(Fraction(-1))
-    for form in zero_forms:
-        rows.append(split(form))
-        rhs.append(Fraction(0))
-    point = oracles.fraction_lp(rows, rhs)
-    if point is None:
-        return None
-    x = [point[2 * i] - point[2 * i + 1] for i in range(n_vars)]
-    for row in eq_rows:
-        assert sum(c * v for c, v in zip(row, x)) == 0
-    for form in pos_forms:
-        assert sum(c * v for c, v in zip(form, x)) >= 1
-    for form in neg_forms:
-        assert sum(c * v for c, v in zip(form, x)) <= -1
-    for form in zero_forms:
-        assert sum(c * v for c, v in zip(form, x)) == 0
-    return x
-
-
-def oracle_verdict(net):
-    cols = _columns(net)
-    m, r = len(net.species), len(net.reactions)
-    rows = [[cols[j][i] for j in range(r)] for i in range(m)]
-    supports = [
-        [net.species.index(name) for name, _ in rxn.reactant]
-        for rxn in net.reactions
-    ]
-    unit = lambda k, n: [Fraction(i == k) for i in range(n)]
-    for signs in product((1, -1, 0), repeat=m):
-        if all(s == 0 for s in signs):
-            continue
-        beta = _signed_solution(
-            r,
-            [],
-            [rows[i] for i in range(m) if signs[i] > 0],
-            [rows[i] for i in range(m) if signs[i] < 0],
-            [rows[i] for i in range(m) if signs[i] == 0],
-        )
-        if beta is None:
-            continue
-        pos, neg, zero = [], [], []
-        for k, supp in enumerate(supports):
-            seen = {signs[i] for i in supp}
-            if not supp or seen == {0}:
-                zero.append(unit(k, r))
-            elif 1 in seen and -1 in seen:
-                pass
-            elif 1 in seen:
-                pos.append(unit(k, r))
-            else:
-                neg.append(unit(k, r))
-        alpha = _signed_solution(r, rows, pos, neg, zero)
-        if alpha is not None:
-            sigma = [sum(cols[j][i] * beta[j] for j in range(r)) for i in range(m)]
-            return "Discordant", SignWitness(tuple(alpha), tuple(sigma))
-    return "Concordant", None
-
-
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(networks(max_species=4, max_reactions=4))
-def test_verdict_matches_exhaustive_oracle(net):
-    expected, oracle_witness = oracle_verdict(net)
-    verdict = check_concordance(net)
-    assert verdict.status == expected
-    if expected == "Discordant":
-        assert verify_witness(net, verdict.witness)
-        assert verify_witness(net, oracle_witness)
-    else:
-        assert verdict.witness is None
-
-
 # --- hand-checked smalls ----------------------------------------------------
 
 
@@ -215,69 +104,6 @@ def test_tiny_budget_returns_unknown():
     assert verdict.search_nodes >= 3
 
 
-# --- monotonicity under reaction removal ------------------------------------
-#
-# Dropping reactions does NOT always preserve concordance: a witness for the
-# smaller network must additionally keep every removed reactant support
-# zero-signed or mixed-signed, otherwise it does not lift.  Both directions
-# are exercised: the two counterexample families below, and the lifting law
-# when the side condition does hold.
-
-
-def test_removing_a_reaction_can_create_discordance():
-    parent = parse_network("A -> B @R1\n2 A -> B @R2\nB -> A @R3")
-    assert check_concordance(parent).concordant
-    child = subnetwork(parent, [0, 1])
-    assert check_concordance(child).status == "Discordant"
-
-    flow = parse_network("0 -> A @R1\nA -> 0 @R2")
-    assert check_concordance(flow).concordant
-    assert check_concordance(subnetwork(flow, [0])).status == "Discordant"
-
-
-def _lifted(parent, child, witness):
-    by_name = dict(zip(child.species, witness.sigma))
-    sigma = tuple(by_name.get(name, Fraction(0)) for name in parent.species)
-    child_arrows = {rxn.arrow for rxn in child.reactions}
-    alpha = []
-    taken = iter(witness.alpha)
-    for rxn in parent.reactions:
-        alpha.append(next(taken) if rxn.arrow in child_arrows else Fraction(0))
-    removed = [rxn for rxn in parent.reactions if rxn.arrow not in child_arrows]
-    for rxn in removed:
-        signs = {
-            (by_name.get(name, Fraction(0)) > 0) - (by_name.get(name, Fraction(0)) < 0)
-            for name, _ in rxn.reactant
-        }
-        if signs and signs != {0} and not (1 in signs and -1 in signs):
-            return None
-    return SignWitness(tuple(alpha), sigma)
-
-
-@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(networks(max_species=4, max_reactions=5), st.data())
-def test_discordance_lifts_when_removed_supports_stay_masked(net, data):
-    if len(net.reactions) < 2:
-        return
-    keep = data.draw(
-        st.lists(
-            st.integers(0, len(net.reactions) - 1),
-            min_size=1,
-            max_size=len(net.reactions) - 1,
-            unique=True,
-        )
-    )
-    child = subnetwork(net, keep)
-    verdict = check_concordance(child)
-    if verdict.status != "Discordant":
-        return
-    lifted = _lifted(net, child, verdict.witness)
-    if lifted is None:
-        return
-    assert verify_witness(net, lifted)
-    assert check_concordance(net).status == "Discordant"
-
-
 # --- witness validation -----------------------------------------------------
 
 
@@ -310,53 +136,7 @@ def test_verify_witness_checks_dimensions():
         verify_witness(net, SignWitness((Fraction(0),), (Fraction(1),)))
 
 
-# --- whole-model verdicts ---------------------------------------------------
-
-
-@pytest.mark.parametrize(
-    "net", [LEE, FAL, SCHMITZ, MACLEAN], ids=["lee", "fal", "schmitz", "maclean"]
-)
-def test_wnt_models_are_discordant_with_verified_witnesses(net):
-    verdict = check_concordance(net)
-    assert verdict.status == "Discordant"
-    assert verify_witness(net, verdict.witness)
-
-
-def test_common_reaction_subnetworks_are_concordant():
-    sam = subnetwork_by_labels(
-        AUGMENTED, [r.label for r in common_reactions(AUGMENTED, MACLEAN)]
-    )
-    assert check_concordance(sam).concordant
-
-    fm = subnetwork_by_labels(FAL, [r.label for r in common_reactions(FAL, MACLEAN)])
-    assert check_concordance(fm).concordant
-
-
-def test_fal_complement_of_the_high_affinity_pair_is_concordant():
-    fc = subnetwork(
-        FAL, [i for i, r in enumerate(FAL.reactions) if r.label not in ("R51", "R52")]
-    )
-    assert check_concordance(fc).concordant
-
-
 # --- positive dependence and conservativity ---------------------------------
-
-
-@pytest.mark.parametrize(
-    "net", [LEE, FAL, SCHMITZ, MACLEAN], ids=["lee", "fal", "schmitz", "maclean"]
-)
-def test_wnt_models_are_positive_dependent_but_not_conservative(net):
-    dependent = is_positive_dependent(net)
-    assert dependent
-    assert dependent.vector is not None
-    assert all(a >= 1 for a in dependent.vector)
-    cols = _columns(net)
-    for i in range(len(net.species)):
-        assert sum(cols[j][i] * a for j, a in enumerate(dependent.vector)) == 0
-
-    conservative = is_conservative(net)
-    assert not conservative
-    assert conservative.vector is None
 
 
 def test_positive_dependence_toys():
@@ -370,7 +150,9 @@ def test_conservativity_toys():
     cert = is_conservative(parse_network("A -> B @R1\nB -> A @R2"))
     assert cert
     assert all(p >= 1 for p in cert.vector)
-    assert not is_conservative(parse_network("0 -> A @R1"))
+    inflow = is_conservative(parse_network("0 -> A @R1"))
+    assert not inflow
+    assert inflow.vector is None
 
 
 @settings(max_examples=200, deadline=None)
@@ -392,49 +174,13 @@ def test_cone_certificates_match_the_whole_lp(net):
 # --- maximal concordant containers ------------------------------------------
 
 
-def test_container_for_augmented_model_drops_the_two_release_reactions():
-    report = m3cr(AUGMENTED, common_reactions(AUGMENTED, MACLEAN))
-    assert sorted(r.label for r in report.discordance_set) == ["R10", "R11"]
-    assert report.maximality_verified
-    assert not report.order_dependent
-    kept = {r.label for r in report.container.reactions}
-    assert {r.label for r in common_reactions(AUGMENTED, MACLEAN)} <= kept
-    assert check_concordance(report.container).concordant
-
-
-def test_container_for_fal_is_maximal_but_not_unique():
-    """Greedy growth in network order keeps A24+A4<->A27 and drops A23->A2.
-
-    Maximality is genuine: re-adding R55 restores the full (discordant)
-    network.  The reverse insertion order lands on a different maximal
-    container, so the report flags order dependence.
-    """
-    report = m3cr(FAL, common_reactions(FAL, MACLEAN))
-    assert [r.label for r in report.discordance_set] == ["R55"]
-    assert report.maximality_verified
-    assert report.order_dependent
-    assert check_concordance(report.container).concordant
-
-
-def test_adding_one_direction_of_the_pair_to_its_complement_is_discordant():
-    # the network without R52 is exactly "complement of the pair" + R51
-    without_r52 = subnetwork(
-        FAL, [i for i, r in enumerate(FAL.reactions) if r.label != "R52"]
-    )
-    verdict = check_concordance(without_r52)
-    assert verdict.status == "Discordant"
-    assert verify_witness(without_r52, verdict.witness)
-
-
 def test_fal_splits_into_two_independent_concordant_parts():
     pair = subnetwork_by_labels(FAL, ["R51", "R52"])
     rest = subnetwork(
         FAL, [i for i, r in enumerate(FAL.reactions) if r.label not in ("R51", "R52")]
     )
-    whole = rank([row for row in zip(*_columns(FAL))])
-    assert whole == rank([row for row in zip(*_columns(rest))]) + rank(
-        [row for row in zip(*_columns(pair))]
-    )
+    ranks = [rank(oracles.coefficient_reaction_vectors(net)) for net in (FAL, rest, pair)]
+    assert ranks[0] == ranks[1] + ranks[2]
     assert check_concordance(pair).concordant
     assert check_concordance(rest).concordant
 
@@ -578,21 +324,6 @@ def test_forced_reaction_masks_match_the_counters_at_every_node(net, node_budget
     assert len(seen) >= verdict.search_nodes - 1
 
 
-@given(networks(max_species=5, max_reactions=7))
-def test_search_rows_are_the_scaled_fraction_rows(net):
-    # the LP rows the search reads off the integer elimination are those the
-    # Fraction RREF and nullspace give after scale_to_integers
-    search = _Parent(net).whole(DEFAULT_NODE_BUDGET)
-    columns = [[int(x) for x in col] for col in _columns(net)]
-    reduced, pivots = oracles.rref([list(row) for row in zip(*columns)])
-    assert search.alpha.rows == [
-        oracles.scale_to_integers(reduced[k]) for k in range(len(pivots))
-    ]
-    assert search.sigma.rows == [
-        oracles.scale_to_integers(w) for w in oracles.nullspace_basis(columns)
-    ]
-
-
 # --- counts the benchmark's tracer and the JSON reports depend on -----------
 
 
@@ -616,71 +347,69 @@ def test_m3cr_search_node_totals(parent, other, nodes):
     assert m3cr(net, common_reactions(net, load(other))).search_nodes == nodes
 
 
-@pytest.mark.parametrize(
-    "net, solves", [(SCHMITZ, 3), (FAL, 14), (LEE, 9)], ids=["schmitz", "fal", "lee"]
-)
-def test_lp_solves_per_search(net, solves, monkeypatch):
-    # circuits decide every pattern; LPs only rebuild the witness along its path
-    calls = []
+def _counted(calls):
+    """``lp_feasible``, appending to ``calls`` on every call."""
 
-    def counting(a_eq, b_eq, **kwargs):
+    def counting(a_eq, b_eq):
         calls.append(None)
-        return lp_feasible(a_eq, b_eq, **kwargs)
+        return lp_feasible(a_eq, b_eq)
 
-    monkeypatch.setattr(concord, "lp_feasible", counting)
-    assert check_concordance(net).status == "Discordant"
-    assert len(calls) == solves
+    return counting
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """One entry for every ``lp_feasible`` call the concordance module makes."""
+    calls = []
+    monkeypatch.setattr(concord, "lp_feasible", _counted(calls))
+    return calls
 
 
 @pytest.mark.parametrize(
-    "run, solves, nodes",
+    "run, nodes, solves",
     [
-        (lambda: check_concordance(AUGMENTED), 4, 16),
-        (lambda: check_concordance(REDUCED), 4, 16),
-        # m3cr asks for no witness
-        (lambda: m3cr(REDUCED, common_reactions(REDUCED, MACLEAN)), 0, 316),
+        (lambda: check_concordance(SCHMITZ), 23, 3),
+        (lambda: check_concordance(FAL), 30, 14),
+        (lambda: check_concordance(LEE), 56, 9),
+        # the timed benchmark ops
+        (lambda: check_concordance(AUGMENTED), 16, 4),
+        (lambda: check_concordance(REDUCED), 16, 4),
+        (lambda: m3cr(REDUCED, common_reactions(REDUCED, MACLEAN)), 316, 0),
     ],
-    ids=["schmitz-augmented", "schmitz-reduced", "m3cr-reduced-vs-maclean"],
+    ids=["schmitz", "fal", "lee", "schmitz-augmented", "schmitz-reduced",
+         "m3cr-reduced-vs-maclean"],
 )
-def test_lp_solves_on_timed_benchmark_ops(run, solves, nodes, monkeypatch):
-    calls = []
-
-    def counting(a_eq, b_eq, **kwargs):
-        calls.append(None)
-        return lp_feasible(a_eq, b_eq, **kwargs)
-
-    monkeypatch.setattr(concord, "lp_feasible", counting)
-    assert run().search_nodes == nodes
-    assert len(calls) == solves
+def test_lp_solves_per_search(run, nodes, solves, lp_calls):
+    # circuits decide every pattern; LPs only rebuild the witness along a
+    # Discordant leaf's path, and m3cr asks for no witness
+    result = run()
+    assert (result.search_nodes, len(lp_calls)) == (nodes, solves)
+    if solves:
+        assert result.status == "Discordant"
 
 
-def test_a_search_with_no_lp_builds_no_fraction(monkeypatch):
+def test_a_search_with_no_lp_builds_no_fraction(monkeypatch, lp_calls):
     # the search keeps its points as integers over one denominator and
     # builds Fractions only for a returned witness
     net = subnetwork_by_labels(
         AUGMENTED, [r.label for r in AUGMENTED.reactions if r.label not in ("R10", "R11")]
     )
-    made, calls = [], []
+    made = []
 
     def fraction(*args):
         made.append(args)
         return Fraction(*args)
 
-    def counting(a_eq, b_eq, **kwargs):
-        calls.append(None)
-        return lp_feasible(a_eq, b_eq, **kwargs)
-
     monkeypatch.setattr(concord, "Fraction", fraction)
-    monkeypatch.setattr(concord, "lp_feasible", counting)
     verdict = check_concordance(net)
-    assert (verdict.status, verdict.search_nodes, len(calls)) == ("Concordant", 23, 0)
+    assert (verdict.status, verdict.search_nodes, len(lp_calls)) == ("Concordant", 23, 0)
     assert made == []
     # a Discordant search builds them, in the witness
     witness = check_concordance(SCHMITZ).witness
     assert len(made) >= sum(1 for v in witness.alpha + witness.sigma if v)
 
 
-def test_the_lp_path_builds_no_fraction(monkeypatch):
+def test_the_lp_path_builds_no_fraction(monkeypatch, lp_calls):
     # lp_feasible takes and returns integers, and _signed_point reads its
     # point as numerators over its denominator, so a Concordant search
     # builds no Fraction in either module: by circuits it solves no LP, and
@@ -688,25 +417,20 @@ def test_the_lp_path_builds_no_fraction(monkeypatch):
     net = subnetwork_by_labels(
         FAL, [r.label for r in FAL.reactions if r.label not in ("R51", "R52")]
     )
-    made, calls = [], []
+    made = []
 
     def fraction(*args):
         made.append(args)
         return Fraction(*args)
 
-    def counting(a_eq, b_eq, **kwargs):
-        calls.append(None)
-        return lp_feasible(a_eq, b_eq, **kwargs)
-
     monkeypatch.setattr(concord, "Fraction", fraction)
     monkeypatch.setattr(linalg, "Fraction", fraction)
-    monkeypatch.setattr(concord, "lp_feasible", counting)
     verdict = check_concordance(net)
-    assert (verdict.status, verdict.search_nodes, len(calls)) == ("Concordant", 73, 0)
+    assert (verdict.status, verdict.search_nodes, len(lp_calls)) == ("Concordant", 73, 0)
     monkeypatch.setattr(concord, "_CIRCUIT_SUBSETS", 0)
     verdict = check_concordance(net)
     assert (verdict.status, verdict.search_nodes) == ("Concordant", 73)
-    assert calls
+    assert lp_calls
     assert made == []
 
 
@@ -783,14 +507,6 @@ def test_every_set_m3cr_searches_is_built_as_its_subnetwork_would_be(name, other
         _assert_search_as_from_the_subnetwork(parent, net, key)
 
 
-@pytest.mark.parametrize("name, other", [*M3CR_PAIRS, ("fal", "maclean")])
-def test_m3cr_with_a_shared_store_is_the_construction_without_one(name, other):
-    # oracles.m3cr runs check_concordance on a fresh subnetwork for every set
-    net = _network(name)
-    shared = common_reactions(net, _network(other))
-    assert m3cr(net, shared) == oracles.m3cr(net, shared)
-
-
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(
     networks(max_species=6, max_reactions=8),
@@ -835,31 +551,6 @@ def test_the_block_store_is_reused_within_an_m3cr_call(monkeypatch):
     assert len({id(block) for block in handed}) < len(handed)
     # m3cr asks for no witness, so no block holds an LP answer
     assert not any(block.answers for block in handed)
-
-
-# --- m3cr against the construction that searched every set afresh ----------
-
-
-@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(
-    networks(max_species=4, max_reactions=6),
-    st.data(),
-    st.sampled_from((3, 12, DEFAULT_NODE_BUDGET)),
-)
-def test_m3cr_matches_the_memo_free_construction(net, data, node_budget):
-    mandatory = data.draw(
-        st.lists(
-            st.sampled_from(net.reactions), min_size=1, max_size=2, unique_by=lambda r: r.arrow
-        )
-    )
-
-    def outcome(construct):
-        try:
-            return construct(net, mandatory, node_budget)
-        except ValueError as error:
-            return str(error)
-
-    assert outcome(m3cr) == outcome(oracles.m3cr)
 
 
 # --- certificate pruning against the search without certificates ----------
@@ -922,12 +613,7 @@ def test_certificates_change_nothing_but_the_solve_count(net, data, node_budget)
     # the species in a drawn order, which check_concordance keeps
     net = Network(net.reactions, data.draw(st.permutations(net.species)))
     calls = []
-
-    def counting(a_eq, b_eq, **kwargs):
-        calls.append(None)
-        return lp_feasible(a_eq, b_eq, **kwargs)
-
-    with patch.object(concord, "lp_feasible", counting):
+    with patch.object(concord, "lp_feasible", _counted(calls)):
         verdict = check_concordance(net, node_budget)
     oracle = oracles.CertificateFreeSearch(net, node_budget)
     want = oracle.run()
@@ -966,23 +652,6 @@ def test_a_pattern_the_carried_point_misses_gets_its_own_lp_point():
     assert (verdict.status, repr(verdict.witness), verdict.search_nodes) == (
         want.status, repr(want.witness), want.search_nodes
     )
-
-
-def test_row_certificates_are_the_masks_of_each_row_and_its_negation():
-    # the search's former row certificates (oracles.row_certificates)
-    assert oracles.row_certificates([[1, -1, 0]]) == [(0b01, 0b10), (0b10, 0b01)]
-    assert oracles.row_certificates([[0, 2, 0], [-3, 0, 1]]) == [
-        (0b010, 0), (0, 0b010), (0b100, 0b001), (0b001, 0b100)
-    ]
-    assert oracles.row_certificates([]) == []
-    # x1 - x2 = 0: the row refutes x1 >= 1 with x2 <= 0, its negation x2 >= 1
-    # with x1 <= 0, and nothing refutes x1, x2 >= 1 or an unassigned x2
-    certs = oracles.row_certificates([[1, -1]])
-    assert _circuits([0, 1], [[1, -1]]) == certs
-    assert _refuted(certs, (0b01, 0, 0b10))
-    assert _refuted(certs, (0b10, 0b01, 0))
-    assert not _refuted(certs, (0b11, 0, 0))
-    assert not _refuted(certs, (0b01, 0, 0))
 
 
 @settings(max_examples=150, deadline=None)
@@ -1110,22 +779,24 @@ def test_sides_with_a_zero_row_or_no_rows():
     ]
     point = empty.point((0b001, 0b100, 0b010), zero)
     assert _read(point, 3) == _shown(oracles.masked([Fraction(1), Fraction(0), Fraction(-1)]))
+    # x1 - x2 = 0: its circuits, the row and its negation, refute x1 >= 1
+    # with x2 = 0 and x2 >= 1 with x1 <= -1; nothing refutes x1, x2 >= 1 or
+    # an unassigned x2
+    circuits = _circuits([0, 1], [[1, -1]])
+    assert circuits == [(0b01, 0b10), (0b10, 0b01)]
+    assert _refuted(circuits, (0b01, 0, 0b10))
+    assert _refuted(circuits, (0b10, 0b01, 0))
+    assert not _refuted(circuits, (0b11, 0, 0))
+    assert not _refuted(circuits, (0b01, 0, 0))
 
 
-def test_species_in_no_left_null_row_are_signed_without_an_lp(monkeypatch):
+def test_species_in_no_left_null_row_are_signed_without_an_lp(lp_calls):
     search = _Parent(LEE).whole(DEFAULT_NODE_BUDGET)
     loose = [block.coords[0] for block in search.sigma._build() if not block.rows]
     assert len(loose) == 3
-    calls = []
-
-    def counting(a_eq, b_eq, **kwargs):
-        calls.append(None)
-        return lp_feasible(a_eq, b_eq, **kwargs)
-
-    monkeypatch.setattr(concord, "lp_feasible", counting)
     masks = (1 << loose[0], 1 << loose[1], 1 << loose[2])
     parts, pos, neg = search.sigma.point(masks, ([], 0, 0))
-    assert not calls
+    assert not lp_calls
     assert (pos, neg) == masks[:2]
     point = _assemble(parts, search.species_count)
     assert point == tuple(1 if j == loose[0] else -1 if j == loose[1] else 0 for j in range(len(point)))

@@ -11,45 +11,12 @@ from crnkit import fixtures
 from crnkit.core import Network, parse_network, subnetwork_by_labels
 from crnkit.decomp import (
     Decomposition,
-    decomposition_numbers,
     fid,
     is_incidence_independent,
     is_independent,
 )
 from crnkit.structure import linkage_partitions, network_numbers
 from netgen import networks
-
-SCHMITZ_BLOCKS = [
-    {"R1", "R2", "R3", "R4", "R5", "R6", "R7", "R10", "R11", "R12", "R13"},
-    {"R8", "R9"},
-    {"R14", "R15"},
-    {"R16", "R17"},
-]
-
-FAL_BLOCKS = [
-    {"R1", "R4", "R5", "R12", "R38", "R45", "R46"},
-    {"R14", "R15"},
-    {"R18", "R19"},
-    {"R43", "R44"},
-    {"R47", "R48"},
-    {"R49", "R50"},
-    {"R51", "R52"},
-    {"R53", "R54", "R55", "R56"},
-]
-
-MACLEAN_BLOCKS = [
-    {"R1", "R2", "R3", "R4", "R5", "R6", "R7", "R36", "R37", "R38", "R39"},
-    {"R8", "R9"},
-    {"R18", "R19"},
-    {"R20", "R21"},
-    {"R22", "R23"},
-    {"R24", "R25", "R26", "R27", "R28", "R29"},
-    {"R30", "R31", "R32", "R33", "R34", "R35"},
-]
-
-
-def as_sorted_sets(label_sets):
-    return sorted(frozenset(s) for s in label_sets)
 
 
 # ---------------------------------------------------------------------------
@@ -124,58 +91,10 @@ def test_linkage_class_decomposition_is_incidence_independent(name):
 # ---------------------------------------------------------------------------
 
 
-def test_fid_schmitz_blocks():
-    got = fid(fixtures.load("schmitz"))
-    assert as_sorted_sets(got.label_sets()) == as_sorted_sets(SCHMITZ_BLOCKS)
-
-
-def test_fid_fal_blocks():
-    got = fid(fixtures.load("fal"))
-    assert as_sorted_sets(got.label_sets()) == as_sorted_sets(FAL_BLOCKS)
-
-
-def test_fid_maclean_blocks():
-    got = fid(fixtures.load("maclean"))
-    assert as_sorted_sets(got.label_sets()) == as_sorted_sets(MACLEAN_BLOCKS)
-
-
 def test_fid_maclean_is_incidence_independent():
     # Hand count: per-block complexes minus connected components sum to
     # 9-3 + 2-1 + 2-1 + 2-1 + 2-1 + 6-2 + 6-2 = 18 = 28 - 10 for the parent.
     assert is_incidence_independent(fid(fixtures.load("maclean")))
-
-
-def test_decomposition_numbers_block_profiles():
-    fal_numbers = decomposition_numbers(fid(fixtures.load("fal")))
-    assert fal_numbers.parent.as_tuple() == (15, 21, 19, 9, 5, 23, 7, 12, 7, 12, 15, 2, 4)
-    blocks = {
-        frozenset(labels): numbers
-        for labels, numbers in zip(fid(fixtures.load("fal")).label_sets(), fal_numbers.blocks)
-    }
-    assert blocks[frozenset(FAL_BLOCKS[0])].as_tuple() == (5, 7, 6, 2, 3, 7, 2, 5, 2, 4, 5, 1, 1)
-
-    maclean_numbers = decomposition_numbers(fid(fixtures.load("maclean")))
-    maclean_blocks = {
-        frozenset(labels): numbers
-        for labels, numbers in zip(
-            fid(fixtures.load("maclean")).label_sets(), maclean_numbers.blocks
-        )
-    }
-    sixth = maclean_blocks[frozenset(MACLEAN_BLOCKS[5])]
-    assert sixth.species == 6
-    assert sixth.rank == 3
-    assert sixth.deficiency == 1
-
-    schmitz_numbers = decomposition_numbers(fid(fixtures.load("schmitz")))
-    schmitz_blocks = {
-        frozenset(labels): numbers
-        for labels, numbers in zip(
-            fid(fixtures.load("schmitz")).label_sets(), schmitz_numbers.blocks
-        )
-    }
-    first = schmitz_blocks[frozenset(SCHMITZ_BLOCKS[0])]
-    assert first.rank == 6
-    assert first.deficiency == 2
 
 
 # ---------------------------------------------------------------------------

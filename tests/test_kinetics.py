@@ -23,6 +23,7 @@ from crnkit.kinetics import (
     parametrization,
     parametrization_names,
 )
+from crnkit.transform import KineticSystem
 
 SCHMITZ = fixtures.load("schmitz")
 FAL = fixtures.load("fal")
@@ -84,30 +85,47 @@ def test_rhs_rejects_bad_input():
 _X = {"A": 1.0, "B": 1.0}
 _FAL_RATES = {rxn.label: 1.0 for rxn in FAL.reactions}
 _FAL_FREE = {"sigma2": 1.0, "a7": 1.0, "a23": 1.0}
+_LINE_SYSTEM = KineticSystem.mass_action(LINE, {"R1": 1.0})
+_LINE_RATE = _LINE_SYSTEM.reactions[0]
 
 
-# positive means positive and finite, for every kinetic input; an infinite R19
-# or a7 would come out of the fal parametrization as an infinite A12 or A7
+# positive means positive and finite, for every kinetic input and on every
+# path; an infinite R19 or a7 would come out of the fal parametrization as an
+# infinite A12 or A7
 @pytest.mark.parametrize(
-    "evaluate, what",
+    "evaluate, message",
     [
-        (lambda: mass_action_rhs(LINE, {"R1": math.inf}, _X), "rate constant for R1"),
-        (lambda: equilibrium_residual(LINE, {"R1": math.inf}, _X), "rate constant for R1"),
+        (lambda: mass_action_rhs(LINE, {"R1": math.inf}, _X), "rate constant for R1 must be"),
+        (
+            lambda: equilibrium_residual(LINE, {"R1": math.inf}, _X),
+            "rate constant for R1 must be",
+        ),
         (
             lambda: parametrization("fal", {**_FAL_RATES, "R19": math.inf}, _FAL_FREE),
-            "rate constant for R19",
+            "rate constant for R19 must be",
         ),
-        (lambda: mass_action_rhs(LINE, {"R1": 1.0}, {**_X, "A": math.inf}), "concentration of A"),
+        (
+            lambda: mass_action_rhs(LINE, {"R1": 1.0}, {**_X, "A": math.inf}),
+            "concentration of A must be",
+        ),
+        (lambda: _LINE_SYSTEM.rhs({**_X, "A": math.inf}), "concentration of A must be"),
+        (lambda: _LINE_SYSTEM.rhs({**_X, "B": math.nan}), "concentration of B must be"),
+        (lambda: _LINE_RATE.rate({"A": -math.inf}), "concentration of A must be"),
+        (lambda: _LINE_RATE.rate({"A": -2.0}), "concentration of A must be"),
+        (lambda: _LINE_SYSTEM.rhs({"B": 1.0}), "missing concentration for A"),
+        (lambda: _LINE_RATE.rate({"B": 1.0}), "missing concentration for A"),
         (
             lambda: parametrization("fal", _FAL_RATES, {**_FAL_FREE, "a7": math.inf}),
-            "free parameter a7",
+            "free parameter a7 must be",
         ),
     ],
     ids=["rhs-rate", "residual-rate", "parametrization-rate", "rhs-concentration",
+         "system-rhs-concentration", "system-rhs-nan", "rate-concentration",
+         "rate-negative-concentration", "system-rhs-missing", "rate-missing",
          "parametrization-free"],
 )
-def test_infinite_kinetic_inputs_are_refused(evaluate, what):
-    with pytest.raises(ValueError, match=f"{what} must be positive"):
+def test_infinite_kinetic_inputs_are_refused(evaluate, message):
+    with pytest.raises(ValueError, match=message):
         evaluate()
 
 

@@ -33,16 +33,6 @@ def test_network_numbers_branched_example():
     assert numbers.as_tuple() == (4, 4, 4, 1, 3, 5, 1, 3, 1, 3, 4, 0, 0)
 
 
-def test_network_numbers_lee_profile():
-    numbers = network_numbers(fixtures.load("lee"))
-    assert numbers.as_tuple() == (15, 21, 19, 9, 4, 22, 8, 12, 8, 11, 15, 2, 4)
-
-
-def test_network_numbers_schmitz_profile():
-    numbers = network_numbers(fixtures.load("schmitz"))
-    assert numbers.as_tuple() == (11, 16, 14, 6, 5, 17, 5, 10, 5, 9, 11, 2, 3)
-
-
 def test_linkage_partitions_branched_example():
     net = parse_network(BRANCHED_TEXT)
     linkage, strong, terminal = linkage_partitions(net)
@@ -73,27 +63,9 @@ def test_linkage_partitions_trivial_cases():
     assert terminal == [[2, 3], [4], [6]]
 
 
-@pytest.mark.parametrize("name", ["lee", "fal", "maclean", "schmitz"])
-def test_structural_flags_wnt_models(name):
-    flags = structural_flags(fixtures.load(name))
-    assert flags.branching
-    assert flags.closed
-    assert not flags.cycle_terminal
-    assert flags.high_reactant_diversity
-    assert not flags.maximally_closed
-    assert not flags.point_terminal
-    assert flags.t_minimal
-    assert not flags.weakly_reversible
-
-
 def test_structural_flags_trivial_cases():
     assert structural_flags(parse_network("A <-> B")).weakly_reversible
     assert not structural_flags(parse_network("A -> B")).branching
-
-
-@pytest.mark.parametrize("name", ["lee", "fal", "maclean", "schmitz"])
-def test_kinetic_subspace_wnt_models(name):
-    assert kinetic_subspace_coincides(fixtures.load(name)) == "yes"
 
 
 def test_kinetic_subspace_trivial_cases():
