@@ -10,7 +10,7 @@ around the reactions two models have in common.  Runs in ~10 seconds.
 
 from crnkit import fixtures
 from crnkit.concord import check_concordance, m3cr, verify_witness
-from crnkit.core import common_reactions
+from crnkit.core import Network, common_reactions, serialize_network
 
 
 def show_witness(net, witness):
@@ -37,7 +37,8 @@ def main():
     report = m3cr(fal, shared)
     kept = len(report.container.reactions)
     print(f"maximal concordant container keeps {kept} of {len(fal.reactions)} reactions")
-    print("  excluded:", ", ".join(r.label for r in report.discordance_set))
+    excluded = serialize_network(Network(report.discordance_set))
+    print("  excluded, as .crn text:", *excluded.splitlines(), sep="\n    ")
     print("  every excluded reaction re-breaks concordance:", report.maximality_verified)
 
 

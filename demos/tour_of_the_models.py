@@ -1,13 +1,15 @@
 """A quick tour of the four bundled Wnt-signaling models.
 
-Prints the counting profile, the structure flags, and the finest
-independent decomposition of each network.  Takes about a second.
+Prints the counting profile, the structure flags, positive dependence and
+conservativity, and the finest independent decomposition of each network,
+with whether it is incidence independent.  Takes about a second.
 
     python3 demos/tour_of_the_models.py
 """
 
 from crnkit import fixtures
-from crnkit.decomp import decomposition_numbers, fid
+from crnkit.concord import is_conservative, is_positive_dependent
+from crnkit.decomp import decomposition_numbers, fid, is_incidence_independent
 from crnkit.structure import network_numbers, structural_flags
 
 FIELDS = (
@@ -27,6 +29,10 @@ FIELDS = (
 )
 
 
+def yes_no(flag):
+    return "yes" if flag else "no"
+
+
 def main():
     for name in ("lee", "fal", "maclean", "schmitz"):
         net = fixtures.load(name)
@@ -35,13 +41,19 @@ def main():
         for field, value in zip(FIELDS, numbers.as_tuple()):
             print(f"  {field:<22}{value}")
 
-        flags = structural_flags(net)
+        flags = structural_flags(numbers)
         on = [f for f in vars(flags) if getattr(flags, f)]
         print("  flags:", ", ".join(on))
+        print("  positive dependent:", yes_no(is_positive_dependent(net).holds))
+        print("  conservative:", yes_no(is_conservative(net).holds))
 
         decomposition = fid(net)
         profiles = decomposition_numbers(decomposition).blocks
-        print(f"  finest independent decomposition: {len(profiles)} blocks")
+        independent = yes_no(is_incidence_independent(decomposition))
+        print(
+            f"  finest independent decomposition: {len(profiles)} blocks,"
+            f" incidence independent: {independent}"
+        )
         for labels, block in zip(decomposition.label_sets(), profiles):
             shown = sorted(labels, key=lambda s: int(s.lstrip("R")))
             print(f"    rank {block.rank}, deficiency {block.deficiency}:", ", ".join(shown))

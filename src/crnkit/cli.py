@@ -21,10 +21,10 @@ from .core import Network, common_reactions, parse_network
 from .kinetics import parametrization_names
 from .structure import (
     NetworkNumbers,
-    _deficiency_zero_of,
-    _flags_of,
-    _kinetic_subspace_of,
+    deficiency_zero_report,
+    kinetic_subspace_coincides,
     network_numbers,
+    structural_flags,
 )
 
 PROFILE_FIELDS = ", ".join(field.name.replace("_", " ") for field in fields(NetworkNumbers))
@@ -116,9 +116,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     numbers = network_numbers(net)
     payload = {
         "networkNumbers": asdict(numbers),
-        "structuralFlags": asdict(_flags_of(numbers)),
-        "kineticSubspaceCoincides": _kinetic_subspace_of(numbers),
-        "deficiencyZero": asdict(_deficiency_zero_of(numbers)),
+        "structuralFlags": asdict(structural_flags(numbers)),
+        "kineticSubspaceCoincides": kinetic_subspace_coincides(numbers),
+        "deficiencyZero": asdict(deficiency_zero_report(numbers)),
     }
     _emit(args, payload, _analyze_text)
     return 0

@@ -58,10 +58,6 @@ class Complex:
     def species(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self._terms)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def coefficient(self, species: str) -> int:
         for name, coeff in self._terms:
             if name == species:
@@ -115,9 +111,6 @@ class Reaction:
     @property
     def arrow(self) -> tuple[Complex, Complex]:
         return (self.reactant, self.product)
-
-    def reverse(self, label: str | None = None) -> Reaction:
-        return Reaction(self.product, self.reactant, label)
 
     def format(self, species_order: Sequence[str] | None = None) -> str:
         text = f"{self.reactant.format(species_order)} -> {self.product.format(species_order)}"
@@ -398,30 +391,7 @@ def subnetwork_by_labels(net: Network, labels: Iterable[str]) -> Network:
     return subnetwork(net, net.indices_of_labels(labels))
 
 
-def union(net1: Network, net2: Network) -> Network:
-    """Set union of reactions (net1's first); labels kept where unambiguous."""
-    merged: list[Reaction] = list(net1.reactions)
-    arrows = {rxn.arrow for rxn in merged}
-    taken = {rxn.label for rxn in merged if rxn.label}
-    for rxn in net2.reactions:
-        if rxn.arrow in arrows:
-            continue
-        if rxn.label in taken:
-            rxn = Reaction(rxn.reactant, rxn.product)
-        merged.append(rxn)
-        arrows.add(rxn.arrow)
-        if rxn.label:
-            taken.add(rxn.label)
-    return Network(merged)
-
-
 def common_reactions(net1: Network, net2: Network) -> list[Reaction]:
     """net1's reactions structurally present in net2 (net1 order and labels)."""
     present = {rxn.arrow for rxn in net2.reactions}
     return [rxn for rxn in net1.reactions if rxn.arrow in present]
-
-
-def difference(net1: Network, net2: Network) -> list[Reaction]:
-    """net1's reactions structurally absent from net2."""
-    present = {rxn.arrow for rxn in net2.reactions}
-    return [rxn for rxn in net1.reactions if rxn.arrow not in present]

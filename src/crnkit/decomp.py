@@ -49,10 +49,6 @@ class Decomposition:
         canonical = sorted(tuple(sorted(set(block))) for block in blocks)
         return cls(parent, tuple(canonical))
 
-    @property
-    def trivial(self) -> bool:
-        return len(self.blocks) == 1
-
     def block_networks(self) -> list[Network]:
         return [subnetwork(self.parent, block) for block in self.blocks]
 

@@ -10,11 +10,6 @@ from ..core import Network, parse_network
 NAMES = ("lee", "fal", "maclean", "schmitz", "schmitz-augmented", "schmitz-reduced")
 
 
-def available() -> tuple[str, ...]:
-    """Names accepted by :func:`load`."""
-    return NAMES
-
-
 @cache
 def load(name: str) -> Network:
     """The bundled network of that name, parsed once per process.

@@ -182,12 +182,8 @@ def network_numbers(net: Network) -> NetworkNumbers:
     )
 
 
-def structural_flags(net: Network) -> StructuralFlags:
-    """The eight boolean structure properties derived from the profile."""
-    return _flags_of(network_numbers(net))
-
-
-def _flags_of(numbers: NetworkNumbers) -> StructuralFlags:
+def structural_flags(numbers: NetworkNumbers) -> StructuralFlags:
+    """The eight boolean structure properties, read off a network's profile."""
     return StructuralFlags(
         branching=numbers.reactant_complexes < numbers.reactions,
         closed=numbers.rank < numbers.species,
@@ -200,26 +196,18 @@ def _flags_of(numbers: NetworkNumbers) -> StructuralFlags:
     )
 
 
-def kinetic_subspace_coincides(net: Network) -> Literal["yes", "unknown"]:
+def kinetic_subspace_coincides(numbers: NetworkNumbers) -> Literal["yes", "unknown"]:
     """Whether the kinetic and stoichiometric subspaces provably coincide.
 
     Uses the sufficient criterion that t-minimal networks (terminal strong
     linkage classes = linkage classes) have coinciding subspaces under mass
     action; anything else is reported as unknown, not no.
     """
-    return _kinetic_subspace_of(network_numbers(net))
-
-
-def _kinetic_subspace_of(numbers: NetworkNumbers) -> Literal["yes", "unknown"]:
     return "yes" if numbers.terminal_classes == numbers.linkage_classes else "unknown"
 
 
-def deficiency_zero_report(net: Network) -> DeficiencyZeroReport:
+def deficiency_zero_report(numbers: NetworkNumbers) -> DeficiencyZeroReport:
     """Applicability of the deficiency-zero existence/uniqueness regime."""
-    return _deficiency_zero_of(network_numbers(net))
-
-
-def _deficiency_zero_of(numbers: NetworkNumbers) -> DeficiencyZeroReport:
     weakly_reversible = numbers.strong_classes == numbers.linkage_classes
     return DeficiencyZeroReport(
         applies=numbers.deficiency == 0 and weakly_reversible,

@@ -1,15 +1,15 @@
 """Network transforms and cross-model comparison.
 
-Species-projection (embedded networks), the two reaction rewrites that
-preserve dynamics (shifting a reaction by a species vector and splitting it
-across its reaction vector), the common-species embedded-network comparison
-(CSEN), and the common-reactions (CORE) comparison. A small kinetic layer —
-reactions carrying concrete monomial rate functions — carries the rewrites
-over to kinetic systems, including rate functions whose exponents are not
-the reactant stoichiometry. ``same_dynamics`` decides exactly whether two
-such systems have the same right-hand side, by comparing the rational
-coefficient of each (species, rate monomial) pair. Rates and right-hand
-sides at a point come from the one evaluator in ``kinetics``.
+Species-projection (embedded networks), the common-species embedded-network
+comparison (CSEN), the common-reactions (CORE) comparison, and a small
+kinetic layer: reactions carrying concrete monomial rate functions, whose
+exponents need not be the reactant stoichiometry. A kinetic system takes the
+two reaction rewrites that preserve dynamics: shifting a reaction by a
+species vector and splitting it across its reaction vector.
+``same_dynamics`` decides exactly whether two such systems have the same
+right-hand side, by comparing the rational coefficient of each (species,
+rate monomial) pair. Rates and right-hand sides at a point come from the
+one evaluator in ``kinetics``.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ def _vector_of(reactant: Complex, product: Complex) -> dict[str, int]:
 
 
 def _check_split(
-    rxn: Reaction | RatedReaction, part1: tuple[Complex, Complex], part2: tuple[Complex, Complex]
+    rxn: RatedReaction, part1: tuple[Complex, Complex], part2: tuple[Complex, Complex]
 ) -> None:
     total = _vector_of(*part1)
     for name, value in _vector_of(*part2).items():
@@ -56,36 +56,6 @@ def _check_split(
     total = {name: value for name, value in total.items() if value != 0}
     if total != _vector_of(rxn.reactant, rxn.product):
         raise ValueError("part reaction vectors do not sum to the original")
-
-
-def _shifted(reactions: Sequence[Reaction | RatedReaction], index: int, z: SpeciesVector) -> list:
-    """``reactions`` with the one at ``index`` shifted by ``z``, keeping its
-    label and any rate function."""
-    rxn = reactions[index]
-    out = list(reactions)
-    out[index] = replace(
-        rxn, reactant=_shift_complex(rxn.reactant, z), product=_shift_complex(rxn.product, z)
-    )
-    return out
-
-
-def _split(
-    reactions: Sequence[Reaction | RatedReaction],
-    index: int,
-    part1: tuple[Complex, Complex],
-    part2: tuple[Complex, Complex],
-) -> list:
-    """``reactions`` with the one at ``index`` replaced by its parts, labelled
-    with the suffixes ``a`` and ``b``, each keeping any rate function."""
-    index = range(len(reactions))[index]  # for -1, out[-1:0] would be empty
-    rxn = reactions[index]
-    _check_split(rxn, part1, part2)
-    out = list(reactions)
-    out[index : index + 1] = [
-        replace(rxn, reactant=r, product=p, label=rxn.label + suffix if rxn.label else None)
-        for (r, p), suffix in ((part1, "a"), (part2, "b"))
-    ]
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -131,26 +101,6 @@ def embedded_network(net: Network, keep: Iterable[str]) -> Network:
     if not restricted:
         raise ValueError("embedding leaves no reactions")
     return Network(restricted)
-
-
-# ---------------------------------------------------------------------------
-# dynamics-preserving rewrites (structural level)
-# ---------------------------------------------------------------------------
-
-
-def shift(net: Network, reaction_index: int, z: SpeciesVector) -> Network:
-    """Replace a reaction y→y' with y+z→y'+z (same reaction vector)."""
-    return Network(_shifted(net.reactions, reaction_index, z))
-
-
-def split_by_reaction_vector(
-    net: Network,
-    reaction_index: int,
-    part1: tuple[Complex, Complex],
-    part2: tuple[Complex, Complex],
-) -> Network:
-    """Replace a reaction by two reactions whose vectors sum to the original's."""
-    return Network(_split(net.reactions, reaction_index, part1, part2))
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +346,13 @@ class KineticSystem:
         return _species_rates(self._species, reactions, x)[0]
 
     def shift(self, reaction_index: int, z: SpeciesVector) -> KineticSystem:
-        """Shift one reaction by a species vector, keeping its rate function."""
-        reactions = _shifted(self._reactions, reaction_index, z)
+        """Replace one reaction y→y' with y+z→y'+z (same reaction vector),
+        keeping its label and rate function."""
+        reactions = list(self._reactions)
+        rxn = reactions[reaction_index]
+        reactions[reaction_index] = replace(
+            rxn, reactant=_shift_complex(rxn.reactant, z), product=_shift_complex(rxn.product, z)
+        )
         return KineticSystem(reactions, species=_species_of(reactions, self._species))
 
     def split(
@@ -406,14 +361,17 @@ class KineticSystem:
         part1: tuple[Complex, Complex],
         part2: tuple[Complex, Complex],
     ) -> KineticSystem:
-        """Split one reaction across its reaction vector; parts inherit its rate."""
-        reactions = _split(self._reactions, reaction_index, part1, part2)
+        """Replace one reaction by two parts whose reaction vectors sum to its
+        own, labelled with the suffixes ``a`` and ``b``; both inherit its rate."""
+        index = range(len(self._reactions))[reaction_index]  # for -1, [-1:0] would be empty
+        rxn = self._reactions[index]
+        _check_split(rxn, part1, part2)
+        reactions = list(self._reactions)
+        reactions[index : index + 1] = [
+            replace(rxn, reactant=r, product=p, label=rxn.label + suffix if rxn.label else None)
+            for (r, p), suffix in ((part1, "a"), (part2, "b"))
+        ]
         return KineticSystem(reactions, species=_species_of(reactions, self._species))
-
-    def mass_action_census(self) -> tuple[int, int]:
-        """(mass-action count, generalized count) over the reactions."""
-        mak = sum(1 for rxn in self._reactions if rxn.is_mass_action)
-        return mak, len(self._reactions) - mak
 
 
 def _coefficients(system: KineticSystem) -> dict[tuple[str, Complex], Fraction]:

@@ -40,7 +40,7 @@ from crnkit.core import (
     subnetwork_by_labels,
 )
 from crnkit.decomp import fid
-from crnkit.linalg import lp_feasible, rank
+from crnkit.linalg import lp_feasible
 from netgen import networks
 
 LEE = fixtures.load("lee")
@@ -172,17 +172,6 @@ def test_cone_certificates_match_the_whole_lp(net):
 
 
 # --- maximal concordant containers ------------------------------------------
-
-
-def test_fal_splits_into_two_independent_concordant_parts():
-    pair = subnetwork_by_labels(FAL, ["R51", "R52"])
-    rest = subnetwork(
-        FAL, [i for i, r in enumerate(FAL.reactions) if r.label not in ("R51", "R52")]
-    )
-    ranks = [rank(oracles.coefficient_reaction_vectors(net)) for net in (FAL, rest, pair)]
-    assert ranks[0] == ranks[1] + ranks[2]
-    assert check_concordance(pair).concordant
-    assert check_concordance(rest).concordant
 
 
 def test_discordant_mandatory_set_is_rejected():

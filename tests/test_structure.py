@@ -63,26 +63,30 @@ def test_linkage_partitions_trivial_cases():
     assert terminal == [[2, 3], [4], [6]]
 
 
+def _numbers(text: str):
+    return network_numbers(parse_network(text))
+
+
 def test_structural_flags_trivial_cases():
-    assert structural_flags(parse_network("A <-> B")).weakly_reversible
-    assert not structural_flags(parse_network("A -> B")).branching
+    assert structural_flags(_numbers("A <-> B")).weakly_reversible
+    assert not structural_flags(_numbers("A -> B")).branching
 
 
 def test_kinetic_subspace_trivial_cases():
-    assert kinetic_subspace_coincides(parse_network("A -> B\nA -> C")) == "unknown"
-    assert kinetic_subspace_coincides(parse_network("A <-> B")) == "yes"
+    assert kinetic_subspace_coincides(_numbers("A -> B\nA -> C")) == "unknown"
+    assert kinetic_subspace_coincides(_numbers("A <-> B")) == "yes"
 
 
 def test_deficiency_zero_report():
-    one_way = deficiency_zero_report(parse_network("A -> B"))
+    one_way = deficiency_zero_report(_numbers("A -> B"))
     assert one_way.deficiency == 0
     assert not one_way.weakly_reversible
     assert not one_way.applies
 
-    pair = deficiency_zero_report(parse_network("A <-> B"))
+    pair = deficiency_zero_report(_numbers("A <-> B"))
     assert pair.applies and pair.reversible
 
-    cycle = deficiency_zero_report(parse_network("A -> B\nB -> C\nC -> A"))
+    cycle = deficiency_zero_report(_numbers("A -> B\nB -> C\nC -> A"))
     assert cycle.applies
     assert cycle.weakly_reversible
     assert not cycle.reversible
@@ -136,7 +140,7 @@ def test_linkage_classes_partition_complexes(net):
     assert terminal_sets <= {tuple(block) for block in strong}
 
 
-@pytest.mark.parametrize("name", fixtures.available())
+@pytest.mark.parametrize("name", fixtures.NAMES)
 def test_linkage_partitions_match_the_kosaraju_oracle_on_fixtures(name):
     net = fixtures.load(name)
     assert linkage_partitions(net) == oracles.linkage_partitions(net)

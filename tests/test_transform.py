@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crnkit import fixtures
-from crnkit.core import Complex, Network, Reaction, parse_network, reaction_vectors
+from crnkit.core import Complex, Network, parse_network
 from crnkit.transform import (
     KineticSystem,
     RatedReaction,
@@ -18,8 +18,6 @@ from crnkit.transform import (
     embedded_network,
     restrict_reactions,
     same_dynamics,
-    shift,
-    split_by_reaction_vector,
 )
 
 import oracles
@@ -118,39 +116,6 @@ def test_maclean_embedded_on_shared_schmitz_species():
     assert by_label["R31E"].arrow == arrow("0", "A1")
     assert by_label["R36"].arrow == arrow("A8", "A1")
     assert by_label["R38"].arrow == arrow("A4", "0")
-
-
-# ---------------------------------------------------------------------------
-# shift / split at the network level
-# ---------------------------------------------------------------------------
-
-
-def test_shift_adds_species_vector_to_both_sides():
-    net = parse_network("A -> B @R1\nB -> A @R2\n")
-    out = shift(net, 0, {"A": 1})
-    assert out.reactions[0].arrow == arrow("2 A", "A + B")
-    assert out.reactions[0].label == "R1"
-    assert reaction_vectors(out)[0] == reaction_vectors(net)[0]
-
-
-def test_shift_rejects_negative_coefficients():
-    net = parse_network("A -> B\n")
-    with pytest.raises(ValueError):
-        shift(net, 0, {"B": -1})
-
-
-def test_split_replaces_reaction_with_two_parts():
-    net = parse_network("A -> B @R1\nB -> A @R2\n")
-    out = split_by_reaction_vector(net, 0, arrow("A", "0"), arrow("0", "B"))
-    assert [r.label for r in out.reactions] == ["R1a", "R1b", "R2"]
-    assert out.reactions[0].arrow == arrow("A", "0")
-    assert out.reactions[1].arrow == arrow("0", "B")
-
-
-def test_split_requires_parts_to_sum_to_the_vector():
-    net = parse_network("A -> B\n")
-    with pytest.raises(ValueError):
-        split_by_reaction_vector(net, 0, arrow("A", "0"), arrow("0", "2 B"))
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +310,44 @@ def test_non_mass_action_rate_uses_its_own_exponents():
     assert rxn.rate({"A": Fraction(1, 3)}) == Fraction(5, 3)
     system = KineticSystem([rxn])
     assert system.rhs({"A": Fraction(1, 3)}) == {"A": -Fraction(5, 3)}
-    assert system.mass_action_census() == (0, 1)
+
+
+def _vector(rxn):
+    """The reaction vector of a rated reaction, as its nonzero entries."""
+    names = set(rxn.reactant.species + rxn.product.species)
+    changes = ((n, rxn.product.coefficient(n) - rxn.reactant.coefficient(n)) for n in names)
+    return {name: change for name, change in changes if change}
+
+
+def test_shift_adds_species_vector_to_both_sides():
+    system = _mass_action(parse_network("A -> B @R1\nB -> A @R2\n"))
+    rxn, out = system.reactions[0], system.shift(0, {"A": 1}).reactions[0]
+    assert (out.reactant, out.product) == arrow("2 A", "A + B")
+    assert out.label == "R1"
+    assert _vector(out) == _vector(rxn)
+    assert (out.rate_constant, out.exponents) == (rxn.rate_constant, rxn.exponents)
+
+
+def test_shift_rejects_negative_coefficients():
+    system = _mass_action(parse_network("A -> B\n"))
+    with pytest.raises(ValueError):
+        system.shift(0, {"B": -1})
+
+
+def test_split_replaces_reaction_with_two_parts():
+    system = _mass_action(parse_network("A -> B @R1\nB -> A @R2\n"))
+    out = system.split(0, arrow("A", "0"), arrow("0", "B"))
+    assert [r.label for r in out.reactions] == ["R1a", "R1b", "R2"]
+    assert [(r.reactant, r.product) for r in out.reactions[:2]] == [
+        arrow("A", "0"),
+        arrow("0", "B"),
+    ]
+    # a negative index counts from the end, as in a list
+    assert system.split(-2, arrow("A", "0"), arrow("0", "B")).reactions == out.reactions
+    # the parts of an unlabelled reaction stay unlabelled
+    unlabelled = _mass_action(parse_network("A -> B\n"))
+    parts = unlabelled.split(0, arrow("A", "0"), arrow("0", "B")).reactions
+    assert [r.label for r in parts] == [None, None]
 
 
 def test_kinetic_shift_and_split_preserve_dynamics():
@@ -421,7 +423,7 @@ def test_realizing_the_maclean_flows_from_schmitz_kinetics():
     system = system.shift(index_of("R16a"), {"A1": 1})  # A1 -> 0 becomes 2 A1 -> A1
 
     assert len(system.reactions) == 19
-    assert system.mass_action_census() == (14, 5)
+    assert sum(r.is_mass_action for r in system.reactions) == 14
 
     nme = embedded_network(MACLEAN, shared)
     expected = (arrows(nme.reactions) - {arrow("A4", "0"), arrow("A5", "0")}) | {
@@ -470,16 +472,17 @@ def test_embedding_on_all_species_is_identity(net):
 @settings(max_examples=60, deadline=None)
 @given(networks())
 def test_shift_then_unshift_restores_the_network(net):
+    system = _mass_action(net)
     name = net.species[0]
-    shifted = shift(net, 0, {name: 2})
-    assert shift(shifted, 0, {name: -2}) == net
+    restored = system.shift(0, {name: 2}).shift(0, {name: -2})
+    assert (restored.species, restored.reactions) == (system.species, system.reactions)
 
 
 @settings(max_examples=40, deadline=None)
 @given(networks())
 def test_mass_action_systems_are_mass_action(net):
     system = _mass_action(net)
-    assert system.mass_action_census() == (len(net.reactions), 0)
+    assert all(r.is_mass_action for r in system.reactions)
     point = {name: Fraction(1, 2) for name in net.species}
     values = system.rhs(point)
     assert set(values) == set(net.species)
@@ -521,29 +524,3 @@ def test_same_dynamics_agrees_with_the_sampling_oracle(net, data):
     ):
         assert same_dynamics(system, other) is expected
         assert oracles.same_dynamics(system, other) is expected
-
-
-def _arrows_and_labels(reactions):
-    return [(rxn.reactant, rxn.product, rxn.label) for rxn in reactions]
-
-
-@settings(max_examples=60, deadline=None)
-@given(networks(), st.data())
-def test_network_rewrites_match_kinetic_rewrites(net, data):
-    unlabelled = data.draw(st.integers(0, len(net.reactions) - 1))
-    net = Network(
-        [
-            Reaction(rxn.reactant, rxn.product, None if i == unlabelled else rxn.label)
-            for i, rxn in enumerate(net.reactions)
-        ]
-    )
-    method, i, args = _rewrite(data, net.reactions, net.species)
-    kinetic = _arrows_and_labels(getattr(_mass_action(net), method)(i, *args).reactions)
-    rewrite = shift if method == "shift" else split_by_reaction_vector
-    if len({(r, p) for r, p, _ in kinetic}) < len(kinetic):
-        with pytest.raises(ValueError, match="duplicate reaction"):
-            rewrite(net, i, *args)
-    else:
-        rewritten = rewrite(net, i, *args)
-        assert _arrows_and_labels(rewritten.reactions) == kinetic
-        assert rewrite(net, i - len(net.reactions), *args) == rewritten
