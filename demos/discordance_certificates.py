@@ -3,7 +3,8 @@
 Every full model is discordant; the interesting structure appears in the
 subnetworks the models share.  This script prints a verified discordance
 certificate for one model, then grows a maximal concordant container
-around the reactions two models have in common.  Runs in ~10 seconds.
+around the reactions two models have in common.  Runs in about 0.1 s
+on a 2-vCPU Xeon VM.
 
     python3 demos/discordance_certificates.py
 """

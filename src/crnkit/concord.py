@@ -38,15 +38,21 @@ its own LP, block by block (``_signed_point``; under Bland's rule each block
 of a block-diagonal tableau pivots as it would alone). ``Fraction``s are
 built only in ``_assemble``. The cone certificates ask a ``_Side`` for one
 point each. A ``_Parent`` row-reduces its network once and builds every
-search, for ``check_concordance`` and for each reaction set of ``m3cr``,
-which share one store of blocks and their circuits. ``m3cr`` asks for no
-witness, so it solves no LP.
+search, for ``check_concordance`` and for each reaction set of ``m3cr``. A
+set's search works in the parent's coordinates. Its kernel, padded with
+zeros, is ker N with every reaction outside the set wanted 0, and the
+argument above holds for any pattern, so all of them share the parent's one
+alpha side, split into blocks once. A set's left nullspace is grown from
+that of the set one reaction smaller (``_Parent.grow``), and searches over
+the same one share its blocks. All blocks come from one store, with their
+circuits. ``m3cr`` asks for no witness, so it solves no LP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import comb
 from typing import Iterable, Literal, Sequence
@@ -362,13 +368,20 @@ class _Side:
     circuits that meet those and the LPs of the blocks over the circuit
     bound that do; both lists are built for a depth when it is first asked.
     ``point`` answers a pattern with a masked point, which ``_assemble``
-    turns into a vector, or None. The blocks come from ``store`` on first use.
+    turns into a vector, or None. The blocks come from ``store`` on first use,
+    or from the ``source`` side that ``deciding`` made this one from, so
+    every search over the same rows shares one list of them.
     """
 
-    __slots__ = ("rows", "count", "store", "changes", "checks", "blocks")
+    __slots__ = ("rows", "count", "store", "changes", "checks", "blocks", "source")
 
     def __init__(
-        self, rows: list[list[int]], count: int, store: _Store, changes: Sequence[int] = ()
+        self,
+        rows: list[list[int]],
+        count: int,
+        store: _Store,
+        changes: Sequence[int] = (),
+        source: _Side | None = None,
     ) -> None:
         self.rows = rows
         self.count = count
@@ -376,11 +389,20 @@ class _Side:
         self.changes = changes
         self.checks: list[tuple[list[_Certificate], list[_Block]] | None] = [None] * len(changes)
         self.blocks: list[_Block] | None = None
+        self.source = source
 
     def _build(self) -> list[_Block]:
         if self.blocks is None:
-            self.blocks = _blocks(self.rows, self.count, self.store)
+            if self.source is None:
+                self.blocks = _blocks(self.rows, self.count, self.store)
+            else:
+                self.blocks = self.source._build()
         return self.blocks
+
+    def deciding(self, changes: Sequence[int]) -> _Side:
+        """A side over this one's rows and blocks that decides the children of
+        a search changing ``changes``."""
+        return _Side(self.rows, self.count, self.store, changes, self)
 
     def feasible(self, depth: int, masks: _Masks) -> bool:
         """Whether a point has the signs ``masks`` wants; a pattern that wants
@@ -442,37 +464,41 @@ class _BudgetExhausted(Exception):
 
 
 class _WitnessSearch:
-    """The sign search of one network, built by ``_Parent``.
+    """The sign search of one network or reaction set, built by ``_Parent``.
 
-    ``reactant_of`` holds the mask of the reactions each species is a
+    Its coordinates are the parent's: bit r of a reaction mask is the
+    parent's reaction r, and bit i of a species mask its species i.
+    ``reactant_of`` holds the mask of the set's reactions each species is a
     reactant of, and ``after[d]`` the reactions with a reactant among the
     species ``order[d:]``, so the reactions a pattern forces (pure +, pure -,
     all zero) take three mask operations (``_descend``). A child at depth d
     signs the species ``order[d]`` (``sigma``) and decides the reactions
-    ``after[d] & ~after[d + 1]`` (``alpha``); a reaction with no reactant is
-    forced to 0 everywhere, and a circuit within those refutes nothing.
+    ``after[d] & ~after[d + 1]`` (``alpha``); a reaction with no reactant, or
+    none in the set, is forced to 0 everywhere, and a circuit within those
+    refutes nothing.
     """
 
     def __init__(
         self,
-        columns: list[list[int]],
+        species: list[int],
         reactant_of: list[int],
-        alpha_rows: list[list[int]],
-        pivots: list[int],
+        alpha: _Side,
+        sigma: _Side,
         node_budget: int,
-        store: _Store,
     ) -> None:
-        """The search over the reaction vectors ``columns``, with ``reactant_of``
-        the mask of the reactions each species is a reactant of, and the
-        primitive RREF rows of N and their pivot columns."""
+        """The search over the parent's species ``species``, the set's in order
+        of first appearance, with ``reactant_of`` the mask of the set's
+        reactions each parent species is a reactant of, the parent's ``alpha``
+        side and the ``sigma`` side of the set's left nullspace."""
         self.node_budget = node_budget
         self.nodes = 0
-        self.reaction_count = len(columns)
-        self.species_count = len(reactant_of)
+        self.reaction_count = alpha.count
+        self.species_count = sigma.count
+        self.species = species
         self.reactant_of = reactant_of
+        # most-shared reactant first, ties in order of first appearance
         self.order = sorted(
-            (i for i in range(self.species_count) if reactant_of[i]),
-            key=lambda i: (-reactant_of[i].bit_count(), i),
+            (i for i in species if reactant_of[i]), key=lambda i: -reactant_of[i].bit_count()
         )
         # after[d]: the reactions with a reactant among order[d:], unsigned at depth d
         self.after = [0] * (len(self.order) + 1)
@@ -480,10 +506,8 @@ class _WitnessSearch:
             self.after[d] = self.after[d + 1] | reactant_of[self.order[d]]
         self.all_reactions = (1 << self.reaction_count) - 1
         decided = [self.after[d] & ~self.after[d + 1] for d in range(len(self.order))]
-        self.alpha = _Side(alpha_rows, self.reaction_count, store, decided)
-        # the pivot reactions span the image, so their left nullspace is N's
-        sigma_rows = _integer_nullspace([columns[r] for r in pivots])
-        self.sigma = _Side(sigma_rows, self.species_count, store, [1 << i for i in self.order])
+        self.alpha = alpha.deciding(decided)
+        self.sigma = sigma.deciding([1 << i for i in self.order])
 
     def _off_support_sigma(self) -> list[Fraction] | None:
         """A nonzero image vector vanishing on every reactant support, or None.
@@ -491,7 +515,7 @@ class _WitnessSearch:
         The first canonical nullspace vector of the sigma rows on the species
         no reaction consumes: with a unit row per reactant added instead, each
         reactant column is a pivot no other column reaches, so it is the same."""
-        free = [i for i in range(self.species_count) if not self.reactant_of[i]]
+        free = [i for i in self.species if not self.reactant_of[i]]
         if not free:
             return None  # every species is a reactant, so no vector is nonzero off them
         # with no left-null rows, every vector is an image vector
@@ -558,7 +582,7 @@ class _WitnessSearch:
         free_sigma = self._off_support_sigma()
         if free_sigma is not None:
             found = SignWitness((_ZERO,) * self.reaction_count, tuple(free_sigma))
-            return ConcordanceVerdict("Discordant", found, self.nodes)
+            return ConcordanceVerdict("Discordant", found if witness else None, self.nodes)
         try:
             leaf = self._descend(0, (0, 0, 0), (0, 0))
         except _BudgetExhausted:
@@ -569,19 +593,26 @@ class _WitnessSearch:
         return ConcordanceVerdict("Discordant", found, self.nodes)
 
 
+# A reaction set's left nullspace: the side over its canonical primitive
+# RREF rows, over the parent's species and 0 off the set's, and the mask of
+# the set's species.
+_Basis = tuple[_Side, int]
+
+
 class _Parent:
     """What the searches of one network and of its reaction sets share, built once.
 
     The network's reaction vectors, its primitive RREF rows and their pivot
-    columns, and one ``store`` from which all its searches take their blocks.
-    ``whole`` builds the search of the network itself, in its own species
-    order. ``search`` builds that of ``subnetwork(net, key)`` with no
-    subnetwork: its species in order of first appearance, the parent's
-    vectors cut to them, and ``_eliminate`` of the parent's RREF rows cut to
-    its reactions, the rows the subnetwork's own elimination gives.
+    columns, the ``alpha`` side over those rows, each reaction's species and
+    reactants, and one ``store`` from which all its searches take their
+    blocks. ``whole`` builds the search of the network itself. ``search``
+    builds that of ``subnetwork(net, key)`` with no subnetwork, in the
+    parent's coordinates. Its kernel, padded with zeros, is ker N with every
+    reaction outside ``key`` wanted 0, so it shares the parent's ``alpha``
+    side, whose circuits refute exactly the infeasible patterns of those too.
+    Its left nullspace is a ``_Basis`` that ``grow`` builds one reaction at a
+    time, from a set one reaction smaller (``basis`` from none).
     """
-
-    __slots__ = ("net", "columns", "rows", "pivots", "store", "species_of", "reactants")
 
     def __init__(self, net: Network) -> None:
         self.net = net
@@ -589,44 +620,91 @@ class _Parent:
         reduced, self.pivots = _eliminate(list(zip(*self.columns)))
         self.rows = reduced[: len(self.pivots)]
         self.store: _Store = {}
-        self.species_of: list[list[int]] | None = None
-        self.reactants: list[list[int]] | None = None
+        self.alpha = _Side(self.rows, len(self.columns), self.store)
+        self.index = {name: i for i, name in enumerate(net.species)}
+        self.reactants = [[self.index[name] for name, _ in rxn.reactant] for rxn in net.reactions]
+
+    @cached_property
+    def species_of(self) -> list[list[int]]:
+        """Each reaction's species in order of appearance, for ``search`` and ``grow``."""
+        index = self.index
+        return [
+            [index[name] for side in (rxn.reactant, rxn.product) for name, _ in side]
+            for rxn in self.net.reactions
+        ]
+
+    def _reactant_of(self, key: Iterable[int]) -> list[int]:
+        """The mask of the reactions of ``key`` each parent species is a reactant of."""
+        reactant_of = [0] * len(self.net.species)
+        for r in key:
+            for i in self.reactants[r]:
+                reactant_of[i] |= 1 << r
+        return reactant_of
 
     def whole(self, node_budget: int) -> _WitnessSearch:
-        """The search of the network itself."""
-        index = {name: i for i, name in enumerate(self.net.species)}
-        reactant_of = [0] * len(index)
-        for r, rxn in enumerate(self.net.reactions):
-            for name, _ in rxn.reactant:
-                reactant_of[index[name]] |= 1 << r
+        """The search of the network itself, in its own species order."""
+        count = len(self.net.species)
+        # the pivot reactions span the image, so their left nullspace is N's
+        sigma_rows = _integer_nullspace([self.columns[r] for r in self.pivots])
         return _WitnessSearch(
-            self.columns, reactant_of, self.rows, self.pivots, node_budget, self.store
+            list(range(count)),
+            self._reactant_of(range(len(self.columns))),
+            self.alpha,
+            _Side(sigma_rows, count, self.store),
+            node_budget,
         )
 
-    def search(self, key: Sequence[int], node_budget: int) -> _WitnessSearch:
-        """The search of the reactions ``key``, in increasing order."""
-        if self.species_of is None:
-            index = {name: i for i, name in enumerate(self.net.species)}
-            reactions = self.net.reactions
-            # each reaction's species in order of appearance, and its reactants
-            self.species_of = [
-                [index[name] for side in (rxn.reactant, rxn.product) for name, _ in side]
-                for rxn in reactions
-            ]
-            self.reactants = [[index[name] for name, _ in rxn.reactant] for rxn in reactions]
-        local: dict[int, int] = {}
+    def search(self, key: Sequence[int], basis: _Basis, node_budget: int) -> _WitnessSearch:
+        """The search of the reactions ``key``, in increasing order, whose left
+        nullspace is ``basis``; its species in order of first appearance."""
+        species = list(dict.fromkeys(i for r in key for i in self.species_of[r]))
+        return _WitnessSearch(species, self._reactant_of(key), self.alpha, basis[0], node_budget)
+
+    def basis(self, key: Iterable[int]) -> _Basis:
+        """The ``_Basis`` of the reactions ``key``, grown from none, one at a time."""
+        basis: _Basis = _Side([], len(self.net.species), self.store), 0
         for r in key:
-            for i in self.species_of[r]:
-                local.setdefault(i, len(local))
-        columns = [[self.columns[r][i] for i in local] for r in key]
-        reactant_of = [0] * len(local)
-        for k, r in enumerate(key):
-            for i in self.reactants[r]:
-                reactant_of[local[i]] |= 1 << k
-        reduced, pivots = _eliminate([[row[r] for r in key] for row in self.rows])
-        return _WitnessSearch(
-            columns, reactant_of, reduced[: len(pivots)], pivots, node_budget, self.store
-        )
+            basis = self.grow(basis, r)
+        return basis
+
+    def grow(self, basis: _Basis, cand: int) -> _Basis:
+        """The ``_Basis`` of a reaction set with ``cand`` added, from the set's ``basis``.
+
+        The new left nullspace is {y in L + span(e_i : i a species ``cand``
+        adds) : y . N_cand = 0}, L the set's. The unit rows keep the rows an
+        RREF, and the cut keeps it one: it drops the last row whose product
+        with N_cand is nonzero, which leads where no vector of the new space
+        does, and subtracts it from each other such row. ``basis`` itself is
+        returned when ``cand`` adds no species and no rank.
+        """
+        side, present = basis
+        count = side.count
+        rows = side.rows
+        units = []
+        for i in self.species_of[cand]:
+            if not present >> i & 1:
+                present |= 1 << i
+                unit = [0] * count
+                unit[i] = 1
+                units.append(unit)
+        if units:
+            # by the coordinate each row leads at
+            rows = sorted(rows + units, key=lambda row: next(j for j, x in enumerate(row) if x))
+        # the net change, so a species on both sides of cand counts once
+        entries = [(i, value) for i, value in enumerate(self.columns[cand]) if value]
+        products = [sum([row[i] * value for i, value in entries]) for row in rows]
+        cut = len(rows) - 1
+        while cut >= 0 and not products[cut]:
+            cut -= 1
+        if cut < 0:
+            return (_Side(rows, count, self.store), present) if units else basis
+        cut_row, p = rows[cut], products[cut]
+        s = 1 if p > 0 else -1
+        grown = [
+            _primitive([s * (p * a - f * b) for a, b in zip(row, cut_row)]) if f else row
+            for row, f in zip(rows[:cut], products)
+        ] + rows[cut + 1:]
+        return _Side(grown, count, self.store), present
 
 
 def check_concordance(
@@ -727,24 +805,30 @@ def m3cr(
 
     Each reaction set is searched once per call, however often the passes
     meet it; ``search_nodes`` still adds a verdict's nodes at every use. The
-    searches share one ``_Parent``, so one set-up and one store of blocks and
-    their circuits, and none builds a witness, so none solves an LP unless a
-    block is over the circuit bound. The store keeps every block until the
-    call returns: a traced peak of 0.33 MB on ``m3cr(maclean, shared with
-    fal)`` (12,654 nodes).
+    searches share one ``_Parent``: one elimination, one alpha side split
+    into blocks once, and one store of blocks and their circuits. A pass
+    only searches ``kept + [cand]``, so each set's left nullspace is grown
+    from that of ``kept`` by one step, and each pass starts again from the
+    mandatory set's. A candidate that adds no species and no rank leaves it
+    as it is, and its search reuses the sigma blocks of ``kept``. No search
+    builds a witness, so none solves an LP unless a block is over the
+    circuit bound. The store keeps every block until the call returns: a
+    traced peak of 0.09 MB on ``m3cr(maclean, shared with fal)`` (12,654
+    nodes).
     """
     _check_budget(node_budget)
     parent = _Parent(net)
     verdicts: dict[tuple[int, ...], ConcordanceVerdict] = {}
 
-    def verdict_of(indices: list[int]) -> ConcordanceVerdict:
+    def verdict_of(indices: list[int], basis: _Basis) -> ConcordanceVerdict:
         key = tuple(sorted(indices))
         if key not in verdicts:
-            verdicts[key] = parent.search(key, node_budget).run(witness=False)
+            verdicts[key] = parent.search(key, basis, node_budget).run(witness=False)
         return verdicts[key]
 
     base = sorted(set(_reaction_indices(net, mandatory)))
-    base_verdict = verdict_of(base)
+    base_basis = parent.basis(base)
+    base_verdict = verdict_of(base, base_basis)
     if base_verdict.status == "Discordant":
         raise ValueError("mandatory reaction set generates a discordant subnetwork")
     if base_verdict.status == "Unknown":
@@ -765,16 +849,18 @@ def m3cr(
         checked against the final container, which is the maximality proof.
         """
         nonlocal total_nodes
-        kept = list(base)
+        kept, basis = list(base), base_basis
         pending = list(order)
         while True:
             leftovers: list[int] = []
             hit_budget = False
             for cand in pending:
-                verdict = verdict_of(kept + [cand])
+                grown = parent.grow(basis, cand)
+                verdict = verdict_of(kept + [cand], grown)
                 total_nodes += verdict.search_nodes
                 if verdict.status == "Concordant":
                     kept.append(cand)
+                    basis = grown
                 else:
                     leftovers.append(cand)
                     hit_budget = hit_budget or verdict.status == "Unknown"

@@ -9,7 +9,7 @@ from unittest.mock import patch
 
 import oracles
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from crnkit import fixtures
@@ -428,9 +428,9 @@ def test_m3cr_searches_each_reaction_set_once(monkeypatch):
     seen = []
     search = concord._Parent.search
 
-    def counting(parent, key, node_budget):
+    def counting(parent, key, basis, node_budget):
         seen.append(tuple(key))
-        return search(parent, key, node_budget)
+        return search(parent, key, basis, node_budget)
 
     monkeypatch.setattr(concord._Parent, "search", counting)
     report = m3cr(AUGMENTED, common_reactions(AUGMENTED, MACLEAN))
@@ -454,46 +454,95 @@ M3CR_PAIRS = [
 ]
 
 
-def _assert_search_as_from_the_subnetwork(parent, net, key):
-    # the search built from the parent's arrays is the one that
-    # check_concordance builds for the subnetwork
-    got = parent.search(key, DEFAULT_NODE_BUDGET)
-    want = _Parent(subnetwork(net, key)).whole(DEFAULT_NODE_BUDGET)
-    assert (got.reaction_count, got.species_count) == (want.reaction_count, want.species_count)
-    assert (got.alpha.rows, got.alpha.count) == (want.alpha.rows, want.alpha.count)
-    assert (got.sigma.rows, got.sigma.count) == (want.sigma.rows, want.sigma.count)
-    assert (got.order, got.reactant_of, got.after) == (want.order, want.reactant_of, want.after)
+def _left_nullspace(net, key):
+    """The RREF of the left nullspace of the reactions ``key`` of ``net``, by the
+    Fraction oracle, over the parent's species and 0 off the set's."""
+    sub = subnetwork(net, key)
+    where = [net.species.index(name) for name in sub.species]
+    rows = []
+    for vector in oracles.nullspace_basis(oracles.coefficient_reaction_vectors(sub)):
+        row = [Fraction(0)] * len(net.species)
+        for i, value in zip(where, vector):
+            row[i] = value
+        rows.append(row)
+    return oracles.rref(rows)[0]
+
+
+def _assert_search_as_from_the_subnetwork(parent, net, key, basis):
+    # the search of a reaction set in the parent's coordinates decides as the
+    # subnetwork's own search does: it visits the same species in the same
+    # order, its sigma rows span the same space, and it gives the same
+    # verdict after the same nodes
+    got = parent.search(key, basis, DEFAULT_NODE_BUDGET)
+    sub = subnetwork(net, key)
+    want = _Parent(sub).whole(DEFAULT_NODE_BUDGET)
+    assert [net.species[i] for i in got.order] == [sub.species[i] for i in want.order]
+    assert got.alpha.rows is parent.rows
+    assert oracles.rref(got.sigma.rows)[0] == _left_nullspace(net, key)
+    got_verdict, want_verdict = got.run(witness=False), want.run(witness=False)
+    assert (got_verdict.status, got_verdict.search_nodes) == (
+        want_verdict.status, want_verdict.search_nodes
+    )
 
 
 @settings(max_examples=200, deadline=None)
 @given(networks(max_species=6, max_reactions=8), st.data())
 def test_search_from_the_parent_arrays_is_the_subnetwork_search(net, data):
     # the parent's species in a drawn order, so that its indices and the
-    # set's first-appearance order differ
+    # set's first-appearance order differ; each basis grown in a drawn order
     net = Network(net.reactions, data.draw(st.permutations(net.species)))
     keys = st.lists(st.integers(0, len(net.reactions) - 1), min_size=1, unique=True)
     parent = concord._Parent(net)
     for _ in range(3):
-        _assert_search_as_from_the_subnetwork(parent, net, sorted(data.draw(keys)))
+        key = data.draw(keys)
+        _assert_search_as_from_the_subnetwork(parent, net, sorted(key), parent.basis(key))
 
 
 @pytest.mark.parametrize("name, other", M3CR_PAIRS)
 def test_every_set_m3cr_searches_is_built_as_its_subnetwork_would_be(name, other, monkeypatch):
     net = _network(name)
-    keys = []
+    searched = []
     search = concord._Parent.search
 
-    def recording(parent, key, node_budget):
-        keys.append(key)
-        return search(parent, key, node_budget)
+    def recording(parent, key, basis, node_budget):
+        searched.append((parent, key, basis))
+        return search(parent, key, basis, node_budget)
 
     monkeypatch.setattr(concord._Parent, "search", recording)
     m3cr(net, common_reactions(net, _network(other)))
     monkeypatch.undo()
-    assert keys
+    assert searched
+    for parent, key, basis in searched:
+        _assert_search_as_from_the_subnetwork(parent, net, key, basis)
+
+
+@settings(max_examples=200, deadline=None)
+@given(networks(max_species=6, max_reactions=8), st.permutations(range(8)))
+@example(
+    # a species on both sides (X1), a catalyst with no net change (X5) and a
+    # reaction that adds no species and no rank (R3)
+    net=parse_network("X2 + X1 -> 2 X1 + X3 @R1\nX3 + X5 -> X4 + X5 @R2\nX4 -> X3 @R3"),
+    order=[0, 1, 2, 3, 4, 5, 6, 7],
+)
+def test_growing_a_basis_one_reaction_at_a_time(net, order):
+    # after each reaction the rows are the primitive RREF of the set's left
+    # nullspace (the Fraction oracle's, over the parent's species), its mask
+    # holds the set's species, and a reaction that adds no species and no
+    # rank returns the basis it was given
     parent = concord._Parent(net)
-    for key in keys:
-        _assert_search_as_from_the_subnetwork(parent, net, key)
+    basis = parent.basis([])
+    key = []
+    for cand in (r for r in order if r < len(net.reactions)):
+        grown = parent.grow(basis, cand)
+        key.append(cand)
+        rows, present = grown[0].rows, grown[1]
+        want = _left_nullspace(net, key)
+        assert rows == [oracles.scale_to_integers(row) for row in want]
+        species = subnetwork(net, sorted(key)).species
+        assert present == sum(1 << net.species.index(name) for name in species)
+        same_rank = len(want) - len(basis[0].rows) == present.bit_count() - basis[1].bit_count()
+        assert (grown is basis) == (present == basis[1] and same_rank)
+        basis = grown
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
